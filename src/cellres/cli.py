@@ -123,15 +123,17 @@ def _field(args):
 
 
 def _jobs(args):
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("CELLRES_JOBS", "").strip()
-    if env:
+    """Worker count from --jobs, else CELLRES_JOBS; values <= 0 mean serial."""
+    jobs = args.jobs
+    if jobs is None:
+        env = os.environ.get("CELLRES_JOBS", "").strip()
+        if not env:
+            return None
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError as exc:
             raise CliError(f"CELLRES_JOBS must be an integer, got {env!r}") from exc
-    return None
+    return max(1, jobs)
 
 
 def _parse_pairs(text: str, what: str) -> tuple:

@@ -13,7 +13,6 @@ includes dimension -1 and a one-point complex is acyclic.  The void complex
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .linalg import GF2, FieldSpec, gf2_rank, matrix_rank
@@ -379,11 +378,3 @@ def strip_signs(X: CellComplex) -> CellComplex:
         for c in X.cells
     )
     return CellComplex(X.n_vertices, cells)
-
-
-def subsets_of_vertices(X: CellComplex):
-    """All vertex subsets as frozensets, smallest first (testing helper)."""
-    verts = range(X.n_vertices)
-    for k in range(X.n_vertices + 1):
-        for combo in itertools.combinations(verts, k):
-            yield frozenset(combo)

@@ -16,7 +16,6 @@ partial order.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 
@@ -314,10 +313,3 @@ def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
         points |= new
         frontier = new
     return LcmLattice(L.n_variables, frozenset(points))
-
-
-def all_subsets(n: int):
-    """Nonempty subsets of range(n) in (size, lexicographic) order."""
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            yield frozenset(combo)

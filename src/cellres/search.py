@@ -2,10 +2,13 @@
 
 The validity criteria split into a hereditary part (the cover bound and
 acyclicity of complements of unions survive passing to subfamilies) and a
-part that only holds at full strength (face separation and covering the
-vertex set).  Enumeration therefore walks families in candidate-index order,
-pruning as soon as the hereditary part fails, and records a family whenever
-the remaining conditions hold at the current node.
+part closed under supersets (face separation and covering the vertex set).
+Enumeration walks families depth first in candidate-index order and records
+a family whenever the second part holds at the current node.  Each node
+carries its live set, the later candidates that can still join without
+breaking the hereditary part; adding a member only ever shrinks it, and
+only the checks involving the new member are run.  A subtree is skipped
+when its live set cannot complete face separation or the vertex cover.
 
 Maximality is operational: a reduced family is maximal when no single set
 can be added without breaking a criterion.  Adding a set can only break the
@@ -15,6 +18,7 @@ hereditary part, which keeps the extension test cheap.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -56,9 +60,11 @@ class SearchSpace:
         construction, exposed so the suite can rerun searches on cruder
         candidate lists and compare.
     max_candidates: refuse (GuardExceeded) to search a longer list.
-    prune: use the incremental hereditary bookkeeping; turning it off
-        re-evaluates the criteria from scratch at every node.  Results are
-        identical either way.
+    prune: carry the live candidate set down the search tree and skip
+        subtrees whose live set cannot meet face separation or the vertex
+        cover; turning it off re-evaluates the criteria from scratch at
+        every node of the hereditary walk.  Results are identical either
+        way.
     """
 
     candidates: tuple = None
@@ -136,6 +142,17 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple, prune: bool,
     Returns the found families as tuples of member masks, in candidate
     order.  When only_first is given, the first chosen candidate is pinned
     to that index (used to partition work across processes).
+
+    With prune, every node carries its live set: the candidates after the
+    newest member that can still join the chosen family without breaking
+    the cover bound or the acyclic-complement condition.  Both conditions
+    are closed under subfamilies, so a candidate that leaves the live set
+    never returns below that node, and a child filters its parent's live
+    set by what the newest member adds alone: the cover-bound unions that
+    contain it and the member unions it creates.  A child is entered only
+    when its live set can still separate every covering face pair and cover
+    every vertex, since both requirements are closed under supersets.
+    Without prune every node re-evaluates the criteria from scratch.
     """
     oracle = oracle or AcyclicityOracle(X, field)
     full = (1 << X.n_vertices) - 1
@@ -154,56 +171,62 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple, prune: bool,
         cand_pairs.append(bits)
 
     found = []
-    chosen_masks = []
+    chosen = []
 
-    def cover_ok(m):
-        k = min(d - 1, len(chosen_masks))
-        for combo in itertools.combinations(chosen_masks, k):
-            u = m
-            for x in combo:
-                u |= x
-            if u == full:
-                return False
-        return True
+    def reachable(live, sat, covered):
+        for k in live:
+            sat |= cand_pairs[k]
+            covered |= cands[k]
+        return sat == all_pairs and covered == full
 
-    def descend(start, unions, sat, covered, only=None):
+    def descend(live, unions, sat, covered, only=None):
+        for i, j in enumerate(live):
+            if only is not None and j != only:
+                continue
+            m = cands[j]
+            chosen.append(m)
+            sat_j, covered_j = sat | cand_pairs[j], covered | m
+            if covered_j == full and sat_j == all_pairs:
+                found.append(tuple(chosen))
+            fresh = {u | m for u in unions} - unions
+            size = min(d - 1, len(chosen))
+            bounds = []
+            if size:
+                for combo in itertools.combinations(chosen[:-1], size - 1):
+                    u = m
+                    for x in combo:
+                        u |= x
+                    bounds.append(u)
+            nxt = [k for k in live[i + 1:]
+                   if all(cands[k] | u != full for u in bounds)
+                   and all(oracle.is_acyclic(full & ~(w | cands[k]))
+                           for w in fresh)]
+            if nxt and reachable(nxt, sat_j, covered_j):
+                descend(nxt, unions | fresh, sat_j, covered_j)
+            chosen.pop()
+
+    def from_scratch(start, only=None):
         indices = range(start, len(cands)) if only is None else (only,)
         for j in indices:
-            m = cands[j]
-            if prune:
-                if not cover_ok(m):
-                    continue
-                fresh = []
-                ok = True
-                for u in unions:
-                    w = u | m
-                    if w not in unions:
-                        if not oracle.is_acyclic(full & ~w):
-                            ok = False
-                            break
-                        fresh.append(w)
-                if not ok:
-                    continue
-                chosen_masks.append(m)
-                if covered | m == full and sat | cand_pairs[j] == all_pairs:
-                    found.append(tuple(chosen_masks))
-                descend(j + 1, unions | set(fresh), sat | cand_pairs[j],
-                        covered | m)
-                chosen_masks.pop()
-            else:
-                fam = VertexFamily(
-                    X.n_vertices,
-                    tuple(set_of(x) for x in chosen_masks) + (set_of(m),))
-                rep = check_family_criteria(X, fam, field, oracle)
-                if not (rep.cover_bound and rep.complements_acyclic):
-                    continue
-                chosen_masks.append(m)
-                if rep.ok:
-                    found.append(tuple(chosen_masks))
-                descend(j + 1, unions, 0, 0)
-                chosen_masks.pop()
+            fam = VertexFamily(
+                X.n_vertices,
+                tuple(set_of(x) for x in chosen) + (set_of(cands[j]),))
+            rep = check_family_criteria(X, fam, field, oracle)
+            if not (rep.cover_bound and rep.complements_acyclic):
+                continue
+            chosen.append(cands[j])
+            if rep.ok:
+                found.append(tuple(chosen))
+            from_scratch(j + 1)
+            chosen.pop()
 
-    descend(0, {0}, 0, 0, only=only_first)
+    if not prune:
+        from_scratch(0, only=only_first)
+        return found
+    root = [j for j, m in enumerate(cands)
+            if m != full and oracle.is_acyclic(full & ~m)]
+    if reachable(root, 0, 0):
+        descend(root, {0}, 0, 0, only=only_first)
     return found
 
 
@@ -277,8 +300,9 @@ def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
             _check_automorphism(X, tuple(perm))
         symmetry = tuple({tuple(p) for p in space.symmetry}
                          | {_identity(X.n_vertices)})
-    if jobs and jobs > 1 and len(cands) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, os.cpu_count() or 1, len(cands))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
                 _search_worker,
                 [(X, field, cands, space.prune, j) for j in range(len(cands))])
@@ -304,9 +328,7 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
 
     The search keeps a list of unmet requirements and branches on the one
     with the fewest admissible candidates, banning a candidate once its
-    subtree is exhausted.  Unlike the subset-lattice walk this stays usable
-    on cones and solid polytopes, where nearly every complement restriction
-    is acyclic and hereditary pruning never fires.
+    subtree is exhausted, and stops at the first valid family.
     """
     space = space or SearchSpace()
     if X.dim < 1:

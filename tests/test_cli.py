@@ -284,3 +284,26 @@ def test_jobs_env_override(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "enumerate", "--complex", cx)
     assert code == 3
     assert "CELLRES_JOBS" in err["error"]["message"]
+
+
+def test_jobs_zero_flag_matches_env(capsys, tmp_path, monkeypatch):
+    import cellres.search
+
+    def no_pool(max_workers):
+        raise AssertionError(f"pool of {max_workers} started for a serial run")
+
+    monkeypatch.setattr(cellres.search, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run(capsys, "construct", "chord", "--n", "6", "--a", "3")
+    cx = write_doc(tmp_path, "chord.json", out["result"]["complex"])
+    outputs = []
+    for flag, env in ((["--jobs", "0"], None), ([], "0"),
+                      (["--jobs", "-2"], None), ([], "-2")):
+        if env is None:
+            monkeypatch.delenv("CELLRES_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("CELLRES_JOBS", env)
+        code = main(["enumerate", "--complex", cx, "--maximal"] + flag)
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 1
+    assert json.loads(outputs[0])["result"]["count"] == 2

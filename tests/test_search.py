@@ -1,9 +1,11 @@
 """Family enumeration, maximality, covering checks, conjecture harnesses."""
 
+import os
 import random
 
 import pytest
 
+import cellres.search as search
 from cellres.constructions import (
     bipyramid_complex,
     chord_complex,
@@ -19,9 +21,9 @@ from cellres.constructions import (
     wheel_family,
     wheel_polytope,
 )
-from cellres.linalg import RATIONAL
+from cellres.linalg import GF2, RATIONAL
 from cellres.monomials import FamilyError, family, family_of, morphism_exists
-from cellres.resolution import check_family_criteria, set_of
+from cellres.resolution import AcyclicityOracle, check_family_criteria, set_of
 from cellres.search import (
     GuardExceeded,
     SearchSpace,
@@ -37,6 +39,7 @@ from cellres.search import (
     selfdual_report,
     variable_count_report,
 )
+from reference_search import reference_search
 
 SP = SearchSpace(max_candidates=200)
 
@@ -95,6 +98,84 @@ def test_enumeration_is_independent_of_pruning_and_jobs():
     parallel = enumerate_valid_families(X, SP, jobs=2)
     key = lambda fams: [as_sorted_sets(F) for F in fams]
     assert key(base) == key(unpruned) == key(parallel)
+
+
+def _pyramid_over_pentagon_space():
+    """The first 20 default candidates on the pyramid over a pentagon, plus
+    the members of a valid family, so that the list has a solution and the
+    reference walk stays quick."""
+    X = pyramid(polygon_complex(5))
+    masks = search._candidate_masks(X, SP, AcyclicityOracle(X))
+    sets = {set_of(m) for m in masks[:20]}
+    sets |= set(any_valid_family(X, SP).sets)
+    return X, SearchSpace(candidates=tuple(sets), max_candidates=200)
+
+
+DIFFERENTIAL_CASES = {
+    "pyramid-4-gon": lambda: (pyramid(polygon_complex(4)), SP),
+    "bipyramid-3-gon": lambda: (bipyramid_complex(3), SP),
+    "pyramid-5-gon-short-list": _pyramid_over_pentagon_space,
+    "chord-6-3": lambda: (chord_complex(6, 3), SP),
+    "hexagon-two-chords": lambda: (subdivided_polygon(6, ((1, 5), (3, 5))),
+                                   SP),
+    "chord-5-2-unfiltered": lambda: (
+        chord_complex(5, 2),
+        SearchSpace(connected_only=False, complement_filter=False,
+                    max_candidates=200)),
+}
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_forward_checking_matches_the_reference_walk(case, field):
+    X, space = DIFFERENTIAL_CASES[case]()
+    cands = search._candidate_masks(X, space, AcyclicityOracle(X, field))
+    got = search._search(X, field, cands, True)
+    assert got == reference_search(X, field, cands)
+
+
+def test_worker_count_is_clamped_before_forking(monkeypatch):
+    sizes = []
+
+    class PoolRecorder:
+        """Stands in for ProcessPoolExecutor: records the requested worker
+        count and maps in this process, so no worker is ever started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", PoolRecorder)
+    X = chord_complex(5, 2)
+    key = lambda fams: [as_sorted_sets(F) for F in fams]
+    base = key(enumerate_valid_families(X, SP))
+    assert key(enumerate_valid_families(X, SP, jobs=10 ** 6)) == base
+    cpus = os.cpu_count() or 1
+    assert len(sizes) == (1 if cpus > 1 else 0)
+    assert all(w <= cpus for w in sizes)
+
+    # with a known core count the clamp is exact, and a short candidate
+    # list caps the pool at one worker per candidate
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    sizes.clear()
+    assert key(enumerate_valid_families(X, SP, jobs=10 ** 6)) == base
+    pair = SearchSpace(candidates=({0, 1}, {2, 3}), max_candidates=200)
+    enumerate_valid_families(X, pair, jobs=10 ** 6)
+    assert sizes == [3, 2]
+
+    # zero or negative job counts run serially
+    sizes.clear()
+    for jobs in (0, -4, 1):
+        assert key(enumerate_valid_families(X, SP, jobs=jobs)) == base
+    assert sizes == []
 
 
 def test_enumeration_over_the_rationals_matches_gf2():
@@ -223,13 +304,30 @@ def test_existence_search_agrees_with_enumeration():
 
 
 def test_existence_search_handles_solid_polytopes():
-    # enumeration is infeasible here (cone complements are almost always
-    # acyclic, so hereditary pruning never fires); existence is quick
     assert any_valid_family(pyramid(polygon_complex(4)), SP) is None
     assert any_valid_family(bipyramid_complex(3), SP) is None
     fam = any_valid_family(pyramid(polygon_complex(5)), SP)
     assert fam is not None
     assert check_family_criteria(pyramid(polygon_complex(5)), fam).ok
+
+
+def test_enumeration_on_the_pyramid_over_a_pentagon():
+    X = pyramid(polygon_complex(5))
+    found = enumerate_valid_families(X, SP)
+    assert len(found) == 1
+    assert found[0].same_family(any_valid_family(X, SP))
+    assert found[0].same_family(pyramid_family(polygon_family(5)))
+
+
+@pytest.mark.parametrize("chords, count, members", [
+    (((0, 3),), 2, 9),
+    (((0, 2), (0, 4)), 4, 10),
+])
+def test_octagon_maximal_families_have_n_plus_k_members(chords, count,
+                                                        members):
+    found = enumerate_maximal_families(subdivided_polygon(8, chords), SP)
+    assert len(found) == count
+    assert [len(F.sets) for F in found] == [members] * count
 
 
 def test_covering_property_of_maximal_families(hexagon_two_chords,
