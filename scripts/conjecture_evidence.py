@@ -74,10 +74,11 @@ def main(argv=None):
              else [args.kind])
     reports = []
     for kind in kinds:
-        maker = (variable_count_report if kind == "variable-count"
-                 else selfdual_report)
-        reports.append(maker(max_candidates=args.max_candidates,
-                             jobs=args.jobs))
+        if kind == "variable-count":
+            reports.append(variable_count_report(
+                max_candidates=args.max_candidates, jobs=args.jobs))
+        else:
+            reports.append(selfdual_report(max_candidates=args.max_candidates))
 
     if args.json:
         sys.stdout.write(canonical_json(

@@ -404,9 +404,11 @@ def _run_polarize(args, run: _Run):
 
 
 def _run_conjecture(args, run: _Run):
-    rep = conjecture_harness(args.kind, field=_field(args), jobs=_jobs(args),
-                             max_candidates=args.max_candidates)
-    run.result = conjecture_report_to_dict(rep)
+    params = {"field": _field(args), "max_candidates": args.max_candidates}
+    if args.kind == "variable-count":
+        params["jobs"] = _jobs(args)
+    run.result = conjecture_report_to_dict(
+        conjecture_harness(args.kind, **params))
 
 
 _BODIES = {

@@ -207,34 +207,52 @@ class HomologyReport:
     acyclic: bool
 
 
-def _boundary_ranks(X: CellComplex, field: FieldSpec) -> dict:
-    """rank of the boundary map C_d -> C_(d-1) for d >= 1."""
-    by_dim = {}
-    for c in X.cells:
-        by_dim.setdefault(c.dim, []).append(c)
-    ranks = {}
-    for d in range(1, X.dim + 1):
-        cols = by_dim.get(d, [])
-        rows = by_dim.get(d - 1, [])
-        if not cols or not rows:
-            ranks[d] = 0
-            continue
-        pos = {c.id: i for i, c in enumerate(rows)}
-        if field.characteristic == 2:
-            packed = []
-            for c in cols:
-                bits = 0
-                for b, _ in c.boundary:
-                    bits |= 1 << pos[b]
-                packed.append(bits)
-            ranks[d] = gf2_rank(packed)
+def chain_ranks(maps, field: FieldSpec) -> list:
+    """Ranks over `field` of boundary maps given as sparse columns.
+
+    Each map is a list of columns, each column a list of (row position,
+    sign) pairs.  Over GF(2) a column is packed into a bitmask and the signs
+    are ignored; over Q the map becomes a dense integer matrix.  A map with
+    no entries has rank 0 and needs no elimination.
+    """
+    ranks = []
+    for cols in maps:
+        if not any(cols):
+            ranks.append(0)
+        elif field.is_rational:
+            mat = [[0] * len(cols)
+                   for _ in range(1 + max(r for col in cols for r, _ in col))]
+            for j, col in enumerate(cols):
+                for r, s in col:
+                    mat[r][j] = s
+            ranks.append(matrix_rank(mat, field))
         else:
-            mat = [[0] * len(cols) for _ in rows]
-            for j, c in enumerate(cols):
-                for b, s in c.boundary:
-                    mat[pos[b]][j] = s
-            ranks[d] = matrix_rank(mat, field)
+            packed = []
+            for col in cols:
+                bits = 0
+                for r, _ in col:
+                    bits |= 1 << r
+                packed.append(bits)
+            ranks.append(gf2_rank(packed))
     return ranks
+
+
+def reduced_betti(by_dim, field: FieldSpec) -> dict:
+    """Nonzero reduced Betti numbers (dimension -1 included) of the cells
+    listed by dimension in `by_dim`, which must hold every boundary cell of
+    every listed cell.  The augmentation C_0 -> C_(-1) has rank 1 whenever
+    there are vertices, so only the higher maps are eliminated."""
+    maps = []
+    for d in range(1, len(by_dim)):
+        pos = {c.id: i for i, c in enumerate(by_dim[d - 1])}
+        maps.append([[(pos[b], s) for b, s in c.boundary] for c in by_dim[d]])
+    ranks = [1 if by_dim[0] else 0] + chain_ranks(maps, field) + [0]
+    betti = {-1: 1} if not ranks[0] else {}
+    for d, cells in enumerate(by_dim):
+        b = len(cells) - ranks[d] - ranks[d + 1]
+        if b:
+            betti[d] = b
+    return betti
 
 
 def reduced_homology(X: CellComplex, field: FieldSpec = GF2) -> HomologyReport:
@@ -248,20 +266,35 @@ def reduced_homology(X: CellComplex, field: FieldSpec = GF2) -> HomologyReport:
             f"homology over {field.describe()} needs signed incidences")
     if not X.cells:
         return HomologyReport(field.describe(), {}, True)
-    f = X.f_vector()
-    ranks = _boundary_ranks(X, field)
-    ranks[0] = 1 if f[0] else 0  # augmentation C_0 -> C_(-1)
-    top = X.dim
-    ranks[top + 1] = 0
-    betti = {}
-    minus_one = 1 - ranks[0]
-    if minus_one:
-        betti[-1] = minus_one
-    for d in range(0, top + 1):
-        b = f[d] - ranks[d] - ranks[d + 1]
-        if b:
-            betti[d] = b
+    betti = reduced_betti([X.cells_of_dim(d) for d in range(X.dim + 1)], field)
     return HomologyReport(field.describe(), betti, not betti)
+
+
+def vertex_adjacency(X: CellComplex) -> list:
+    """adj[v] is the bitmask of the vertices joined to v by an edge."""
+    adj = [0] * X.n_vertices
+    for c in X.cells_of_dim(1):
+        u, v = c.vertices
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def is_connected(adj: list, mask: int) -> bool:
+    """Is the 1-skeleton induced on the vertex bitmask connected?
+
+    Flood fill from the lowest vertex of the mask, one vertex at a time.
+    The restriction of a complex to a vertex set is connected exactly when
+    this holds.
+    """
+    seen = frontier = mask & -mask
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & mask & ~seen
+        seen |= new
+        frontier |= new
+    return seen == mask
 
 
 def assign_signs(X: CellComplex) -> CellComplex:

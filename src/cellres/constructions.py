@@ -25,6 +25,14 @@ from .monomials import (
 # trees
 
 
+def _find(parent: list, a: int) -> int:
+    """Root of a in the union-find forest `parent`, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 @dataclass(frozen=True)
 class OrientedTree:
     """Tree on vertices 0..n-1 with directed edges (source, target)."""
@@ -36,17 +44,10 @@ class OrientedTree:
         if len(self.edges) != self.n - 1:
             raise ComplexError(f"a tree on {self.n} vertices has {self.n - 1} edges")
         parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for s, t in self.edges:
             if not (0 <= s < self.n and 0 <= t < self.n) or s == t:
                 raise ComplexError(f"bad edge ({s}, {t})")
-            rs, rt = find(s), find(t)
+            rs, rt = _find(parent, s), _find(parent, t)
             if rs == rt:
                 raise ComplexError("edges contain a cycle")
             parent[rs] = rt
@@ -140,18 +141,11 @@ def _tree_passes_thresholds(edges, n, edge_deg) -> bool:
     thresholds = sorted(set(edge_deg.values()))
     for d in thresholds:
         parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for (i, j) in edges:
             if edge_deg[(i, j)] <= d:
-                parent[find(i)] = find(j)
+                parent[_find(parent, i)] = _find(parent, j)
         for (i, j), dd in edge_deg.items():
-            if dd <= d and find(i) != find(j):
+            if dd <= d and _find(parent, i) != _find(parent, j):
                 return False
     return True
 
@@ -178,16 +172,9 @@ def canonical_resolution_tree(L: MonomialLabelling) -> OrientedTree:
     edge_deg = _lcm_degree_table(L)
     order = sorted(edge_deg, key=lambda e: (edge_deg[e], e))
     parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     chosen = []
     for (i, j) in order:
-        ri, rj = find(i), find(j)
+        ri, rj = _find(parent, i), _find(parent, j)
         if ri != rj:
             parent[ri] = rj
             chosen.append((i, j))

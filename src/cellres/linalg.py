@@ -1,9 +1,9 @@
-"""Exact rank computations over GF(p) and the rationals.
+"""Exact rank computations over GF(2) and the rationals.
 
-Everything here is integer arithmetic: GF(2) ranks use bitset rows, the
-rational rank uses fraction-free (two-step) integer elimination, so there
-are no floating point or precision questions anywhere in the homology
-engine.
+These are the two coefficient fields of the homology engine.  Everything
+here is integer arithmetic: GF(2) ranks use bitset rows, the rational rank
+uses fraction-free (two-step) integer elimination, so there are no floating
+point or precision questions anywhere.
 """
 
 from __future__ import annotations
@@ -11,45 +11,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: characteristic 0 is the rationals, p > 0 is GF(p)."""
+    """Coefficient field: characteristic 0 is the rationals, 2 is GF(2)."""
 
     characteristic: int = 2
 
     def __post_init__(self):
-        c = self.characteristic
-        if c != 0 and not _is_prime(c):
-            raise ValueError(f"characteristic must be 0 or a prime, got {c}")
+        if self.characteristic not in (0, 2):
+            raise ValueError(
+                f"characteristic must be 0 or 2, got {self.characteristic}")
 
     @property
     def is_rational(self) -> bool:
         return self.characteristic == 0
 
     def describe(self) -> str:
-        if self.is_rational:
-            return "rational"
-        return f"gf{self.characteristic}"
-
-    @staticmethod
-    def parse(text: str) -> "FieldSpec":
-        t = text.strip().lower()
-        if t in ("rational", "rationals", "q", "0"):
-            return RATIONAL
-        if t.startswith("gf") and t[2:].isdigit():
-            return FieldSpec(int(t[2:]))
-        raise ValueError(f"unknown field {text!r}; expected 'gf<p>' or 'rational'")
+        return "rational" if self.is_rational else "gf2"
 
 
 GF2 = FieldSpec(2)
@@ -69,34 +47,6 @@ def gf2_rank(rows) -> int:
                 rank += 1
                 break
             row ^= piv
-    return rank
-
-
-def modp_rank(rows, p: int) -> int:
-    """Rank of an integer matrix (list of row lists) over GF(p)."""
-    m = [[x % p for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    rank = 0
-    for c in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], p - 2, p)
-        row = m[rank]
-        for i in range(rank + 1, nr):
-            f = m[i][c]
-            if f:
-                mult = f * inv % p
-                m[i] = [(a - mult * b) % p for a, b in zip(m[i], row)]
-        rank += 1
-        if rank == nr:
-            break
     return rank
 
 
@@ -135,23 +85,11 @@ def fraction_free_rank(rows) -> int:
     return rank
 
 
-def _pack_rows(rows) -> list:
-    packed = []
-    for row in rows:
-        bits = 0
-        for j, x in enumerate(row):
-            if x % 2:
-                bits |= 1 << j
-        packed.append(bits)
-    return packed
-
-
 def matrix_rank(rows, field: FieldSpec) -> int:
     """Rank of an integer matrix (list of row lists) over `field`."""
     if not rows or not rows[0]:
         return 0
     if field.is_rational:
         return fraction_free_rank(rows)
-    if field.characteristic == 2:
-        return gf2_rank(_pack_rows(rows))
-    return modp_rank(rows, field.characteristic)
+    return gf2_rank(sum(1 << j for j, x in enumerate(row) if x % 2)
+                    for row in rows)

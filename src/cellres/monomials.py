@@ -119,7 +119,7 @@ class VertexFamily:
         return frozenset(self.sets)
 
     def member_masks(self) -> list:
-        return [_mask(s) for s in self.sets]
+        return [mask_of(s) for s in self.sets]
 
     def canonical(self) -> "VertexFamily":
         ordered = sorted(self.sets, key=lambda s: (len(s), tuple(sorted(s))))
@@ -133,22 +133,17 @@ def family(n: int, sets) -> VertexFamily:
     return VertexFamily(n, tuple(frozenset(s) for s in sets))
 
 
-def _mask(s) -> int:
+def mask_of(vertices) -> int:
+    """Bitmask with bit v set for every vertex v."""
     m = 0
-    for v in s:
+    for v in vertices:
         m |= 1 << v
     return m
 
 
-def _unmask(m: int) -> frozenset:
-    out = set()
-    v = 0
-    while m:
-        if m & 1:
-            out.add(v)
-        m >>= 1
-        v += 1
-    return frozenset(out)
+def set_of(mask: int) -> frozenset:
+    """Vertex set of a bitmask; inverse of mask_of."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def family_of(L: MonomialLabelling) -> VertexFamily:
@@ -225,8 +220,8 @@ def _exact_cover_exists(target: int, parts) -> bool:
 
 def is_disjoint_union_of(target, members) -> bool:
     """True when `target` is a disjoint union of (one or more) `members`."""
-    tmask = _mask(target)
-    return _exact_cover_exists(tmask, [_mask(s) for s in members])
+    tmask = mask_of(target)
+    return _exact_cover_exists(tmask, [mask_of(s) for s in members])
 
 
 def reduce_family(F: VertexFamily) -> VertexFamily:

@@ -18,22 +18,28 @@ each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .complexes import CellComplex, SignsMissingError, reduced_homology, restrict
-from .linalg import GF2, FieldSpec, gf2_rank, matrix_rank
+from .complexes import (
+    CellComplex,
+    SignsMissingError,
+    chain_ranks,
+    is_connected,
+    reduced_betti,
+    reduced_homology,
+    restrict,
+    vertex_adjacency,
+)
+from .linalg import GF2, FieldSpec
 from .monomials import (
     FamilyError,
-    LcmLattice,
     Monomial,
     MonomialLabelling,
     VertexFamily,
     lcm_lattice,
+    mask_of,
+    set_of,
 )
-
-
-def f_vector(X: CellComplex) -> tuple:
-    return X.f_vector()
 
 
 def f_symmetry(X: CellComplex) -> bool:
@@ -64,13 +70,9 @@ class AcyclicityOracle:
         self.X = X
         self.field = field
         self.full_mask = (1 << X.n_vertices) - 1
-        cells = []
-        for c in X.cells:
-            vmask = 0
-            for v in c.vertices:
-                vmask |= 1 << v
-            cells.append((c.dim, vmask, c.boundary))
-        self._cells = cells
+        self._top = X.dim
+        self._cells = [(mask_of(c.vertices), c) for c in X.cells]
+        self._adj = vertex_adjacency(X)
         self._verdicts = {}
 
     def touched(self) -> dict:
@@ -84,90 +86,20 @@ class AcyclicityOracle:
         return got
 
     def _compute(self, mask: int) -> bool:
-        kept = [i for i, (_, vm, _) in enumerate(self._cells) if vm & ~mask == 0]
-        if not kept:
+        by_dim = [[] for _ in range(self._top + 1)]
+        for vm, c in self._cells:
+            if vm & ~mask == 0:
+                by_dim[c.dim].append(c)
+        while by_dim and not by_dim[-1]:
+            by_dim.pop()
+        if not by_dim:
             return True  # void restriction
-        cells = self._cells
-        by_dim = {}
-        for i in kept:
-            by_dim.setdefault(cells[i][0], []).append(i)
-        top = max(by_dim)
-        f = [len(by_dim.get(d, ())) for d in range(top + 1)]
-        chi_reduced = sum((-1) ** d * fd for d, fd in enumerate(f)) - 1
-        if chi_reduced != 0:
+        if sum((-1) ** d * len(cells) for d, cells in enumerate(by_dim)) != 1:
+            return False  # nonzero reduced Euler characteristic
+        if len(by_dim[0]) > 1 and not is_connected(self._adj, mask):
             return False
-        # connectivity from the 1-skeleton
-        if f[0] > 1:
-            parent = {}
-            for i in by_dim[0]:
-                parent[i] = i
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-            comps = f[0]
-            for i in by_dim.get(1, ()):
-                ids = [b for b, _ in cells[i][2]]
-                ra, rb = find(ids[0]), find(ids[1])
-                if ra != rb:
-                    parent[ra] = rb
-                    comps -= 1
-            if comps > 1:
-                return False
-        if top <= 1:
-            # a connected graph with reduced Euler characteristic zero is a tree
-            return True
-        ranks = {0: 1, top + 1: 0}
-        pos = {}
-        for d in range(top + 1):
-            for idx, i in enumerate(by_dim.get(d, ())):
-                pos[i] = idx
-        keep_set = set(kept)
-        for d in range(1, top + 1):
-            cols = by_dim.get(d, ())
-            rows = by_dim.get(d - 1, ())
-            if not cols or not rows:
-                ranks[d] = 0
-                continue
-            if self.field.characteristic == 2:
-                packed = []
-                for i in cols:
-                    bits = 0
-                    for b, _ in cells[i][2]:
-                        if b in keep_set:
-                            bits |= 1 << pos[b]
-                    packed.append(bits)
-                ranks[d] = gf2_rank(packed)
-            else:
-                mat = [[0] * len(cols) for _ in rows]
-                for j, i in enumerate(cols):
-                    for b, s in cells[i][2]:
-                        if b in keep_set:
-                            mat[pos[b]][j] = s
-                ranks[d] = matrix_rank(mat, self.field)
-        for d in range(top + 1):
-            if f[d] - ranks[d] - ranks[d + 1] != 0:
-                return False
-        return True
-
-
-def mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def set_of(mask: int) -> frozenset:
-    out = set()
-    v = 0
-    while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+        # a connected graph with reduced Euler characteristic zero is a tree
+        return len(by_dim) <= 2 or not reduced_betti(by_dim, self.field)
 
 
 def subfamily_unions(masks) -> set:
@@ -176,6 +108,17 @@ def subfamily_unions(masks) -> set:
     for m in masks:
         unions |= {u | m for u in unions}
     return unions
+
+
+def cover_unions(base: int, masks, k: int):
+    """Yield base | (union of S) for every k-subset S of masks, in the
+    order of itertools.combinations; the cover bound compares these with
+    the full vertex mask."""
+    for combo in itertools.combinations(masks, k):
+        u = base
+        for m in combo:
+            u |= m
+        yield u
 
 
 @dataclass(frozen=True)
@@ -216,6 +159,24 @@ def covering_face_pairs(X: CellComplex) -> list:
     return pairs
 
 
+def separation_bits(X: CellComplex, masks) -> list:
+    """Per vertex mask, the bitset of covering face pairs it separates.
+
+    Bit k is set when the mask misses the smaller cell of pair k of
+    covering_face_pairs(X) and meets the larger one.
+    """
+    cells = [mask_of(c.vertices) for c in X.cells]
+    pairs = [(cells[b], cells[cid]) for b, cid in covering_face_pairs(X)]
+    out = []
+    for m in masks:
+        bits = 0
+        for k, (small, big) in enumerate(pairs):
+            if m & small == 0 and m & big:
+                bits |= 1 << k
+        out.append(bits)
+    return out
+
+
 def check_family_criteria(X: CellComplex, F: VertexFamily,
                           field: FieldSpec = GF2,
                           oracle: AcyclicityOracle = None) -> FamilyCriteriaReport:
@@ -233,10 +194,9 @@ def check_family_criteria(X: CellComplex, F: VertexFamily,
     # a cover by fewer than d members is still a cover by d (members may
     # repeat), so families smaller than d are tested as a whole
     cover_bound, cover_witness = True, None
-    for combo in itertools.combinations(range(len(masks)), min(d, len(masks))):
-        u = 0
-        for i in combo:
-            u |= masks[i]
+    k = min(d, len(masks))
+    for combo, u in zip(itertools.combinations(range(len(masks)), k),
+                        cover_unions(0, masks, k)):
         if u == full:
             cover_bound, cover_witness = False, combo
             break
@@ -247,13 +207,13 @@ def check_family_criteria(X: CellComplex, F: VertexFamily,
             complements_acyclic, union_witness = False, set_of(u)
             break
 
-    cell_masks = {c.id: mask_of(c.vertices) for c in X.cells}
-    face_separation, separation_witness = True, None
-    for b, cid in covering_face_pairs(X):
-        bm, cm = cell_masks[b], cell_masks[cid]
-        if not any(s & bm == 0 and s & cm for s in masks):
-            face_separation, separation_witness = False, (b, cid)
-            break
+    separated = 0
+    for bits in separation_bits(X, masks):
+        separated |= bits
+    unseparated = [p for k, p in enumerate(covering_face_pairs(X))
+                   if not separated >> k & 1]
+    face_separation = not unseparated
+    separation_witness = unseparated[0] if unseparated else None
 
     covered = 0
     for m in masks:
@@ -508,27 +468,19 @@ def strand_ranks(fc: CellularFreeComplex, b, field: FieldSpec = GF2) -> tuple:
     entry contributes only its sign.
     """
     b = tuple(b)
-    kept = []
-    for degs in fc.multidegrees:
-        kept.append([i for i, m in enumerate(degs)
-                     if all(x <= y for x, y in zip(m, b))])
-    nd = len(fc.multidegrees)
-    ranks = [0] * (nd + 1)
-    for i in range(1, nd):
-        rows = kept[i - 1]
-        cols = kept[i]
-        if not rows or not cols:
-            ranks[i] = 0
-            continue
-        mat = [[0] * len(cols) for _ in rows]
+    kept = [[i for i, m in enumerate(degs) if all(x <= y for x, y in zip(m, b))]
+            for degs in fc.multidegrees]
+    maps = []
+    for i in range(2, len(kept)):
         A = fc.maps[i - 1]
-        for rj, r in enumerate(rows):
-            for cj, c in enumerate(cols):
-                e = A[r][c]
-                if e is not None:
-                    mat[rj][cj] = e[0]
-        ranks[i] = matrix_rank(mat, field)
-    return tuple(len(kept[i]) - ranks[i] - ranks[i + 1] for i in range(nd))
+        maps.append([[(rj, A[r][c][0]) for rj, r in enumerate(kept[i - 1])
+                      if A[r][c] is not None] for c in kept[i]])
+    # the degree-1 map sends every kept vertex generator onto the ring, so
+    # its rank is 1 as soon as one vertex generator is kept
+    augmentation = [min(1, len(k)) for k in kept[1:2]]
+    ranks = [0] + augmentation + chain_ranks(maps, field) + [0]
+    return tuple(len(kept[i]) - ranks[i] - ranks[i + 1]
+                 for i in range(len(kept)))
 
 
 def strand_matches_homology(fc: CellularFreeComplex, X: CellComplex, b,
@@ -546,23 +498,3 @@ def strand_matches_homology(fc: CellularFreeComplex, X: CellComplex, b,
         if h != betti.get(i - 1, 0):
             return False
     return all(d + 1 < len(strand) for d in betti)
-
-
-def strand_oracle(X: CellComplex, L: MonomialLabelling, b,
-                  field: FieldSpec = GF2) -> bool:
-    """Build the free complex and compare one strand against homology."""
-    fc = build_free_complex(X, L)
-    return strand_matches_homology(fc, X, b, field)
-
-
-def corrupt_one_sign(fc: CellularFreeComplex) -> CellularFreeComplex:
-    """Flip the first sign of the last map (mutation hook for tests)."""
-    maps = [list(map(list, m)) for m in fc.maps]
-    for m in reversed(maps):
-        for row in m:
-            for j, e in enumerate(row):
-                if e is not None:
-                    row[j] = (-e[0], e[1])
-                    return replace(fc, maps=tuple(
-                        tuple(tuple(r) for r in mm) for mm in maps))
-    return fc

@@ -9,6 +9,13 @@ carries its live set, the later candidates that can still join without
 breaking the hereditary part; adding a member only ever shrinks it, and
 only the checks involving the new member are run.  A subtree is skipped
 when its live set cannot complete face separation or the vertex cover.
+The existence search instead branches on the unmet requirement with the
+fewest candidates.  Both engines track requirements as one bitset per
+candidate (a bit per vertex it covers and per covering face pair it
+separates) and take the cover bound from the shared `cover_unions`.
+
+The candidate list is the default one (connected, with acyclic
+complement) unless a `SearchSpace` supplies its own.
 
 Maximality is operational: a reduced family is maximal when no single set
 can be added without breaking a criterion.  Adding a set can only break the
@@ -22,22 +29,28 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .complexes import CellComplex, is_polytope_complex
+from .complexes import (
+    CellComplex,
+    is_connected,
+    is_polytope_complex,
+    vertex_adjacency,
+)
 from .linalg import GF2, FieldSpec
 from .monomials import (
     FamilyError,
     VertexFamily,
     _exact_cover_exists,
+    mask_of,
     reduce_family,
+    set_of,
 )
 from .resolution import (
     AcyclicityOracle,
     check_family_criteria,
     covering_face_pairs,
-    f_vector,
+    cover_unions,
     f_symmetry,
-    mask_of,
-    set_of,
+    separation_bits,
     subfamily_unions,
 )
 
@@ -48,7 +61,7 @@ class GuardExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Knobs for the family search.
+    """Inputs of the family search besides the complex and the field.
 
     candidates: explicit candidate member sets; None builds the default
         list (nonempty subsets with connected restriction and acyclic
@@ -56,53 +69,18 @@ class SearchSpace:
         maximal-family search).
     symmetry: vertex permutations (tuples) used to deduplicate results by
         orbit; they must be automorphisms of the complex.
-    connected_only / complement_filter: toggles for the default candidate
-        construction, exposed so the suite can rerun searches on cruder
-        candidate lists and compare.
     max_candidates: refuse (GuardExceeded) to search a longer list.
-    prune: carry the live candidate set down the search tree and skip
-        subtrees whose live set cannot meet face separation or the vertex
-        cover; turning it off re-evaluates the criteria from scratch at
-        every node of the hereditary walk.  Results are identical either
-        way.
     """
 
     candidates: tuple = None
     symmetry: tuple = ()
-    connected_only: bool = True
-    complement_filter: bool = True
     max_candidates: int = 60
-    prune: bool = True
 
 
 def connected_vertex_subsets(X: CellComplex) -> list:
     """Masks of nonempty vertex subsets inducing a connected restriction."""
-    n = X.n_vertices
-    edges = []
-    for c in X.cells_of_dim(1):
-        u, v = sorted(c.vertices)
-        edges.append((u, v))
-    out = []
-    for m in range(1, 1 << n):
-        verts = [v for v in range(n) if (m >> v) & 1]
-        parent = {v: v for v in verts}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        comps = len(verts)
-        for u, v in edges:
-            if (m >> u) & 1 and (m >> v) & 1:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-                    comps -= 1
-        if comps == 1:
-            out.append(m)
-    return out
+    adj = vertex_adjacency(X)
+    return [m for m in range(1, 1 << X.n_vertices) if is_connected(adj, m)]
 
 
 def _mask_sort_key(m: int):
@@ -121,12 +99,8 @@ def _candidate_masks(X: CellComplex, space: SearchSpace,
             masks.add(m)
         masks = sorted(masks, key=_mask_sort_key)
     else:
-        if space.connected_only:
-            masks = connected_vertex_subsets(X)
-        else:
-            masks = list(range(1, full + 1))
-        if space.complement_filter:
-            masks = [m for m in masks if oracle.is_acyclic(full & ~m)]
+        masks = [m for m in connected_vertex_subsets(X)
+                 if oracle.is_acyclic(full & ~m)]
         masks.sort(key=_mask_sort_key)
     if len(masks) > space.max_candidates:
         raise GuardExceeded(
@@ -135,7 +109,17 @@ def _candidate_masks(X: CellComplex, space: SearchSpace,
     return tuple(masks)
 
 
-def _search(X: CellComplex, field: FieldSpec, cands: tuple, prune: bool,
+def _requirements(X: CellComplex, cands: tuple):
+    """(serve, goal): bit v of serve[j] says candidate j covers vertex v,
+    bit n + k that it separates covering face pair k; a family meets every
+    requirement when its members' serve bits together make goal."""
+    n = X.n_vertices
+    serve = [m | bits << n
+             for m, bits in zip(cands, separation_bits(X, cands))]
+    return serve, (1 << (n + len(covering_face_pairs(X)))) - 1
+
+
+def _search(X: CellComplex, field: FieldSpec, cands: tuple,
             only_first: int = None, oracle: AcyclicityOracle = None) -> list:
     """Depth-first family search over a fixed candidate list.
 
@@ -143,96 +127,61 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple, prune: bool,
     order.  When only_first is given, the first chosen candidate is pinned
     to that index (used to partition work across processes).
 
-    With prune, every node carries its live set: the candidates after the
-    newest member that can still join the chosen family without breaking
-    the cover bound or the acyclic-complement condition.  Both conditions
-    are closed under subfamilies, so a candidate that leaves the live set
-    never returns below that node, and a child filters its parent's live
-    set by what the newest member adds alone: the cover-bound unions that
-    contain it and the member unions it creates.  A child is entered only
-    when its live set can still separate every covering face pair and cover
-    every vertex, since both requirements are closed under supersets.
-    Without prune every node re-evaluates the criteria from scratch.
+    Every node carries its live set: the candidates after the newest member
+    that can still join the chosen family without breaking the cover bound
+    or the acyclic-complement condition.  Both conditions are closed under
+    subfamilies, so a candidate that leaves the live set never returns
+    below that node, and a child filters its parent's live set by what the
+    newest member adds alone: the cover-bound unions that contain it and
+    the member unions it creates.  A child is entered only when its live
+    set can still separate every covering face pair and cover every vertex,
+    since both requirements are closed under supersets.
     """
     oracle = oracle or AcyclicityOracle(X, field)
     full = (1 << X.n_vertices) - 1
     d = X.dim
     if not oracle.is_acyclic(full):
         return []
-    pairs = covering_face_pairs(X)
-    cell_masks = {c.id: mask_of(c.vertices) for c in X.cells}
-    all_pairs = (1 << len(pairs)) - 1
-    cand_pairs = []
-    for m in cands:
-        bits = 0
-        for k, (b, cid) in enumerate(pairs):
-            if m & cell_masks[b] == 0 and m & cell_masks[cid]:
-                bits |= 1 << k
-        cand_pairs.append(bits)
-
+    serve, goal = _requirements(X, cands)
     found = []
     chosen = []
 
-    def reachable(live, sat, covered):
+    def reachable(live, served):
         for k in live:
-            sat |= cand_pairs[k]
-            covered |= cands[k]
-        return sat == all_pairs and covered == full
+            served |= serve[k]
+        return served == goal
 
-    def descend(live, unions, sat, covered, only=None):
+    def descend(live, unions, served, only=None):
         for i, j in enumerate(live):
             if only is not None and j != only:
                 continue
             m = cands[j]
             chosen.append(m)
-            sat_j, covered_j = sat | cand_pairs[j], covered | m
-            if covered_j == full and sat_j == all_pairs:
+            served_j = served | serve[j]
+            if served_j == goal:
                 found.append(tuple(chosen))
             fresh = {u | m for u in unions} - unions
             size = min(d - 1, len(chosen))
-            bounds = []
-            if size:
-                for combo in itertools.combinations(chosen[:-1], size - 1):
-                    u = m
-                    for x in combo:
-                        u |= x
-                    bounds.append(u)
+            bounds = (list(cover_unions(m, chosen[:-1], size - 1)) if size
+                      else [])
             nxt = [k for k in live[i + 1:]
                    if all(cands[k] | u != full for u in bounds)
                    and all(oracle.is_acyclic(full & ~(w | cands[k]))
                            for w in fresh)]
-            if nxt and reachable(nxt, sat_j, covered_j):
-                descend(nxt, unions | fresh, sat_j, covered_j)
+            if nxt and reachable(nxt, served_j):
+                descend(nxt, unions | fresh, served_j)
             chosen.pop()
 
-    def from_scratch(start, only=None):
-        indices = range(start, len(cands)) if only is None else (only,)
-        for j in indices:
-            fam = VertexFamily(
-                X.n_vertices,
-                tuple(set_of(x) for x in chosen) + (set_of(cands[j]),))
-            rep = check_family_criteria(X, fam, field, oracle)
-            if not (rep.cover_bound and rep.complements_acyclic):
-                continue
-            chosen.append(cands[j])
-            if rep.ok:
-                found.append(tuple(chosen))
-            from_scratch(j + 1)
-            chosen.pop()
-
-    if not prune:
-        from_scratch(0, only=only_first)
-        return found
     root = [j for j, m in enumerate(cands)
             if m != full and oracle.is_acyclic(full & ~m)]
-    if reachable(root, 0, 0):
-        descend(root, {0}, 0, 0, only=only_first)
+    if reachable(root, 0):
+        descend(root, {0}, 0, only=only_first)
     return found
 
 
 def _search_worker(args):
-    X, field, cands, prune, j = args
-    return _search(X, field, cands, prune, only_first=j)
+    X, field, cands, j = args
+    return _search(X, field, cands, only_first=j)
 
 
 def _identity(n: int) -> tuple:
@@ -286,8 +235,8 @@ def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
 
     Results are canonically ordered (members sorted by size then content,
     families likewise) and, when a symmetry group is supplied, reduced to
-    one representative per orbit.  Independent of candidate order, the
-    prune toggle, and the job count.
+    one representative per orbit.  Independent of candidate order and the
+    job count.
     """
     space = space or SearchSpace()
     if X.dim < 1:
@@ -305,10 +254,10 @@ def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
                 _search_worker,
-                [(X, field, cands, space.prune, j) for j in range(len(cands))])
+                [(X, field, cands, j) for j in range(len(cands))])
             hits = [m for part in parts for m in part]
     else:
-        hits = _search(X, field, cands, space.prune, oracle=oracle)
+        hits = _search(X, field, cands, oracle=oracle)
     return _materialize(X.n_vertices, hits, symmetry)
 
 
@@ -341,25 +290,15 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
     if not oracle.is_acyclic(full):
         return None
 
-    pairs = covering_face_pairs(X)
-    cell_masks = {c.id: mask_of(c.vertices) for c in X.cells}
-    reqs = [[j for j, m in enumerate(cands) if m >> v & 1] for v in range(n)]
-    for b, cid in pairs:
-        reqs.append([j for j, m in enumerate(cands)
-                     if m & cell_masks[b] == 0 and m & cell_masks[cid]])
-    serve_bits = [0] * len(cands)
-    for k, opts in enumerate(reqs):
-        for j in opts:
-            serve_bits[j] |= 1 << k
+    serve, goal = _requirements(X, cands)
+    # bit j of reqs[k] is set when candidate j meets requirement k
+    reqs = [sum(1 << j for j, bits in enumerate(serve) if bits >> k & 1)
+            for k in range(goal.bit_length())]
 
-    def admissible(j, chosen, unions):
+    def admissible(j, bounds, unions):
         m = cands[j]
-        k = min(d - 1, len(chosen))
-        for combo in itertools.combinations(chosen, k):
-            u = m
-            for x in combo:
-                u |= cands[x]
-            if u == full:
+        for u in bounds:
+            if m | u == full:
                 return None
         fresh = []
         for u in unions:
@@ -373,26 +312,34 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
     def solve(chosen, unions, unmet, banned):
         if unmet == 0:
             return chosen
-        pick = None
+        pick, fewest = 0, None
         for k in range(len(reqs)):
             if unmet >> k & 1:
-                opts = [j for j in reqs[k] if not banned >> j & 1]
-                if pick is None or len(opts) < len(pick):
-                    pick = opts
+                opts = reqs[k] & ~banned
+                count = opts.bit_count()
+                if fewest is None or count < fewest:
+                    pick, fewest = opts, count
                     if not opts:
                         return None
-        for j in pick:
-            fresh = admissible(j, chosen, unions)
+        # unions of the chosen members that one more member must not
+        # complete to a cover
+        bounds = set(cover_unions(0, [cands[x] for x in chosen],
+                                  min(d - 1, len(chosen))))
+        while pick:
+            low = pick & -pick
+            pick ^= low
+            j = low.bit_length() - 1
+            fresh = admissible(j, bounds, unions)
             if fresh is not None:
                 hit = solve(chosen + [j], unions | set(fresh),
-                            unmet & ~serve_bits[j], banned)
+                            unmet & ~serve[j], banned)
                 if hit is not None:
                     return hit
             # no valid family extends chosen with j, so drop j for good
-            banned |= 1 << j
+            banned |= low
         return None
 
-    hit = solve([], {0}, (1 << len(reqs)) - 1, 0)
+    hit = solve([], {0}, goal, 0)
     if hit is None:
         return None
     return VertexFamily(n, tuple(set_of(cands[j]) for j in sorted(hit)))
@@ -430,13 +377,7 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     unions = sorted(subfamily_unions(masks))
     full = (1 << X.n_vertices) - 1
     d = X.dim
-    k = min(d - 1, len(masks))
-    combos = [0]
-    for combo in itertools.combinations(masks, k):
-        u = 0
-        for m in combo:
-            u |= m
-        combos.append(u)
+    combos = [0, *cover_unions(0, masks, min(d - 1, len(masks)))]
     for t in range(1, full + 1):
         if t in member_set:
             continue
@@ -495,14 +436,7 @@ def covering_property_check(X: CellComplex, F: VertexFamily,
     d = X.dim
 
     def covers_with(base, pool, count):
-        k = min(count, len(pool))
-        for combo in itertools.combinations(pool, k):
-            u = base
-            for m in combo:
-                u |= m
-            if u == full:
-                return True
-        return False
+        return full in cover_unions(base, pool, min(count, len(pool)))
 
     single, witness = True, None
     for i, T in enumerate(F.sets):
@@ -641,7 +575,6 @@ def _selfdual_corpus():
 
 
 def selfdual_report(corpus=None, field: FieldSpec = GF2,
-                    jobs: int = None,
                     max_candidates: int = 200) -> ConjectureReport:
     """Do polytopes admitting a valid family have symmetric f-vectors?
 
@@ -664,7 +597,7 @@ def selfdual_report(corpus=None, field: FieldSpec = GF2,
                 admits, method = None, "skipped-guard"
         row = {
             "name": name,
-            "f_vector": list(f_vector(X)),
+            "f_vector": list(X.f_vector()),
             "polytope": is_polytope_complex(X),
             "symmetric": f_symmetry(X),
             "admits_valid_family": admits,

@@ -1,16 +1,23 @@
-"""Reference family search: the incremental subset-lattice walk.
+"""Reference family searches: two walks of the hereditary subset lattice.
 
-This walk visits every family that passes the hereditary criteria (the
+Both walks visit every family that passes the hereditary criteria (the
 cover bound and acyclic complements of member unions), in candidate-index
-order, and records those that also separate every covering face pair and
-cover every vertex.  It has no look-ahead, so it is far slower than the
-library's forward-checking search, and it is kept here only to check that
-search against: both must return the same families in the same order.
+order, and record those that also separate every covering face pair and
+cover every vertex.  `reference_search` updates the criteria incrementally;
+`from_scratch_search` re-evaluates them with `check_family_criteria` at
+every node.  Neither has a look-ahead, so both are far slower than the
+library's forward-checking search, and they are kept here only to check
+that search against: all must return the same families in the same order.
 """
 
 import itertools
 
-from cellres.resolution import AcyclicityOracle, covering_face_pairs, mask_of
+from cellres.monomials import VertexFamily, mask_of, set_of
+from cellres.resolution import (
+    AcyclicityOracle,
+    check_family_criteria,
+    covering_face_pairs,
+)
 
 
 def reference_search(X, field, cands, oracle=None) -> list:
@@ -68,4 +75,30 @@ def reference_search(X, field, cands, oracle=None) -> list:
             chosen_masks.pop()
 
     descend(0, {0}, 0, 0)
+    return found
+
+
+def from_scratch_search(X, field, cands, oracle=None) -> list:
+    """The same walk, checking each visited family from scratch."""
+    oracle = oracle or AcyclicityOracle(X, field)
+    if not oracle.is_acyclic((1 << X.n_vertices) - 1):
+        return []
+    found = []
+    chosen = []
+
+    def walk(start):
+        for j in range(start, len(cands)):
+            fam = VertexFamily(
+                X.n_vertices,
+                tuple(set_of(x) for x in chosen) + (set_of(cands[j]),))
+            rep = check_family_criteria(X, fam, field, oracle)
+            if not (rep.cover_bound and rep.complements_acyclic):
+                continue
+            chosen.append(cands[j])
+            if rep.ok:
+                found.append(tuple(chosen))
+            walk(j + 1)
+            chosen.pop()
+
+    walk(0)
     return found

@@ -48,7 +48,6 @@ from cellres.resolution import (
     check_family_criteria,
     codimension,
     f_symmetry,
-    f_vector,
     strand_matches_homology,
 )
 from cellres.search import (
@@ -320,7 +319,7 @@ def test_elongated_pyramid_families_are_valid_and_maximal():
     E3 = elongated_pyramid(polygon_complex(3))
     F3 = ep_family(polygon_family(3))
     assert check_family_criteria(E3, F3).ok
-    assert f_vector(E3) == (7, 12, 7, 1)
+    assert E3.f_vector() == (7, 12, 7, 1)
     assert is_maximal(E3, F3).is_maximal
     remember_family("ep-triangle", E3, F3, maximal=True)
 
@@ -330,7 +329,7 @@ def test_wheel_family_is_maximal_and_its_labellings_resolve():
     WF = wheel_family()
     assert check_family_criteria(W, WF).ok
     assert is_maximal(W, WF).is_maximal
-    assert f_vector(W) == (9, 16, 9, 1)
+    assert W.f_vector() == (9, 16, 9, 1)
     assert f_symmetry(W)
     remember_family("wheel", W, WF, maximal=True)
     for name in ("wheel-hexagon", "wheel-bipyramid-a",

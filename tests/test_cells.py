@@ -28,8 +28,8 @@ from cellres.constructions import (
     tree_complex,
     wheel_polytope,
 )
-from cellres.linalg import GF2, RATIONAL
-from cellres.resolution import f_symmetry, f_vector
+from cellres.linalg import GF2, RATIONAL, FieldSpec, matrix_rank
+from cellres.resolution import f_symmetry
 
 
 def cycle_complex(n):
@@ -92,7 +92,7 @@ def test_validation_flags_flipped_sign():
 def test_restrict_keeps_induced_cells():
     X = polygon_complex(5)
     Y = restrict(X, {0, 1, 2})
-    assert f_vector(Y) == (3, 2)
+    assert Y.f_vector() == (3, 2)
     # vertex ids survive (the ambient range is kept), cell ids are dense again
     assert Y.n_vertices == X.n_vertices
     assert {tuple(c.vertices)[0] for c in Y.cells if c.dim == 0} == {0, 1, 2}
@@ -110,7 +110,7 @@ def test_restrict_composes_as_intersection(a, b):
     X = subdivided_polygon(6, ((1, 5), (3, 5)))
     one = restrict(restrict(X, a), a & b)
     two = restrict(X, a & b)
-    assert f_vector(one) == f_vector(two)
+    assert one.f_vector() == two.f_vector()
     assert [c.vertices for c in one.cells] == [c.vertices for c in two.cells]
 
 
@@ -167,8 +167,18 @@ def test_polytope_recognition():
 
 
 def test_f_vector_symmetry():
-    assert f_vector(wheel_polytope(4)) == (9, 16, 9, 1)
+    assert wheel_polytope(4).f_vector() == (9, 16, 9, 1)
     assert f_symmetry(wheel_polytope(4))
-    assert f_vector(bipyramid_complex(3)) == (5, 9, 6, 1)
+    assert bipyramid_complex(3).f_vector() == (5, 9, 6, 1)
     assert not f_symmetry(bipyramid_complex(3))
     assert f_symmetry(polygon_complex(9))
+
+
+def test_field_spec_accepts_only_gf2_and_the_rationals():
+    assert FieldSpec(2) == GF2 and FieldSpec(0) == RATIONAL
+    with pytest.raises(ValueError):
+        FieldSpec(3)
+    rows = [[1, 1, 0], [1, -1, 0], [0, 2, 2]]
+    assert matrix_rank(rows, RATIONAL) == 3
+    assert matrix_rank(rows, GF2) == 1
+    assert matrix_rank([], GF2) == matrix_rank([[]], RATIONAL) == 0

@@ -33,7 +33,7 @@ from cellres.constructions import (
     wheel_polytope,
 )
 from cellres.monomials import family_of, labelling, polarize
-from cellres.resolution import check_cm_labelling, f_vector
+from cellres.resolution import check_cm_labelling
 
 
 def test_oriented_tree_validation():
@@ -109,11 +109,11 @@ def test_tree_unique_morphism_rejects_non_resolving_tree():
 
 
 def test_polygon_and_chord_f_vectors():
-    assert f_vector(polygon_complex(5)) == (5, 5, 1)
-    assert f_vector(polygon_complex(6)) == (6, 6, 1)
-    assert f_vector(chord_complex(5, 2)) == (5, 6, 2)
-    assert f_vector(chord_complex(6, 3)) == (6, 7, 2)
-    assert f_vector(subdivided_polygon(6, ((1, 5), (3, 5)))) == (6, 8, 3)
+    assert polygon_complex(5).f_vector() == (5, 5, 1)
+    assert polygon_complex(6).f_vector() == (6, 6, 1)
+    assert chord_complex(5, 2).f_vector() == (5, 6, 2)
+    assert chord_complex(6, 3).f_vector() == (6, 7, 2)
+    assert subdivided_polygon(6, ((1, 5), (3, 5))).f_vector() == (6, 8, 3)
     for X in (polygon_complex(7), chord_complex(7, 3),
               subdivided_polygon(6, ((1, 5), (3, 5)))):
         assert validate_complex(X) == []
@@ -158,7 +158,7 @@ def test_chord_families_frozen_content():
 
 def test_pyramid_shapes():
     P = pyramid(polygon_complex(5))
-    assert f_vector(P) == (6, 10, 6, 1)
+    assert P.f_vector() == (6, 10, 6, 1)
     assert validate_complex(P) == []
     F = pyramid_family(polygon_family(5))
     assert frozenset({5}) in F.sets
@@ -167,21 +167,21 @@ def test_pyramid_shapes():
 
 def test_elongated_pyramid_shapes():
     E3 = elongated_pyramid(polygon_complex(3))
-    assert f_vector(E3) == (7, 12, 7, 1)
+    assert E3.f_vector() == (7, 12, 7, 1)
     assert validate_complex(E3) == []
     E5 = elongated_pyramid(polygon_complex(5))
-    assert f_vector(E5) == (11, 20, 11, 1)
+    assert E5.f_vector() == (11, 20, 11, 1)
     F = ep_family(polygon_family(5))
     assert len(F.sets) == 11
 
 
 def test_wheel_and_bipyramid_shapes():
     W = wheel_polytope(4)
-    assert f_vector(W) == (9, 16, 9, 1)
+    assert W.f_vector() == (9, 16, 9, 1)
     assert validate_complex(W) == []
     assert len(wheel_family().sets) == 10
     B = bipyramid_complex(4)
-    assert f_vector(B) == (6, 12, 8, 1)
+    assert B.f_vector() == (6, 12, 8, 1)
     assert validate_complex(B) == []
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import cellres.search as search
+from cellres.complexes import reduced_homology, restrict
 from cellres.constructions import (
     bipyramid_complex,
     chord_complex,
@@ -22,8 +23,14 @@ from cellres.constructions import (
     wheel_polytope,
 )
 from cellres.linalg import GF2, RATIONAL
-from cellres.monomials import FamilyError, family, family_of, morphism_exists
-from cellres.resolution import AcyclicityOracle, check_family_criteria, set_of
+from cellres.monomials import (
+    FamilyError,
+    family,
+    family_of,
+    morphism_exists,
+    set_of,
+)
+from cellres.resolution import AcyclicityOracle, check_family_criteria
 from cellres.search import (
     GuardExceeded,
     SearchSpace,
@@ -39,7 +46,7 @@ from cellres.search import (
     selfdual_report,
     variable_count_report,
 )
-from reference_search import reference_search
+from reference_search import from_scratch_search, reference_search
 
 SP = SearchSpace(max_candidates=200)
 
@@ -59,6 +66,11 @@ def as_sorted_sets(F):
     return sorted(sorted(s) for s in F.sets)
 
 
+def every_subset(n):
+    """Every nonempty vertex subset, as an explicit candidate list."""
+    return tuple(set_of(m) for m in range(1, 1 << n))
+
+
 def test_connected_vertex_subsets_of_a_path():
     from cellres.constructions import edges_to_tree, tree_complex
     X = tree_complex(edges_to_tree(3, [(0, 1), (1, 2)]))
@@ -66,6 +78,11 @@ def test_connected_vertex_subsets_of_a_path():
     assert subs == {frozenset({0}), frozenset({1}), frozenset({2}),
                     frozenset({0, 1}), frozenset({1, 2}),
                     frozenset({0, 1, 2})}
+    # connected means the restriction has no reduced H_0
+    for X in (chord_complex(7, 3), pyramid(polygon_complex(5))):
+        no_h0 = [m for m in range(1, 1 << X.n_vertices)
+                 if 0 not in reduced_homology(restrict(X, set_of(m))).reduced_betti]
+        assert connected_vertex_subsets(X) == no_h0
 
 
 def test_odd_polygon_has_exactly_the_arc_family():
@@ -93,8 +110,9 @@ def test_enumeration_is_independent_of_candidate_order():
 def test_enumeration_is_independent_of_pruning_and_jobs():
     X = chord_complex(5, 2)
     base = enumerate_valid_families(X, SP)
-    unpruned = enumerate_valid_families(
-        X, SearchSpace(max_candidates=200, prune=False))
+    cands = search._candidate_masks(X, SP, AcyclicityOracle(X))
+    unpruned = search._materialize(
+        X.n_vertices, from_scratch_search(X, GF2, cands), ())
     parallel = enumerate_valid_families(X, SP, jobs=2)
     key = lambda fams: [as_sorted_sets(F) for F in fams]
     assert key(base) == key(unpruned) == key(parallel)
@@ -120,8 +138,7 @@ DIFFERENTIAL_CASES = {
                                    SP),
     "chord-5-2-unfiltered": lambda: (
         chord_complex(5, 2),
-        SearchSpace(connected_only=False, complement_filter=False,
-                    max_candidates=200)),
+        SearchSpace(candidates=every_subset(5), max_candidates=200)),
 }
 
 
@@ -130,7 +147,7 @@ DIFFERENTIAL_CASES = {
 def test_forward_checking_matches_the_reference_walk(case, field):
     X, space = DIFFERENTIAL_CASES[case]()
     cands = search._candidate_masks(X, space, AcyclicityOracle(X, field))
-    got = search._search(X, field, cands, True)
+    got = search._search(X, field, cands)
     assert got == reference_search(X, field, cands)
 
 
@@ -236,8 +253,7 @@ def test_candidate_validation():
 def test_unfiltered_search_finds_the_same_pentagon_family():
     X = polygon_complex(5)
     wide = enumerate_valid_families(
-        X, SearchSpace(connected_only=False, complement_filter=False,
-                       max_candidates=40))
+        X, SearchSpace(candidates=every_subset(5), max_candidates=40))
     assert len(wide) == 1
     assert wide[0].same_family(polygon_family(5))
 
