@@ -181,12 +181,7 @@ def _build_parser() -> _Parser:
         return p
 
     p = cmd("construct", help="emit a complex/family/labelling by name")
-    p.add_argument("kind", nargs="?",
-                   choices=["polygon", "chord", "subdivided-polygon",
-                            "polygon-family", "chord-families", "wheel",
-                            "wheel-family", "bipyramid", "pyramid",
-                            "elongated-pyramid", "tree-complex",
-                            "tree-labelling", "fixture"])
+    p.add_argument("kind", nargs="?", choices=list(_CONSTRUCT))
     p.add_argument("--list", action="store_true",
                    help="catalogue the named fixtures")
     p.add_argument("--n", type=int)
@@ -244,67 +239,74 @@ def _build_parser() -> _Parser:
 # subcommand bodies
 
 
+def _complex(X) -> dict:
+    return {"complex": complex_to_dict(X)}
+
+
+def _tree_labelling(edges, n) -> dict:
+    T = cons.edges_to_tree(n, edges)
+    return {"complex": complex_to_dict(cons.tree_complex(T)),
+            "labelling": labelling_to_dict(cons.tree_maximal_labelling(T))}
+
+
+def _fixture(fid) -> dict:
+    try:
+        X, L = cons.fixture(fid)
+    except KeyError as exc:
+        raise CliError(str(exc.args[0])) from exc
+    return {
+        "complex": complex_to_dict(X),
+        "labelling": labelling_to_dict(L),
+        "description": cons.fixture_catalogue()[fid],
+    }
+
+
+# construct kind -> (flags it needs, in the order they are read; builder
+# of the result from their values)
+_CONSTRUCT = {
+    "polygon": (("--n",), lambda n: _complex(cons.polygon_complex(n))),
+    "chord": (("--n", "--a"),
+              lambda n, a: _complex(cons.chord_complex(n, a))),
+    "subdivided-polygon": (
+        ("--chords", "--n"),
+        lambda chords, n: _complex(cons.subdivided_polygon(n, chords))),
+    "polygon-family": (("--n",), lambda n: {
+        "family": family_to_dict(cons.polygon_family(n))}),
+    "chord-families": (("--n", "--a"), lambda n, a: {
+        "families": [family_to_dict(F) for F in cons.chord_families(n, a)]}),
+    "wheel": (("--n",), lambda n: _complex(cons.wheel_polytope(n))),
+    "wheel-family": ((), lambda: {
+        "family": family_to_dict(cons.wheel_family())}),
+    "bipyramid": (("--n",), lambda n: _complex(cons.bipyramid_complex(n))),
+    "pyramid": (("--complex",), lambda X: _complex(cons.pyramid(X))),
+    "elongated-pyramid": (("--complex",),
+                          lambda X: _complex(cons.elongated_pyramid(X))),
+    "tree-complex": (("--edges", "--n"), lambda edges, n: _complex(
+        cons.tree_complex(cons.edges_to_tree(n, edges)))),
+    "tree-labelling": (("--edges", "--n"), _tree_labelling),
+    "fixture": (("--id",), _fixture),
+}
+
+
+def _construct_flag(flag: str, args, run: _Run):
+    value = getattr(args, "complex_file" if flag == "--complex" else flag[2:])
+    if value is None:
+        raise CliError(f"construct {args.kind} needs {flag}")
+    if flag in ("--chords", "--edges"):
+        return _parse_pairs(value, flag)
+    if flag == "--complex":
+        return run.load(value, "complex")
+    return value
+
+
 def _run_construct(args, run: _Run):
     if args.list:
         run.result = {"fixtures": cons.fixture_catalogue()}
         return
     if args.kind is None:
         raise CliError("construct needs a kind or --list")
-
-    def need(flag, value):
-        if value is None:
-            raise CliError(f"construct {args.kind} needs {flag}")
-        return value
-
-    kind = args.kind
-    if kind == "polygon":
-        run.result = {"complex": complex_to_dict(
-            cons.polygon_complex(need("--n", args.n)))}
-    elif kind == "chord":
-        run.result = {"complex": complex_to_dict(
-            cons.chord_complex(need("--n", args.n), need("--a", args.a)))}
-    elif kind == "subdivided-polygon":
-        chords = _parse_pairs(need("--chords", args.chords), "--chords")
-        run.result = {"complex": complex_to_dict(
-            cons.subdivided_polygon(need("--n", args.n), chords))}
-    elif kind == "polygon-family":
-        run.result = {"family": family_to_dict(
-            cons.polygon_family(need("--n", args.n)))}
-    elif kind == "chord-families":
-        first, second = cons.chord_families(need("--n", args.n),
-                                            need("--a", args.a))
-        run.result = {"families": [family_to_dict(first),
-                                   family_to_dict(second)]}
-    elif kind == "wheel":
-        run.result = {"complex": complex_to_dict(
-            cons.wheel_polytope(need("--n", args.n)))}
-    elif kind == "wheel-family":
-        run.result = {"family": family_to_dict(cons.wheel_family())}
-    elif kind == "bipyramid":
-        run.result = {"complex": complex_to_dict(
-            cons.bipyramid_complex(need("--n", args.n)))}
-    elif kind in ("pyramid", "elongated-pyramid"):
-        X = run.load(need("--complex", args.complex_file), "complex")
-        built = cons.pyramid(X) if kind == "pyramid" else cons.elongated_pyramid(X)
-        run.result = {"complex": complex_to_dict(built)}
-    elif kind in ("tree-complex", "tree-labelling"):
-        edges = _parse_pairs(need("--edges", args.edges), "--edges")
-        T = cons.edges_to_tree(need("--n", args.n), edges)
-        doc = {"complex": complex_to_dict(cons.tree_complex(T))}
-        if kind == "tree-labelling":
-            doc["labelling"] = labelling_to_dict(cons.tree_maximal_labelling(T))
-        run.result = doc
-    elif kind == "fixture":
-        fid = need("--id", args.id)
-        try:
-            X, L = cons.fixture(fid)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0])) from exc
-        run.result = {
-            "complex": complex_to_dict(X),
-            "labelling": labelling_to_dict(L),
-            "description": cons.fixture_catalogue()[fid],
-        }
+    flags, build = _CONSTRUCT[args.kind]
+    run.result = build(*(_construct_flag(f, args, run) for f in flags))
 
 
 def _run_verify(args, run: _Run):

@@ -295,13 +295,15 @@ class LcmLattice:
 
 def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
     """Smallest set of exponent vectors containing the labels and closed
-    under componentwise max."""
-    points = {m.exponents for m in L.labels}
+    under componentwise max.  Every lcm of labels is reached by joining one
+    label at a time, so new points are joined with the labels only."""
+    labels = {m.exponents for m in L.labels}
+    points = set(labels)
     frontier = set(points)
     while frontier:
         new = set()
         for a in frontier:
-            for b in points:
+            for b in labels:
                 j = tuple(max(x, y) for x, y in zip(a, b))
                 if j not in points and j not in new:
                     new.add(j)

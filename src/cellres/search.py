@@ -2,17 +2,19 @@
 
 The validity criteria split into a hereditary part (the cover bound and
 acyclicity of complements of unions survive passing to subfamilies) and a
-part closed under supersets (face separation and covering the vertex set).
-Enumeration walks families depth first in candidate-index order and records
-a family whenever the second part holds at the current node.  Each node
-carries its live set, the later candidates that can still join without
-breaking the hereditary part; adding a member only ever shrinks it, and
-only the checks involving the new member are run.  A subtree is skipped
-when its live set cannot complete face separation or the vertex cover.
-The existence search instead branches on the unmet requirement with the
-fewest candidates.  Both engines track requirements as one bitset per
-candidate (a bit per vertex it covers and per covering face pair it
-separates) and take the cover bound from the shared `cover_unions`.
+set of requirements closed under supersets: cover every vertex and
+separate every covering face pair.  One depth-first engine, `_search`,
+answers both questions asked here: enumeration collects every family it
+yields, existence stops at the first.  Each node carries its live set, the
+candidates that can still join without breaking the hereditary part;
+adding a member only ever shrinks it, and only the checks involving the
+new member are run.  While a requirement is unmet the engine branches on
+the live candidates serving the unmet requirement with the fewest of them
+(the minimum-remaining-values rule of Knuth's Algorithm X), so a subtree
+ends as soon as some requirement has no live candidate left.
+Requirements are one bitset per candidate (a bit per vertex it covers and
+per covering face pair it separates), and the cover bound comes from the
+shared `cover_unions`.
 
 The candidate list is the default one (connected, with acyclic
 complement) unless a `SearchSpace` supplies its own.
@@ -97,11 +99,10 @@ def _candidate_masks(X: CellComplex, space: SearchSpace,
             if m == 0 or m & ~full:
                 raise FamilyError(f"candidate {sorted(s)} out of range")
             masks.add(m)
-        masks = sorted(masks, key=_mask_sort_key)
     else:
         masks = [m for m in connected_vertex_subsets(X)
                  if oracle.is_acyclic(full & ~m)]
-        masks.sort(key=_mask_sort_key)
+    masks = sorted(masks, key=_mask_sort_key)
     if len(masks) > space.max_candidates:
         raise GuardExceeded(
             f"{len(masks)} candidate sets exceed the limit of "
@@ -109,83 +110,89 @@ def _candidate_masks(X: CellComplex, space: SearchSpace,
     return tuple(masks)
 
 
-def _requirements(X: CellComplex, cands: tuple):
-    """(serve, goal): bit v of serve[j] says candidate j covers vertex v,
-    bit n + k that it separates covering face pair k; a family meets every
-    requirement when its members' serve bits together make goal."""
-    n = X.n_vertices
-    serve = [m | bits << n
-             for m, bits in zip(cands, separation_bits(X, cands))]
-    return serve, (1 << (n + len(covering_face_pairs(X)))) - 1
+def _bits(x: int):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        x ^= low
+        yield low.bit_length() - 1
 
 
 def _search(X: CellComplex, field: FieldSpec, cands: tuple,
-            only_first: int = None, oracle: AcyclicityOracle = None) -> list:
-    """Depth-first family search over a fixed candidate list.
+            only_first: int = None, oracle: AcyclicityOracle = None):
+    """Yield every valid family over a fixed candidate list, exactly once.
 
-    Returns the found families as tuples of member masks, in candidate
-    order.  When only_first is given, the first chosen candidate is pinned
-    to that index (used to partition work across processes).
+    Families come as tuples of member masks in the order they were chosen;
+    the visit order is not part of the contract.  When only_first is
+    given, only the root branch that chooses that candidate index is
+    searched (used to partition work across processes).
 
-    Every node carries its live set: the candidates after the newest member
-    that can still join the chosen family without breaking the cover bound
-    or the acyclic-complement condition.  Both conditions are closed under
-    subfamilies, so a candidate that leaves the live set never returns
-    below that node, and a child filters its parent's live set by what the
-    newest member adds alone: the cover-bound unions that contain it and
-    the member unions it creates.  A child is entered only when its live
-    set can still separate every covering face pair and cover every vertex,
-    since both requirements are closed under supersets.
+    A node holds the chosen members, their subfamily unions, the
+    requirements they meet and the live set: the candidates that can still
+    join without breaking the cover bound or the acyclic-complement
+    condition.  Both conditions are closed under subfamilies, so a child
+    filters its parent's live set by what the newest member adds alone:
+    the cover-bound unions that contain it and the member unions it
+    creates.  While a requirement is unmet, the options are the live
+    candidates serving the unmet requirement with the fewest of them (ties
+    to the lowest requirement bit), and none at all when that requirement
+    has no live candidate.  Once every requirement is met, the node is a
+    valid family and the options are the whole live set.  Branch i adds
+    option i and bans options 0..i-1, so no family is reached twice.
     """
     oracle = oracle or AcyclicityOracle(X, field)
-    full = (1 << X.n_vertices) - 1
+    n = X.n_vertices
+    full = (1 << n) - 1
     d = X.dim
     if not oracle.is_acyclic(full):
-        return []
-    serve, goal = _requirements(X, cands)
-    found = []
+        return
+    # requirement bits: vertex v is bit v, covering face pair k is bit n + k
+    serve = [m | bits << n
+             for m, bits in zip(cands, separation_bits(X, cands))]
+    goal = (1 << (n + len(covering_face_pairs(X)))) - 1
+    # bit j of reqs[k] is set when candidate j meets requirement k
+    reqs = [sum(1 << j for j, bits in enumerate(serve) if bits >> k & 1)
+            for k in range(goal.bit_length())]
     chosen = []
 
-    def reachable(live, served):
-        for k in live:
-            served |= serve[k]
-        return served == goal
-
-    def descend(live, unions, served, only=None):
-        for i, j in enumerate(live):
-            if only is not None and j != only:
+    def descend(live, unions, served):
+        if served == goal:
+            yield tuple(chosen)
+        pick = None
+        for k in _bits(goal & ~served):
+            opts = reqs[k] & live
+            if pick is None or opts.bit_count() < pick.bit_count():
+                pick = opts
+                if not opts:
+                    break
+        for j in _bits(live if pick is None else pick):
+            live &= ~(1 << j)
+            if only_first is not None and not chosen and j != only_first:
                 continue
             m = cands[j]
             chosen.append(m)
-            served_j = served | serve[j]
-            if served_j == goal:
-                found.append(tuple(chosen))
             fresh = {u | m for u in unions} - unions
             size = min(d - 1, len(chosen))
             bounds = (list(cover_unions(m, chosen[:-1], size - 1)) if size
                       else [])
-            nxt = [k for k in live[i + 1:]
-                   if all(cands[k] | u != full for u in bounds)
-                   and all(oracle.is_acyclic(full & ~(w | cands[k]))
-                           for w in fresh)]
-            if nxt and reachable(nxt, served_j):
-                descend(nxt, unions | fresh, served_j)
+            nxt = 0
+            for k in _bits(live):
+                c = cands[k]
+                if (all(c | u != full for u in bounds)
+                        and all(oracle.is_acyclic(full & ~(w | c))
+                                for w in fresh)):
+                    nxt |= 1 << k
+            yield from descend(nxt, unions | fresh, served | serve[j])
             chosen.pop()
 
-    root = [j for j, m in enumerate(cands)
-            if m != full and oracle.is_acyclic(full & ~m)]
-    if reachable(root, 0):
-        descend(root, {0}, 0, only=only_first)
-    return found
+    root = sum(1 << j for j, m in enumerate(cands)
+               if m != full and oracle.is_acyclic(full & ~m))
+    yield from descend(root, {0}, 0)
 
 
 def _search_worker(args):
     X, field, cands, j = args
-    return _search(X, field, cands, only_first=j)
-
-
-def _identity(n: int) -> tuple:
-    return tuple(range(n))
+    return list(_search(X, field, cands, only_first=j))
 
 
 def _check_automorphism(X: CellComplex, perm: tuple):
@@ -216,16 +223,13 @@ def _orbit_representative(sets, perms) -> tuple:
 
 
 def _materialize(n, mask_tuples, symmetry) -> list:
-    families = {}
+    keys = set()
     for masks in mask_tuples:
         sets = [set_of(m) for m in masks]
-        key = (_orbit_representative(sets, symmetry) if symmetry
-               else _family_key(sets))
-        families.setdefault(key, key)
-    out = []
-    for key in sorted(families):
-        out.append(VertexFamily(n, tuple(frozenset(vs) for _, vs in key)))
-    return out
+        keys.add(_orbit_representative(sets, symmetry) if symmetry
+                 else _family_key(sets))
+    return [VertexFamily(n, tuple(frozenset(vs) for _, vs in key))
+            for key in sorted(keys)]
 
 
 def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
@@ -248,7 +252,7 @@ def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
         for perm in space.symmetry:
             _check_automorphism(X, tuple(perm))
         symmetry = tuple({tuple(p) for p in space.symmetry}
-                         | {_identity(X.n_vertices)})
+                         | {tuple(range(X.n_vertices))})
     workers = min(jobs or 1, os.cpu_count() or 1, len(cands))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -264,85 +268,25 @@ def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
 def any_valid_family(X: CellComplex, space: SearchSpace = None,
                      field: FieldSpec = GF2,
                      oracle: AcyclicityOracle = None):
-    """One valid family on X, or None when none exists over the candidates.
+    """A valid family on X, or None when none exists over the candidates.
 
-    Existence does not need the full enumeration.  Any valid family can be
-    shrunk to one whose every member either covers some vertex or separates
-    some covering face pair, because the cover bound and the complement
-    acyclicity conditions survive passing to subfamilies while the other two
-    conditions only ever need one witness per requirement.  Splitting a
-    disconnected member into its pieces also preserves validity, so with the
-    default candidate set (connected, acyclic complement) the answer decides
-    existence outright.
-
-    The search keeps a list of unmet requirements and branches on the one
-    with the fewest admissible candidates, banning a candidate once its
-    subtree is exhausted, and stops at the first valid family.
+    Which valid family comes back is not specified.  The family search
+    meets requirements first, so it reaches a valid family along a path of
+    requirement branches and stops there.  With the default candidate set
+    (connected, acyclic complement) the answer decides existence outright:
+    splitting a disconnected member of a valid family into its pieces
+    preserves validity.
     """
     space = space or SearchSpace()
     if X.dim < 1:
         raise FamilyError("search needs a complex of dimension at least 1")
     oracle = oracle or AcyclicityOracle(X, field)
     cands = _candidate_masks(X, space, oracle)
-    n = X.n_vertices
-    full = (1 << n) - 1
-    d = X.dim
-    if not oracle.is_acyclic(full):
-        return None
-
-    serve, goal = _requirements(X, cands)
-    # bit j of reqs[k] is set when candidate j meets requirement k
-    reqs = [sum(1 << j for j, bits in enumerate(serve) if bits >> k & 1)
-            for k in range(goal.bit_length())]
-
-    def admissible(j, bounds, unions):
-        m = cands[j]
-        for u in bounds:
-            if m | u == full:
-                return None
-        fresh = []
-        for u in unions:
-            w = u | m
-            if w not in unions:
-                if not oracle.is_acyclic(full & ~w):
-                    return None
-                fresh.append(w)
-        return fresh
-
-    def solve(chosen, unions, unmet, banned):
-        if unmet == 0:
-            return chosen
-        pick, fewest = 0, None
-        for k in range(len(reqs)):
-            if unmet >> k & 1:
-                opts = reqs[k] & ~banned
-                count = opts.bit_count()
-                if fewest is None or count < fewest:
-                    pick, fewest = opts, count
-                    if not opts:
-                        return None
-        # unions of the chosen members that one more member must not
-        # complete to a cover
-        bounds = set(cover_unions(0, [cands[x] for x in chosen],
-                                  min(d - 1, len(chosen))))
-        while pick:
-            low = pick & -pick
-            pick ^= low
-            j = low.bit_length() - 1
-            fresh = admissible(j, bounds, unions)
-            if fresh is not None:
-                hit = solve(chosen + [j], unions | set(fresh),
-                            unmet & ~serve[j], banned)
-                if hit is not None:
-                    return hit
-            # no valid family extends chosen with j, so drop j for good
-            banned |= low
-        return None
-
-    hit = solve([], {0}, goal, 0)
+    hit = next(_search(X, field, cands, oracle=oracle), None)
     if hit is None:
         return None
-    return VertexFamily(n, tuple(set_of(cands[j]) for j in sorted(hit)))
+    return VertexFamily(X.n_vertices, tuple(
+        set_of(m) for m in sorted(hit, key=_mask_sort_key)))
 
 
 @dataclass(frozen=True)

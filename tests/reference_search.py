@@ -6,8 +6,9 @@ order, and record those that also separate every covering face pair and
 cover every vertex.  `reference_search` updates the criteria incrementally;
 `from_scratch_search` re-evaluates them with `check_family_criteria` at
 every node.  Neither has a look-ahead, so both are far slower than the
-library's forward-checking search, and they are kept here only to check
-that search against: all must return the same families in the same order.
+library's requirement-driven, forward-checking search, and they are kept
+here only to check that search against: all must return the same families.
+The library's visit order is its own, so families are compared as sets.
 """
 
 import itertools

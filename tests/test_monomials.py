@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellres.constructions import fixture, fixture_catalogue, polygon_family
 from cellres.monomials import (
     FamilyError,
     LabellingError,
@@ -111,6 +112,16 @@ def test_lcm_lattice_is_join_closed():
     for a, b in itertools.combinations(lat.points, 2):
         join = tuple(max(x, y) for x, y in zip(a, b))
         assert join in lat.points
+
+    # the points are exactly the lcms of the nonempty subsets of labels
+    labellings = [fixture(fid)[1] for fid in fixture_catalogue()]
+    labellings.append(labelling_of(polygon_family(11)))
+    for L in labellings:
+        lcms = set()
+        for m in L.labels:
+            lcms |= {tuple(map(max, p, m.exponents)) for p in lcms}
+            lcms.add(m.exponents)
+        assert lcm_lattice(L).points == lcms
 
 
 def test_exact_cover_uses_parts_in_any_order():

@@ -66,6 +66,11 @@ def as_sorted_sets(F):
     return sorted(sorted(s) for s in F.sets)
 
 
+def family_key(masks):
+    """A family given by member masks, independent of member order."""
+    return tuple(sorted(masks))
+
+
 def every_subset(n):
     """Every nonempty vertex subset, as an explicit candidate list."""
     return tuple(set_of(m) for m in range(1, 1 << n))
@@ -147,8 +152,10 @@ DIFFERENTIAL_CASES = {
 def test_forward_checking_matches_the_reference_walk(case, field):
     X, space = DIFFERENTIAL_CASES[case]()
     cands = search._candidate_masks(X, space, AcyclicityOracle(X, field))
-    got = search._search(X, field, cands)
-    assert got == reference_search(X, field, cands)
+    got = [family_key(masks) for masks in search._search(X, field, cands)]
+    assert len(set(got)) == len(got)
+    assert sorted(got) == sorted(
+        family_key(masks) for masks in reference_search(X, field, cands))
 
 
 def test_worker_count_is_clamped_before_forking(monkeypatch):
@@ -311,7 +318,9 @@ def test_no_mutual_morphism_between_distinct_chord_families():
 
 def test_existence_search_agrees_with_enumeration():
     for X in (polygon_complex(4), polygon_complex(5), polygon_complex(6),
-              chord_complex(5, 2), chord_complex(6, 3)):
+              chord_complex(5, 2), chord_complex(6, 3), bipyramid_complex(4),
+              pyramid(polygon_complex(6)),
+              subdivided_polygon(6, ((1, 5), (3, 5)))):
         fam = any_valid_family(X, SP)
         fams = enumerate_valid_families(X, SP)
         assert (fam is not None) == bool(fams)
@@ -325,6 +334,14 @@ def test_existence_search_handles_solid_polytopes():
     fam = any_valid_family(pyramid(polygon_complex(5)), SP)
     assert fam is not None
     assert check_family_criteria(pyramid(polygon_complex(5)), fam).ok
+    wide = SearchSpace(max_candidates=300)
+    assert any_valid_family(bipyramid_complex(6), wide) is None
+    W = wheel_polytope(4)
+    fam = any_valid_family(W, wide)
+    assert fam is not None and check_family_criteria(W, fam).ok
+    E = elongated_pyramid(polygon_complex(4))
+    assert len(search._candidate_masks(E, wide, AcyclicityOracle(E))) == 241
+    assert any_valid_family(E, wide) is None
 
 
 def test_enumeration_on_the_pyramid_over_a_pentagon():
@@ -335,13 +352,15 @@ def test_enumeration_on_the_pyramid_over_a_pentagon():
     assert found[0].same_family(pyramid_family(polygon_family(5)))
 
 
-@pytest.mark.parametrize("chords, count, members", [
-    (((0, 3),), 2, 9),
-    (((0, 2), (0, 4)), 4, 10),
-])
-def test_octagon_maximal_families_have_n_plus_k_members(chords, count,
+@pytest.mark.parametrize("n, chords, count, members", [
+    (8, ((0, 3),), 2, 9),
+    (8, ((0, 2), (0, 4)), 4, 10),
+    (10, ((0, 5),), 2, 11),
+    (10, ((0, 3), (0, 6)), 6, 12),
+], ids=["chords0-2-9", "chords1-4-10", "chords2-2-11", "chords3-6-12"])
+def test_octagon_maximal_families_have_n_plus_k_members(n, chords, count,
                                                         members):
-    found = enumerate_maximal_families(subdivided_polygon(8, chords), SP)
+    found = enumerate_maximal_families(subdivided_polygon(n, chords), SP)
     assert len(found) == count
     assert [len(F.sets) for F in found] == [members] * count
 
