@@ -24,7 +24,7 @@ from cellres.constructions import (
     tree_complex,
     tree_maximal_labelling,
 )
-from cellres.monomials import family_of
+from cellres.monomials import family_of, member_key
 from cellres.search import (
     SearchSpace,
     enumerate_maximal_families,
@@ -71,7 +71,7 @@ def tree_classes(n):
 
 def family_text(F):
     return " ".join("{" + ",".join(map(str, sorted(s))) + "}"
-                    for s in sorted(F.sets, key=lambda s: (len(s), sorted(s))))
+                    for s in sorted(F.sets, key=member_key))
 
 
 def tree_table(max_vertices, space):

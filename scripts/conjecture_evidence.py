@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from cellres.search import selfdual_report, variable_count_report
-from cellres.serialize import canonical_json, conjecture_report_to_dict
+from cellres.serialize import canonical_json, report_to_dict
 
 
 def print_variable_count(rep):
@@ -82,7 +82,7 @@ def main(argv=None):
 
     if args.json:
         sys.stdout.write(canonical_json(
-            [conjecture_report_to_dict(r) for r in reports]))
+            [report_to_dict(r) for r in reports]))
         return 0
 
     for i, rep in enumerate(reports):

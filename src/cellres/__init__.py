@@ -62,7 +62,6 @@ from .resolution import (
     strand_ranks,
 )
 from .constructions import (
-    Arc,
     OrientedTree,
     all_arcs,
     all_labelled_trees,

@@ -50,20 +50,15 @@ from .search import (
 from .serialize import (
     SerializationError,
     canonical_json,
-    cm_verdict_to_dict,
     complex_from_dict,
     complex_to_dict,
-    conjecture_report_to_dict,
-    covering_report_to_dict,
-    criteria_report_to_dict,
     family_from_dict,
     family_to_dict,
-    homology_report_to_dict,
     labelling_from_dict,
     labelling_to_dict,
-    maximality_report_to_dict,
     parse_json,
     refinement_to_str,
+    report_to_dict,
 )
 
 EXIT_OK = 0
@@ -317,11 +312,10 @@ def _run_verify(args, run: _Run):
         L = run.load(args.labelling_file, "labelling")
     else:
         F = run.load(args.family_file, "family")
-        result["criteria"] = criteria_report_to_dict(
-            check_family_criteria(X, F, field))
+        result["criteria"] = report_to_dict(check_family_criteria(X, F, field))
         L = labelling_of(F)
     verdict = check_cm_labelling(X, L, field)
-    result["cm_verdict"] = cm_verdict_to_dict(verdict)
+    result["cm_verdict"] = report_to_dict(verdict)
     run.result = result
     if not verdict.is_cm:
         run.exit_code = EXIT_NEGATIVE
@@ -347,7 +341,7 @@ def _run_maximal_check(args, run: _Run):
     criteria = check_family_criteria(X, F, field)
     if not criteria.ok:
         run.result = {
-            "criteria": criteria_report_to_dict(criteria),
+            "criteria": report_to_dict(criteria),
             "note": "family fails the validity criteria; "
                     "maximality is undefined for it",
         }
@@ -355,8 +349,8 @@ def _run_maximal_check(args, run: _Run):
         return
     verdict = is_maximal(X, F, field)
     run.result = {
-        "criteria": criteria_report_to_dict(criteria),
-        "maximality": maximality_report_to_dict(verdict),
+        "criteria": report_to_dict(criteria),
+        "maximality": report_to_dict(verdict),
     }
     if not verdict.is_maximal:
         run.exit_code = EXIT_NEGATIVE
@@ -370,8 +364,7 @@ def _run_homology(args, run: _Run):
         except ValueError as exc:
             raise CliError("--vertices is a comma list of integers") from exc
         X = restrict(X, keep)
-    run.result = {"homology": homology_report_to_dict(
-        reduced_homology(X, _field(args)))}
+    run.result = {"homology": report_to_dict(reduced_homology(X, _field(args)))}
 
 
 def _run_betti(args, run: _Run):
@@ -409,8 +402,7 @@ def _run_conjecture(args, run: _Run):
     params = {"field": _field(args), "max_candidates": args.max_candidates}
     if args.kind == "variable-count":
         params["jobs"] = _jobs(args)
-    run.result = conjecture_report_to_dict(
-        conjecture_harness(args.kind, **params))
+    run.result = report_to_dict(conjecture_harness(args.kind, **params))
 
 
 _BODIES = {

@@ -53,15 +53,6 @@ class CellComplex:
     def fully_signed(self) -> bool:
         return all(s != 0 for c in self.cells for _, s in c.boundary)
 
-    def vertex_cell_ids(self) -> dict:
-        """vertex id -> id of its dimension-0 cell."""
-        out = {}
-        for c in self.cells:
-            if c.dim == 0:
-                (v,) = tuple(c.vertices)
-                out[v] = c.id
-        return out
-
     def f_vector(self) -> tuple:
         if not self.cells:
             return ()

@@ -54,22 +54,13 @@ class OrientedTree:
 
     def side_vertices(self, edge_index: int):
         """(source side, target side) after removing the indexed edge."""
-        s, t = self.edges[edge_index]
-        adj = {v: [] for v in range(self.n)}
+        parent = list(range(self.n))
         for i, (a, b) in enumerate(self.edges):
-            if i == edge_index:
-                continue
-            adj[a].append(b)
-            adj[b].append(a)
-        comp = set()
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v])
-        return frozenset(comp), frozenset(range(self.n)) - frozenset(comp)
+            if i != edge_index:
+                parent[_find(parent, a)] = _find(parent, b)
+        root = _find(parent, self.edges[edge_index][0])
+        src = frozenset(v for v in range(self.n) if _find(parent, v) == root)
+        return src, frozenset(range(self.n)) - src
 
 
 def tree_complex(T: OrientedTree) -> CellComplex:
@@ -288,31 +279,11 @@ def chord_complex(n: int, a: int) -> CellComplex:
     return subdivided_polygon(n, ((0, a),))
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Consecutive run of vertices on the n-cycle: start, start+1, ..., end."""
-
-    start: int
-    end: int
-    modulus: int
-
-    def vertices(self) -> frozenset:
-        out = []
-        v = self.start % self.modulus
-        while True:
-            out.append(v)
-            if v == self.end % self.modulus:
-                break
-            v = (v + 1) % self.modulus
-        return frozenset(out)
-
-    @property
-    def length(self) -> int:
-        return (self.end - self.start) % self.modulus + 1
-
-
 def arc_set(start: int, length: int, n: int) -> frozenset:
-    return Arc(start % n, (start + length - 1) % n, n).vertices()
+    """Consecutive run start, start+1, ..., start+length-1 on the n-cycle."""
+    if not 1 <= length <= n:
+        raise ComplexError(f"arc length {length} is outside 1..{n}")
+    return frozenset((start + i) % n for i in range(length))
 
 
 def all_arcs(n: int, length: int):
@@ -412,10 +383,6 @@ def pyramid_family(F: VertexFamily) -> VertexFamily:
     return family(F.n + 1, list(F.sets) + [{F.n}])
 
 
-def _top_cells(X: CellComplex):
-    return X.cells_of_dim(X.dim)
-
-
 def elongated_pyramid(X: CellComplex) -> CellComplex:
     """Prism over X with a pyramid on top, as one polytope-like cell.
 
@@ -428,7 +395,7 @@ def elongated_pyramid(X: CellComplex) -> CellComplex:
     """
     if X.dim < 1:
         raise ComplexError("elongated pyramid needs a complex of dimension >= 1")
-    tops = _top_cells(X)
+    tops = X.cells_of_dim(X.dim)
     if len(tops) != 1:
         raise ComplexError("elongated pyramid needs a single top cell")
     n = X.n_vertices

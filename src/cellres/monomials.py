@@ -97,6 +97,11 @@ def labelling(n_variables: int, rows) -> MonomialLabelling:
     return MonomialLabelling(n_variables, tuple(Monomial(tuple(r)) for r in rows))
 
 
+def member_key(s) -> tuple:
+    """Canonical order of family members: by size, then by sorted content."""
+    return (len(s), tuple(sorted(s)))
+
+
 @dataclass(frozen=True)
 class VertexFamily:
     """Ordered list of distinct nonempty subsets of range(n)."""
@@ -122,7 +127,7 @@ class VertexFamily:
         return [mask_of(s) for s in self.sets]
 
     def canonical(self) -> "VertexFamily":
-        ordered = sorted(self.sets, key=lambda s: (len(s), tuple(sorted(s))))
+        ordered = sorted(self.sets, key=member_key)
         return VertexFamily(self.n, tuple(ordered))
 
     def same_family(self, other: "VertexFamily") -> bool:
@@ -298,15 +303,9 @@ def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
     under componentwise max.  Every lcm of labels is reached by joining one
     label at a time, so new points are joined with the labels only."""
     labels = {m.exponents for m in L.labels}
-    points = set(labels)
-    frontier = set(points)
+    points, frontier = set(labels), labels
     while frontier:
-        new = set()
-        for a in frontier:
-            for b in labels:
-                j = tuple(max(x, y) for x, y in zip(a, b))
-                if j not in points and j not in new:
-                    new.add(j)
-        points |= new
-        frontier = new
+        frontier = {tuple(max(x, y) for x, y in zip(a, b))
+                    for a in frontier for b in labels} - points
+        points |= frontier
     return LcmLattice(L.n_variables, frozenset(points))

@@ -384,31 +384,28 @@ class CellularFreeComplex:
 
     Homological degree 0 is the ring; degree i >= 1 has one generator per
     (i-1)-cell with multidegree the join of the cell's vertex labels.
-    maps[i] sends degree i+1 to degree i; entries are None or
-    (sign, exponent tuple of the quotient monomial).
+    maps[i] sends degree i+1 to degree i as sparse columns, one per
+    degree-(i+1) generator, of (row, sign, exponent tuple of the quotient
+    monomial) entries.
     """
 
     n_variables: int
     multidegrees: tuple  # per degree: tuple of exponent tuples
     cell_ids: tuple      # per degree: tuple of source cell ids (None for degree 0)
-    maps: tuple          # maps[i]: rows = degree-i gens, cols = degree-(i+1) gens
+    maps: tuple          # maps[i]: one column per degree-(i+1) generator
 
     def ranks(self) -> tuple:
         return tuple(len(d) for d in self.multidegrees)
 
     def composition_is_zero(self) -> bool:
         for A, B in zip(self.maps, self.maps[1:]):
-            if not A or not B or not B[0]:
-                continue
-            for r in range(len(A)):
-                for c in range(len(B[0])):
-                    acc = 0
-                    for k in range(len(B)):
-                        x, y = A[r][k], B[k][c]
-                        if x is not None and y is not None:
-                            acc += x[0] * y[0]
-                    if acc != 0:
-                        return False
+            for col in B:
+                acc = {}
+                for k, s, _ in col:
+                    for r, t, _ in A[k]:
+                        acc[r] = acc.get(r, 0) + s * t
+                if any(acc.values()):
+                    return False
         return True
 
 
@@ -424,36 +421,22 @@ def build_free_complex(X: CellComplex, L: MonomialLabelling) -> CellularFreeComp
         raise FamilyError("labelling size does not match the complex")
     if not X.fully_signed():
         raise SignsMissingError("free complex needs signed incidences")
-    D = X.dim
     zero = (0,) * L.n_variables
     mdeg = {c.id: multidegree(L, c.vertices).exponents for c in X.cells}
-    per_degree = [[None]]
-    for d in range(0, D + 1):
-        per_degree.append([c.id for c in X.cells_of_dim(d)])
-    multidegrees = [tuple([zero])]
-    for d in range(1, D + 2):
-        multidegrees.append(tuple(mdeg[cid] for cid in per_degree[d]))
-    maps = []
-    vpos = {cid: j for j, cid in enumerate(per_degree[1])}
-    first = [[None] * len(per_degree[1])]
-    for j, cid in enumerate(per_degree[1]):
-        first[0][j] = (1, mdeg[cid])
-    maps.append(tuple(tuple(r) for r in first))
-    for deg in range(2, D + 2):
-        rows = per_degree[deg - 1]
-        cols = per_degree[deg]
+    cell_ids = [(None,)] + [tuple(c.id for c in X.cells_of_dim(d))
+                            for d in range(X.dim + 1)]
+    maps = [tuple(((0, 1, mdeg[cid]),) for cid in cell_ids[1])]
+    for rows, cols in zip(cell_ids[1:], cell_ids[2:]):
         pos = {cid: i for i, cid in enumerate(rows)}
-        mat = [[None] * len(cols) for _ in rows]
-        for j, cid in enumerate(cols):
-            top = mdeg[cid]
-            for b, s in X.cells[cid].boundary:
-                quot = tuple(x - y for x, y in zip(top, mdeg[b]))
-                mat[pos[b]][j] = (s, quot)
-        maps.append(tuple(tuple(r) for r in mat))
+        maps.append(tuple(
+            tuple((pos[b], s, tuple(x - y for x, y in zip(mdeg[cid], mdeg[b])))
+                  for b, s in X.cells[cid].boundary)
+            for cid in cols))
     fc = CellularFreeComplex(
         L.n_variables,
-        tuple(multidegrees),
-        tuple([tuple([None])] + [tuple(per_degree[d]) for d in range(1, D + 2)]),
+        tuple([(zero,)] + [tuple(mdeg[cid] for cid in ids)
+                           for ids in cell_ids[1:]]),
+        tuple(cell_ids),
         tuple(maps),
     )
     if not fc.composition_is_zero():
@@ -472,9 +455,10 @@ def strand_ranks(fc: CellularFreeComplex, b, field: FieldSpec = GF2) -> tuple:
             for degs in fc.multidegrees]
     maps = []
     for i in range(2, len(kept)):
-        A = fc.maps[i - 1]
-        maps.append([[(rj, A[r][c][0]) for rj, r in enumerate(kept[i - 1])
-                      if A[r][c] is not None] for c in kept[i]])
+        pos = {r: rj for rj, r in enumerate(kept[i - 1])}
+        cols = fc.maps[i - 1]
+        maps.append([[(pos[r], s) for r, s, _ in cols[c] if r in pos]
+                     for c in kept[i]])
     # the degree-1 map sends every kept vertex generator onto the ring, so
     # its rank is 1 as soon as one vertex generator is kept
     augmentation = [min(1, len(k)) for k in kept[1:2]]

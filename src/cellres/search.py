@@ -43,6 +43,7 @@ from .monomials import (
     VertexFamily,
     _exact_cover_exists,
     mask_of,
+    member_key,
     reduce_family,
     set_of,
 )
@@ -86,7 +87,7 @@ def connected_vertex_subsets(X: CellComplex) -> list:
 
 
 def _mask_sort_key(m: int):
-    return (bin(m).count("1"), tuple(sorted(set_of(m))))
+    return member_key(set_of(m))
 
 
 def _candidate_masks(X: CellComplex, space: SearchSpace,
@@ -209,17 +210,12 @@ def _check_automorphism(X: CellComplex, perm: tuple):
 
 
 def _family_key(sets) -> tuple:
-    return tuple(sorted((len(s), tuple(sorted(s))) for s in sets))
+    return tuple(sorted(map(member_key, sets)))
 
 
 def _orbit_representative(sets, perms) -> tuple:
-    best = None
-    for perm in perms:
-        image = [frozenset(perm[v] for v in s) for s in sets]
-        key = _family_key(image)
-        if best is None or key < best:
-            best = key
-    return best
+    return min(_family_key([frozenset(perm[v] for v in s) for s in sets])
+               for perm in perms)
 
 
 def _materialize(n, mask_tuples, symmetry) -> list:

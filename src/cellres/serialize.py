@@ -12,12 +12,11 @@ order, so identical objects always produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
-from .complexes import Cell, CellComplex, HomologyReport, validate_complex
+from .complexes import Cell, CellComplex, validate_complex
 from .monomials import Monomial, MonomialLabelling, Refinement, VertexFamily
-from .resolution import CmVerdict, FamilyCriteriaReport
-from .search import ConjectureReport, CoveringReport, MaximalityReport
 
 
 class SerializationError(ValueError):
@@ -29,10 +28,13 @@ def _require(cond: bool, message: str):
         raise SerializationError(message)
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: true and false are not 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(value, what: str) -> list:
-    _require(isinstance(value, list)
-             and all(isinstance(v, int) and not isinstance(v, bool)
-                     for v in value),
+    _require(isinstance(value, list) and all(_is_int(v) for v in value),
              f"{what} must be a list of integers")
     return list(value)
 
@@ -61,16 +63,17 @@ def complex_from_dict(doc) -> CellComplex:
     _require(set(doc) == {"n_vertices", "cells"},
              "complex document needs exactly the keys n_vertices and cells")
     n = doc["n_vertices"]
-    _require(isinstance(n, int) and n >= 0, "n_vertices must be a count")
+    _require(_is_int(n) and n >= 0, "n_vertices must be a count")
     _require(isinstance(doc["cells"], list), "cells must be a list")
     cells = []
     for i, rec in enumerate(doc["cells"]):
         _require(isinstance(rec, dict) and
                  set(rec) == {"id", "dim", "vertices", "boundary"},
                  f"cell #{i} needs exactly the keys id, dim, vertices, boundary")
-        _require(rec["id"] == i, f"cell ids must be dense and ordered; "
-                 f"cell #{i} has id {rec['id']}")
-        _require(isinstance(rec["dim"], int) and rec["dim"] >= 0,
+        _require(_is_int(rec["id"]) and rec["id"] == i,
+                 f"cell ids must be dense and ordered; cell #{i} has id "
+                 f"{rec['id']}")
+        _require(_is_int(rec["dim"]) and rec["dim"] >= 0,
                  f"cell {i}: dim must be a non-negative integer")
         verts = _int_list(rec["vertices"], f"cell {i}: vertices")
         _require(isinstance(rec["boundary"], list),
@@ -78,7 +81,7 @@ def complex_from_dict(doc) -> CellComplex:
         boundary = []
         for pair in rec["boundary"]:
             _require(isinstance(pair, list) and len(pair) == 2
-                     and all(isinstance(v, int) for v in pair)
+                     and all(_is_int(v) for v in pair)
                      and pair[1] in (-1, 0, 1),
                      f"cell {i}: boundary entries are [cell_id, sign] "
                      "with sign in -1/0/+1")
@@ -105,7 +108,7 @@ def family_to_dict(F: VertexFamily) -> dict:
 def family_from_dict(doc) -> VertexFamily:
     _require(isinstance(doc, dict) and set(doc) == {"n", "sets"},
              "family document needs exactly the keys n and sets")
-    _require(isinstance(doc["n"], int), "n must be an integer")
+    _require(_is_int(doc["n"]), "n must be an integer")
     _require(isinstance(doc["sets"], list), "sets must be a list")
     members = tuple(frozenset(_int_list(s, "family member"))
                     for s in doc["sets"])
@@ -125,7 +128,7 @@ def labelling_to_dict(L: MonomialLabelling) -> dict:
 def labelling_from_dict(doc) -> MonomialLabelling:
     _require(isinstance(doc, dict) and set(doc) == {"n_variables", "labels"},
              "labelling document needs exactly the keys n_variables and labels")
-    _require(isinstance(doc["n_variables"], int), "n_variables must be an integer")
+    _require(_is_int(doc["n_variables"]), "n_variables must be an integer")
     _require(isinstance(doc["labels"], list), "labels must be a list")
     rows = [tuple(_int_list(row, "label exponent row")) for row in doc["labels"]]
     try:
@@ -139,80 +142,29 @@ def labelling_from_dict(doc) -> MonomialLabelling:
 # reports (one-way: library objects to plain JSON data)
 
 
-def homology_report_to_dict(rep: HomologyReport) -> dict:
-    return {
-        "field": rep.field,
-        "reduced_betti": {str(k): v for k, v in sorted(rep.reduced_betti.items())},
-        "acyclic": rep.acyclic,
-    }
-
-
-def cm_verdict_to_dict(v: CmVerdict) -> dict:
-    return {
-        "is_cellular_resolution": v.is_cellular_resolution,
-        "is_minimal": v.is_minimal,
-        "codimension": v.codimension,
-        "projective_dimension": v.projective_dimension,
-        "is_cm": v.is_cm,
-        "field": v.field,
-        "witness": _witness(v.witness),
-    }
-
-
-def criteria_report_to_dict(rep: FamilyCriteriaReport) -> dict:
-    return {
-        "cover_bound": rep.cover_bound,
-        "complements_acyclic": rep.complements_acyclic,
-        "face_separation": rep.face_separation,
-        "covers_vertices": rep.covers_vertices,
-        "ok": rep.ok,
-        "field": rep.field,
-        "cover_witness": _witness(rep.cover_witness),
-        "union_witness": _witness(rep.union_witness),
-        "separation_witness": _witness(rep.separation_witness),
-        "uncovered_vertex": rep.uncovered_vertex,
-    }
-
-
-def maximality_report_to_dict(rep: MaximalityReport) -> dict:
-    return {
-        "is_maximal": rep.is_maximal,
-        "extension": _witness(rep.extension),
-        "decomposable": _witness(rep.decomposable),
-    }
-
-
-def covering_report_to_dict(rep: CoveringReport) -> dict:
-    return {
-        "single_vertex_cover": rep.single_vertex_cover,
-        "disjoint_pair_cover": rep.disjoint_pair_cover,
-        "ok": rep.ok,
-        "witness": _witness(rep.witness),
-    }
-
-
-def conjecture_report_to_dict(rep: ConjectureReport) -> dict:
-    return {
-        "kind": rep.kind,
-        "holds": rep.holds,
-        "rows": [dict(r) for r in rep.rows],
-        "counterexamples": [dict(r) for r in rep.counterexamples],
-    }
+def report_to_dict(rep) -> dict:
+    """Every dataclass field and every property of a report, by name."""
+    names = [f.name for f in dataclasses.fields(rep)]
+    names += [k for k, v in vars(type(rep)).items() if isinstance(v, property)]
+    return {k: _plain(getattr(rep, k)) for k in names}
 
 
 def refinement_to_str(rel: Refinement) -> str:
     return rel.name.lower()
 
 
-def _witness(value):
-    """Plain-JSON view of a witness: frozensets become sorted lists."""
+def _plain(value):
+    """Plain-JSON view of a report value: frozensets become sorted lists,
+    tuples lists, and dict keys strings."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, (frozenset, set)):
         return sorted(value)
     if isinstance(value, (tuple, list)):
-        return [_witness(v) for v in value]
-    raise SerializationError(f"cannot serialize witness {value!r}")
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    raise SerializationError(f"cannot serialize value {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cellres.cli import main
-from cellres.constructions import fixture
+from cellres.constructions import edges_to_tree, fixture, tree_complex
 from cellres.monomials import family_of
 from cellres.serialize import (
     canonical_json,
@@ -260,6 +260,32 @@ def test_wrong_schema_is_exit_3(capsys, tmp_path):
     fam = write_doc(tmp_path, "fam.json", {"n": 3, "vertex_sets": [[0]]})
     code, out, err = run(capsys, "morphism", "--from", fam, "--to", fam)
     assert code == 3
+    assert err["error"]["type"] == "SerializationError"
+
+
+def _edge_complex(cell, key, value):
+    """The one-edge complex with one field of one cell replaced."""
+    doc = complex_to_dict(tree_complex(edges_to_tree(2, [(0, 1)])))
+    doc["cells"][cell][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("command,flag,doc", [
+    ("homology", "--complex", {"n_vertices": True, "cells": [
+        {"id": 0, "dim": 0, "vertices": [0], "boundary": []}]}),
+    ("homology", "--complex", _edge_complex(1, "id", True)),
+    ("homology", "--complex", _edge_complex(0, "dim", False)),
+    ("homology", "--complex",
+     _edge_complex(2, "boundary", [[False, -1], [True, True]])),
+    ("morphism", "--from", {"n": True, "sets": [[0]]}),
+    ("polarize", "--labelling", {"n_variables": True, "labels": [[1]]}),
+], ids=["n_vertices", "cell-id", "dim", "boundary", "family-n",
+        "n_variables"])
+def test_json_booleans_are_not_integers(capsys, tmp_path, command, flag, doc):
+    path = write_doc(tmp_path, "doc.json", doc)
+    extra = ["--to", path] if command == "morphism" else []
+    code, out, err = run(capsys, command, flag, path, *extra)
+    assert code == 3 and out is None
     assert err["error"]["type"] == "SerializationError"
 
 

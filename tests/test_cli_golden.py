@@ -1,0 +1,87 @@
+"""CLI stdout pinned byte for byte on two fixtures over both fields.
+
+`cli_golden.json` holds, per command, the exit code and the exact stdout
+and stderr.  The input files are written into the working directory under
+fixed names, so the reported paths and hashes are part of the pinned bytes.
+After an intended output change, regenerate the file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.json
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from cellres.cli import main
+from cellres.constructions import fixture
+from cellres.monomials import family_of
+from cellres.serialize import (
+    canonical_json,
+    complex_to_dict,
+    family_to_dict,
+    labelling_to_dict,
+)
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+FIXTURES = {"hex-squares-combined": "0,2,4", "wheel-hexagon": "1,3,5,7"}
+FIELDS = ("gf2", "rational")
+
+
+def write_inputs(directory):
+    for fid in FIXTURES:
+        X, L = fixture(fid)
+        docs = {"complex": complex_to_dict(X), "labelling": labelling_to_dict(L),
+                "family": family_to_dict(family_of(L))}
+        for kind, doc in docs.items():
+            Path(directory, f"{fid}.{kind}.json").write_text(canonical_json(doc))
+
+
+def commands():
+    for fid, vertices in FIXTURES.items():
+        cx = ("--complex", f"{fid}.complex.json")
+        lab = ("--labelling", f"{fid}.labelling.json")
+        fam = ("--family", f"{fid}.family.json")
+        for field in FIELDS:
+            for argv in (("verify", *cx, *lab), ("verify", *cx, *fam),
+                         ("maximal-check", *cx, *fam), ("homology", *cx),
+                         ("homology", *cx, "--vertices", vertices),
+                         ("betti", *cx, *lab)):
+                yield [*argv, "--field", field]
+    for field in FIELDS:
+        yield ["conjecture", "selfdual", "--field", field]
+
+
+def run_command(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("argv", list(commands()), ids=" ".join)
+def test_cli_output_matches_the_pinned_bytes(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    assert run_command(argv) == golden()[" ".join(argv)]
+
+
+def test_golden_file_covers_exactly_these_commands():
+    assert sorted(golden()) == sorted(" ".join(a) for a in commands())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        write_inputs(work)
+        runs = {" ".join(argv): run_command(argv) for argv in commands()}
+    sys.stdout.write(json.dumps(runs, indent=1, sort_keys=True) + "\n")

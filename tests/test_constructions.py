@@ -6,7 +6,6 @@ import pytest
 
 from cellres.complexes import ComplexError, validate_complex
 from cellres.constructions import (
-    Arc,
     OrientedTree,
     all_arcs,
     all_labelled_trees,
@@ -130,11 +129,17 @@ def test_subdivided_polygon_rejects_bad_chords():
 
 def test_arcs():
     assert arc_set(4, 3, 5) == {4, 0, 1}
-    assert Arc(4, 1, 5).vertices() == frozenset({4, 0, 1})
-    assert Arc(4, 1, 5).length == 3
+    assert arc_set(7, 1, 5) == {2}
+    assert arc_set(2, 5, 5) == set(range(5))
     arcs = list(all_arcs(5, 2))
     assert len(arcs) == 5
     assert all(len(a) == 2 for a in arcs)
+
+
+@pytest.mark.parametrize("start,length", [(2, 0), (0, 7), (1, -1)])
+def test_arc_lengths_outside_the_cycle_are_rejected(start, length):
+    with pytest.raises(ComplexError):
+        arc_set(start, length, 5)
 
 
 def test_polygon_family_is_the_arc_family():

@@ -49,14 +49,15 @@ def strand_oracle(X, L, b, field=GF2) -> bool:
 
 def corrupt_one_sign(fc):
     """Flip the first sign of the last map of a free complex."""
-    maps = [list(map(list, m)) for m in fc.maps]
-    for m in reversed(maps):
-        for row in m:
-            for j, e in enumerate(row):
-                if e is not None:
-                    row[j] = (-e[0], e[1])
-                    return replace(fc, maps=tuple(
-                        tuple(tuple(r) for r in mm) for mm in maps))
+    maps = list(fc.maps)
+    for i in reversed(range(len(maps))):
+        for j, col in enumerate(maps[i]):
+            if col:
+                (r, s, q), *rest = col
+                cols = list(maps[i])
+                cols[j] = ((r, -s, q), *rest)
+                maps[i] = tuple(cols)
+                return replace(fc, maps=tuple(maps))
     return fc
 
 
@@ -231,11 +232,11 @@ def test_free_complex_entries_are_quotient_monomials():
     X, L = path_on_three(), squares_labelling()
     fc = build_free_complex(X, L)
     first = fc.maps[0]
-    assert [e[1] for e in first[0]] == [(2, 0), (1, 1), (0, 2)]
+    assert [[(r, q) for r, _, q in col] for col in first] == [
+        [(0, (2, 0))], [(0, (1, 1))], [(0, (0, 2))]]
     second = fc.maps[1]
     # edge (0,1) has multidegree x^2 y; over vertex x^2 the entry is y
-    col0 = [second[r][0] for r in range(3)]
-    entries = {fc.cell_ids[1][r]: e for r, e in enumerate(col0) if e is not None}
+    entries = {fc.cell_ids[1][r]: q for r, _, q in second[0]}
     assert set(entries) == {0, 1}
-    quotients = sorted(e[1] for e in entries.values())
+    quotients = sorted(entries.values())
     assert quotients == [(0, 1), (1, 0)]
