@@ -94,7 +94,6 @@ from .search import (
     MaximalityReport,
     SearchSpace,
     chord_symmetry,
-    conjecture_harness,
     connected_vertex_subsets,
     covering_property_check,
     dihedral_group,

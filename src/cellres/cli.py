@@ -33,6 +33,7 @@ from .monomials import (
     refinement_compare,
 )
 from .resolution import (
+    AcyclicityOracle,
     build_free_complex,
     check_cm_labelling,
     check_family_criteria,
@@ -41,11 +42,12 @@ from .search import (
     GuardExceeded,
     SearchSpace,
     chord_symmetry,
-    conjecture_harness,
     dihedral_group,
     enumerate_maximal_families,
     enumerate_valid_families,
     is_maximal,
+    selfdual_report,
+    variable_count_report,
 )
 from .serialize import (
     SerializationError,
@@ -307,16 +309,20 @@ def _run_construct(args, run: _Run):
 def _run_verify(args, run: _Run):
     field = _field(args)
     X = run.load(args.complex_file, "complex")
-    result = {}
+    result = run.result = {}
     if args.labelling_file:
         L = run.load(args.labelling_file, "labelling")
     else:
         F = run.load(args.family_file, "family")
         result["criteria"] = report_to_dict(check_family_criteria(X, F, field))
-        L = labelling_of(F)
+        try:
+            L = labelling_of(F)
+        except (FamilyError, LabellingError) as exc:
+            result["note"] = f"{exc}; the family defines no labelling"
+            run.exit_code = EXIT_NEGATIVE
+            return
     verdict = check_cm_labelling(X, L, field)
     result["cm_verdict"] = report_to_dict(verdict)
-    run.result = result
     if not verdict.is_cm:
         run.exit_code = EXIT_NEGATIVE
 
@@ -338,7 +344,8 @@ def _run_maximal_check(args, run: _Run):
     field = _field(args)
     X = run.load(args.complex_file, "complex")
     F = run.load(args.family_file, "family")
-    criteria = check_family_criteria(X, F, field)
+    oracle = AcyclicityOracle(X, field)
+    criteria = check_family_criteria(X, F, field, oracle)
     if not criteria.ok:
         run.result = {
             "criteria": report_to_dict(criteria),
@@ -347,7 +354,7 @@ def _run_maximal_check(args, run: _Run):
         }
         run.exit_code = EXIT_NEGATIVE
         return
-    verdict = is_maximal(X, F, field)
+    verdict = is_maximal(X, F, field, oracle)
     run.result = {
         "criteria": report_to_dict(criteria),
         "maximality": report_to_dict(verdict),
@@ -399,10 +406,13 @@ def _run_polarize(args, run: _Run):
 
 
 def _run_conjecture(args, run: _Run):
-    params = {"field": _field(args), "max_candidates": args.max_candidates}
+    field = _field(args)
     if args.kind == "variable-count":
-        params["jobs"] = _jobs(args)
-    run.result = report_to_dict(conjecture_harness(args.kind, **params))
+        rep = variable_count_report(field=field, jobs=_jobs(args),
+                                    max_candidates=args.max_candidates)
+    else:
+        rep = selfdual_report(field=field, max_candidates=args.max_candidates)
+    run.result = report_to_dict(rep)
 
 
 _BODIES = {

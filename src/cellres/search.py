@@ -16,12 +16,13 @@ Requirements are one bitset per candidate (a bit per vertex it covers and
 per covering face pair it separates), and the cover bound comes from the
 shared `cover_unions`.
 
-The candidate list is the default one (connected, with acyclic
-complement) unless a `SearchSpace` supplies its own.
+The candidates are the vertex sets that can be members at all: nonempty,
+connected, with acyclic complement.
 
 Maximality is operational: a reduced family is maximal when no single set
-can be added without breaking a criterion.  Adding a set can only break the
-hereditary part, which keeps the extension test cheap.
+can be added without breaking a criterion.  The smallest addable set is
+always connected, so the test tries the same connected sets, and adding a
+set can only break the hereditary part, which keeps each try cheap.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .monomials import (
     FamilyError,
     VertexFamily,
     _exact_cover_exists,
-    mask_of,
     member_key,
     reduce_family,
     set_of,
@@ -66,16 +66,14 @@ class GuardExceeded(RuntimeError):
 class SearchSpace:
     """Inputs of the family search besides the complex and the field.
 
-    candidates: explicit candidate member sets; None builds the default
-        list (nonempty subsets with connected restriction and acyclic
-        complement, both necessary for membership in a family found by the
-        maximal-family search).
+    The candidate members are always the nonempty vertex sets with
+    connected restriction and acyclic complement.
+
     symmetry: vertex permutations (tuples) used to deduplicate results by
         orbit; they must be automorphisms of the complex.
     max_candidates: refuse (GuardExceeded) to search a longer list.
     """
 
-    candidates: tuple = None
     symmetry: tuple = ()
     max_candidates: int = 60
 
@@ -93,17 +91,8 @@ def _mask_sort_key(m: int):
 def _candidate_masks(X: CellComplex, space: SearchSpace,
                      oracle: AcyclicityOracle) -> tuple:
     full = (1 << X.n_vertices) - 1
-    if space.candidates is not None:
-        masks = set()
-        for s in space.candidates:
-            m = mask_of(s)
-            if m == 0 or m & ~full:
-                raise FamilyError(f"candidate {sorted(s)} out of range")
-            masks.add(m)
-    else:
-        masks = [m for m in connected_vertex_subsets(X)
-                 if oracle.is_acyclic(full & ~m)]
-    masks = sorted(masks, key=_mask_sort_key)
+    masks = sorted((m for m in connected_vertex_subsets(X)
+                    if oracle.is_acyclic(full & ~m)), key=_mask_sort_key)
     if len(masks) > space.max_candidates:
         raise GuardExceeded(
             f"{len(masks)} candidate sets exceed the limit of "
@@ -235,8 +224,7 @@ def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
 
     Results are canonically ordered (members sorted by size then content,
     families likewise) and, when a symmetry group is supplied, reduced to
-    one representative per orbit.  Independent of candidate order and the
-    job count.
+    one representative per orbit.  Independent of the job count.
     """
     space = space or SearchSpace()
     if X.dim < 1:
@@ -264,12 +252,12 @@ def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
 def any_valid_family(X: CellComplex, space: SearchSpace = None,
                      field: FieldSpec = GF2,
                      oracle: AcyclicityOracle = None):
-    """A valid family on X, or None when none exists over the candidates.
+    """A valid family on X, or None when none exists.
 
     Which valid family comes back is not specified.  The family search
     meets requirements first, so it reaches a valid family along a path of
-    requirement branches and stops there.  With the default candidate set
-    (connected, acyclic complement) the answer decides existence outright:
+    requirement branches and stops there.  Searching only connected
+    candidates with acyclic complement decides existence outright:
     splitting a disconnected member of a valid family into its pieces
     preserves validity.
     """
@@ -297,11 +285,19 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     """Is a family maximal among reduced families on this complex?
 
     Requires the family to pass the validity criteria (raises otherwise).
-    The family must equal its own reduction, and every candidate set T not
+    The family must equal its own reduction, and every vertex set T not
     already expressible through the family must break a criterion when
     added.  Since the family itself passes, only the cover bound and the
-    acyclic-complement condition can break, and only on subsets involving
-    T; the scan over all vertex subsets exploits that.
+    acyclic-complement condition can break, and only on subfamilies
+    involving T.
+
+    Only connected sets need trying.  If T can be added, so can its
+    connected pieces together (splitting a member into its pieces
+    preserves validity), and then any piece that is not a disjoint union
+    of members can be added alone, since the hereditary part survives
+    dropping the other pieces.  That piece's mask is at most T's, so the
+    scan over connected sets in increasing mask order returns the same
+    `extension` as a scan over every vertex subset would.
     """
     oracle = oracle or AcyclicityOracle(X, field)
     rep = check_family_criteria(X, F, field, oracle)
@@ -318,7 +314,7 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     full = (1 << X.n_vertices) - 1
     d = X.dim
     combos = [0, *cover_unions(0, masks, min(d - 1, len(masks)))]
-    for t in range(1, full + 1):
+    for t in connected_vertex_subsets(X):
         if t in member_set:
             continue
         if _exact_cover_exists(t, masks):
@@ -547,13 +543,3 @@ def selfdual_report(corpus=None, field: FieldSpec = GF2,
         if admits and row["polytope"] and not row["symmetric"]:
             bad.append(row)
     return ConjectureReport("selfdual", tuple(rows), tuple(bad))
-
-
-def conjecture_harness(kind: str, **params) -> ConjectureReport:
-    """Dispatch to one of the conjecture evidence reports by kind."""
-    if kind == "variable-count":
-        return variable_count_report(**params)
-    if kind == "selfdual":
-        return selfdual_report(**params)
-    raise ValueError(f"unknown conjecture kind {kind!r}; "
-                     "use variable-count or selfdual")

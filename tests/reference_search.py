@@ -9,16 +9,29 @@ every node.  Neither has a look-ahead, so both are far slower than the
 library's requirement-driven, forward-checking search, and they are kept
 here only to check that search against: all must return the same families.
 The library's visit order is its own, so families are compared as sets.
+
+`reference_is_maximal` is the maximality test over every vertex subset;
+the library tries only connected ones and must return the same report.
 """
 
 import itertools
 
-from cellres.monomials import VertexFamily, mask_of, set_of
+from cellres.monomials import (
+    FamilyError,
+    VertexFamily,
+    _exact_cover_exists,
+    mask_of,
+    reduce_family,
+    set_of,
+)
 from cellres.resolution import (
     AcyclicityOracle,
     check_family_criteria,
     covering_face_pairs,
+    cover_unions,
+    subfamily_unions,
 )
+from cellres.search import MaximalityReport
 
 
 def reference_search(X, field, cands, oracle=None) -> list:
@@ -103,3 +116,32 @@ def from_scratch_search(X, field, cands, oracle=None) -> list:
 
     walk(0)
     return found
+
+
+def reference_is_maximal(X, F, field, oracle=None) -> MaximalityReport:
+    """`is_maximal` by trying every one of the 2^n vertex masks in order."""
+    oracle = oracle or AcyclicityOracle(X, field)
+    rep = check_family_criteria(X, F, field, oracle)
+    if not rep.ok:
+        raise FamilyError("maximality is defined for families passing "
+                          "the validity criteria")
+    red = reduce_family(F)
+    if len(red.sets) != len(F.sets):
+        gone = next(s for s in F.sets if s not in red.as_set())
+        return MaximalityReport(False, decomposable=gone)
+    masks = F.member_masks()
+    member_set = set(masks)
+    unions = sorted(subfamily_unions(masks))
+    full = (1 << X.n_vertices) - 1
+    d = X.dim
+    combos = [0, *cover_unions(0, masks, min(d - 1, len(masks)))]
+    for t in range(1, full + 1):
+        if t in member_set:
+            continue
+        if _exact_cover_exists(t, masks):
+            continue
+        if any(t | u == full for u in combos):
+            continue  # extension would break the cover bound
+        if all(oracle.is_acyclic(full & ~(t | u)) for u in unions):
+            return MaximalityReport(False, extension=set_of(t))
+    return MaximalityReport(True)

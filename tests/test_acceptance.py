@@ -24,6 +24,7 @@ from cellres.constructions import (
     polygon_family,
     pyramid,
     pyramid_family,
+    subdivided_polygon,
     tree_complex,
     tree_maximal_labelling,
     tree_resolution_trees,
@@ -279,6 +280,34 @@ def test_combined_hexagon_family_is_maximal(hexagon_two_chords,
     assert any(G.same_family(M) for M in hexagon_maximal_families)
     remember_labelling("hex-combined-plus-01", X, labelling_of(G))
     remember_family("hex-combined-plus-01", X, G, maximal=True)
+
+
+# the one maximal family on the 12-gon with chords (0,3), (0,6), (0,9)
+# that has n + k + 1 members
+TWELVE_GON_SIXTEEN = [
+    {1, 2}, {10, 11}, {0, 1, 2, 3, 4}, {0, 1, 2, 3, 11}, {0, 1, 9, 10, 11},
+    {0, 8, 9, 10, 11}, {1, 2, 3, 4, 5}, {4, 5, 6, 7, 8}, {7, 8, 9, 10, 11},
+    {1, 2, 3, 4, 5, 6}, {2, 3, 4, 5, 6, 7}, {3, 4, 5, 6, 7, 8},
+    {4, 5, 6, 7, 8, 9}, {5, 6, 7, 8, 9, 10}, {6, 7, 8, 9, 10, 11},
+    {3, 4, 5, 6, 7, 8, 9},
+]
+
+
+def test_twelve_gon_with_three_chords_has_a_sixteen_member_family():
+    # Like the hexagon, a counterexample to n + k members for every
+    # maximal family: nine of the ten have 15 = 12 + 3 members, one has 16.
+    X = subdivided_polygon(12, ((0, 3), (0, 6), (0, 9)))
+    F = family(12, TWELVE_GON_SIXTEEN)
+    for fld in (GF2, RATIONAL):
+        found = enumerate_maximal_families(X, SP, fld)
+        sizes = sorted(len(M.sets) for M in found)
+        assert sizes == [15] * 9 + [16]
+        sixteen = [M for M in found if len(M.sets) == 16]
+        assert len(sixteen) == 1 and sixteen[0].same_family(F)
+        assert check_family_criteria(X, F, fld).ok
+        assert is_maximal(X, F, fld).is_maximal
+        verdict = check_cm_labelling(X, labelling_of(F), fld)
+        assert verdict.is_cm and verdict.codimension == 3
 
 
 # ---------------------------------------------------------------------------

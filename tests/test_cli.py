@@ -112,6 +112,22 @@ def test_verify_negative_exit_code(capsys, tmp_path):
     assert not out["result"]["criteria"]["ok"]
 
 
+@pytest.mark.parametrize("sets,error", [
+    ([[0], [1]], "vertex 2 lies in no member"),
+    ([[0, 1], [2]], "label at vertex 0 divides label at vertex 1"),
+], ids=["uncovered-vertex", "twin-vertices"])
+def test_verify_family_without_a_labelling_is_negative(capsys, tmp_path,
+                                                       sets, error):
+    code, out, _ = run(capsys, "construct", "polygon", "--n", "3")
+    cx = write_doc(tmp_path, "triangle.json", out["result"]["complex"])
+    fam = write_doc(tmp_path, "fam.json", {"n": 3, "sets": sets})
+    code, out, err = run(capsys, "verify", "--complex", cx, "--family", fam)
+    assert code == 1 and err is None
+    assert set(out["result"]) == {"criteria", "note"}
+    assert not out["result"]["criteria"]["ok"]
+    assert error in out["result"]["note"]
+
+
 def test_verify_with_labelling_input(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "tree-labelling",
                        "--n", "3", "--edges", "0-1,1-2")
@@ -228,6 +244,12 @@ def test_conjecture_selfdual(capsys):
     assert out["result"]["kind"] == "selfdual"
     assert out["result"]["holds"] is True
     assert out["result"]["counterexamples"] == []
+
+
+def test_conjecture_variable_count(capsys):
+    code, out, _ = run(capsys, "conjecture", "variable-count")
+    assert code == 0
+    assert out["result"]["kind"] == "variable-count"
 
 
 def test_guard_refusal_is_exit_2(capsys, tmp_path):

@@ -11,6 +11,7 @@ from cellres.constructions import (
     bipyramid_complex,
     chord_complex,
     chord_families,
+    edges_to_tree,
     elongated_pyramid,
     ep_family,
     fixture,
@@ -19,6 +20,7 @@ from cellres.constructions import (
     pyramid,
     pyramid_family,
     subdivided_polygon,
+    tree_complex,
     wheel_family,
     wheel_polytope,
 )
@@ -34,9 +36,9 @@ from cellres.resolution import AcyclicityOracle, check_family_criteria
 from cellres.search import (
     GuardExceeded,
     SearchSpace,
+    VARIABLE_COUNT_INSTANCES,
     any_valid_family,
     chord_symmetry,
-    conjecture_harness,
     connected_vertex_subsets,
     covering_property_check,
     dihedral_group,
@@ -46,7 +48,11 @@ from cellres.search import (
     selfdual_report,
     variable_count_report,
 )
-from reference_search import from_scratch_search, reference_search
+from reference_search import (
+    from_scratch_search,
+    reference_is_maximal,
+    reference_search,
+)
 
 SP = SearchSpace(max_candidates=200)
 
@@ -72,12 +78,15 @@ def family_key(masks):
 
 
 def every_subset(n):
-    """Every nonempty vertex subset, as an explicit candidate list."""
-    return tuple(set_of(m) for m in range(1, 1 << n))
+    """Every nonempty vertex subset, as a candidate list of masks."""
+    return tuple(sorted(range(1, 1 << n), key=search._mask_sort_key))
+
+
+def default_candidates(X, field=GF2):
+    return search._candidate_masks(X, SP, AcyclicityOracle(X, field))
 
 
 def test_connected_vertex_subsets_of_a_path():
-    from cellres.constructions import edges_to_tree, tree_complex
     X = tree_complex(edges_to_tree(3, [(0, 1), (1, 2)]))
     subs = {set_of(m) for m in connected_vertex_subsets(X)}
     assert subs == {frozenset({0}), frozenset({1}), frozenset({2}),
@@ -104,18 +113,18 @@ def test_even_polygons_have_no_valid_family():
 def test_enumeration_is_independent_of_candidate_order():
     X = polygon_complex(5)
     base = enumerate_valid_families(X, SP)
-    cands = [set_of(m) for m in connected_vertex_subsets(X)]
+    cands = list(default_candidates(X))
     rng = random.Random(7)
     rng.shuffle(cands)
-    shuffled = enumerate_valid_families(
-        X, SearchSpace(candidates=tuple(cands), max_candidates=200))
+    shuffled = search._materialize(
+        X.n_vertices, search._search(X, GF2, tuple(cands)), ())
     assert [as_sorted_sets(F) for F in base] == [as_sorted_sets(F) for F in shuffled]
 
 
 def test_enumeration_is_independent_of_pruning_and_jobs():
     X = chord_complex(5, 2)
     base = enumerate_valid_families(X, SP)
-    cands = search._candidate_masks(X, SP, AcyclicityOracle(X))
+    cands = default_candidates(X)
     unpruned = search._materialize(
         X.n_vertices, from_scratch_search(X, GF2, cands), ())
     parallel = enumerate_valid_families(X, SP, jobs=2)
@@ -123,35 +132,37 @@ def test_enumeration_is_independent_of_pruning_and_jobs():
     assert key(base) == key(unpruned) == key(parallel)
 
 
-def _pyramid_over_pentagon_space():
+def _pyramid_over_pentagon_short_list(field):
     """The first 20 default candidates on the pyramid over a pentagon, plus
     the members of a valid family, so that the list has a solution and the
     reference walk stays quick."""
     X = pyramid(polygon_complex(5))
-    masks = search._candidate_masks(X, SP, AcyclicityOracle(X))
-    sets = {set_of(m) for m in masks[:20]}
-    sets |= set(any_valid_family(X, SP).sets)
-    return X, SearchSpace(candidates=tuple(sets), max_candidates=200)
+    masks = set(default_candidates(X)[:20])
+    masks |= set(any_valid_family(X, SP).member_masks())
+    return X, tuple(sorted(masks, key=search._mask_sort_key))
 
 
+def _with_default_candidates(X):
+    return lambda field: (X, default_candidates(X, field))
+
+
+# case name -> field -> (complex, candidate masks)
 DIFFERENTIAL_CASES = {
-    "pyramid-4-gon": lambda: (pyramid(polygon_complex(4)), SP),
-    "bipyramid-3-gon": lambda: (bipyramid_complex(3), SP),
-    "pyramid-5-gon-short-list": _pyramid_over_pentagon_space,
-    "chord-6-3": lambda: (chord_complex(6, 3), SP),
-    "hexagon-two-chords": lambda: (subdivided_polygon(6, ((1, 5), (3, 5))),
-                                   SP),
-    "chord-5-2-unfiltered": lambda: (
-        chord_complex(5, 2),
-        SearchSpace(candidates=every_subset(5), max_candidates=200)),
+    "pyramid-4-gon": _with_default_candidates(pyramid(polygon_complex(4))),
+    "bipyramid-3-gon": _with_default_candidates(bipyramid_complex(3)),
+    "pyramid-5-gon-short-list": _pyramid_over_pentagon_short_list,
+    "chord-6-3": _with_default_candidates(chord_complex(6, 3)),
+    "hexagon-two-chords": _with_default_candidates(
+        subdivided_polygon(6, ((1, 5), (3, 5)))),
+    "chord-5-2-unfiltered": lambda field: (chord_complex(5, 2),
+                                           every_subset(5)),
 }
 
 
 @pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
 @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
 def test_forward_checking_matches_the_reference_walk(case, field):
-    X, space = DIFFERENTIAL_CASES[case]()
-    cands = search._candidate_masks(X, space, AcyclicityOracle(X, field))
+    X, cands = DIFFERENTIAL_CASES[case](field)
     got = [family_key(masks) for masks in search._search(X, field, cands)]
     assert len(set(got)) == len(got)
     assert sorted(got) == sorted(
@@ -187,13 +198,14 @@ def test_worker_count_is_clamped_before_forking(monkeypatch):
     assert all(w <= cpus for w in sizes)
 
     # with a known core count the clamp is exact, and a short candidate
-    # list caps the pool at one worker per candidate
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    # list caps the pool at one worker per candidate: a single edge has
+    # the three candidates {0}, {1} and {0, 1}
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     sizes.clear()
     assert key(enumerate_valid_families(X, SP, jobs=10 ** 6)) == base
-    pair = SearchSpace(candidates=({0, 1}, {2, 3}), max_candidates=200)
-    enumerate_valid_families(X, pair, jobs=10 ** 6)
-    assert sizes == [3, 2]
+    edge = tree_complex(edges_to_tree(2, [(0, 1)]))
+    enumerate_valid_families(edge, SP, jobs=10 ** 6)
+    assert sizes == [4, 3]
 
     # zero or negative job counts run serially
     sizes.clear()
@@ -250,17 +262,10 @@ def test_guard_refuses_oversized_candidate_sets():
     assert "max_candidates" in str(err.value)
 
 
-def test_candidate_validation():
-    X = polygon_complex(5)
-    with pytest.raises(FamilyError):
-        enumerate_valid_families(
-            X, SearchSpace(candidates=(frozenset({9}),), max_candidates=10))
-
-
 def test_unfiltered_search_finds_the_same_pentagon_family():
     X = polygon_complex(5)
-    wide = enumerate_valid_families(
-        X, SearchSpace(candidates=every_subset(5), max_candidates=40))
+    wide = search._materialize(
+        X.n_vertices, search._search(X, GF2, every_subset(5)), ())
     assert len(wide) == 1
     assert wide[0].same_family(polygon_family(5))
 
@@ -309,6 +314,50 @@ def test_pentagon_family_is_maximal():
     X = polygon_complex(5)
     rep = is_maximal(X, polygon_family(5))
     assert rep.is_maximal and rep.extension is None
+
+
+def _searched(X):
+    """Every valid family on X and every valid one-member deletion."""
+    def pairs(field):
+        out = []
+        for F in enumerate_valid_families(X, SP, field):
+            out.append((X, F))
+            for i in range(len(F.sets)):
+                G = family(X.n_vertices, F.sets[:i] + F.sets[i + 1:])
+                if check_family_criteria(X, G, field).ok:
+                    out.append((X, G))
+        return out
+    return pairs
+
+
+def _arc_family(n):
+    return lambda field: [(polygon_complex(n), polygon_family(n))]
+
+
+def _hexagon_combined(field):
+    X, L = fixture("hex-squares-combined")
+    return [(X, family_of(L))]
+
+
+# case name -> field -> [(complex, valid family)]
+MAXIMALITY_CASES = {
+    **{f"{n}-gon-chords-" + "-".join(f"{a}{b}" for a, b in chords):
+       _searched(subdivided_polygon(n, chords))
+       for n, chords in VARIABLE_COUNT_INSTANCES},
+    "pyramid-5-gon": _searched(pyramid(polygon_complex(5))),
+    "11-gon-arcs": _arc_family(11),
+    "13-gon-arcs": _arc_family(13),
+    "hex-squares-combined": _hexagon_combined,
+}
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(MAXIMALITY_CASES))
+def test_is_maximal_matches_the_reference_scan(case, field):
+    pairs = MAXIMALITY_CASES[case](field)
+    assert pairs
+    for X, F in pairs:
+        assert is_maximal(X, F, field) == reference_is_maximal(X, F, field)
 
 
 def test_no_mutual_morphism_between_distinct_chord_families():
@@ -418,10 +467,3 @@ def test_selfdual_report_holds_on_the_corpus():
             assert row["symmetric"]
     methods = {row["method"] for row in rep.rows}
     assert methods == {"witness-family", "existence-search"}
-
-
-def test_conjecture_harness_dispatch():
-    with pytest.raises(ValueError):
-        conjecture_harness("no-such-conjecture")
-    rep = conjecture_harness("selfdual")
-    assert rep.kind == "selfdual"
