@@ -17,7 +17,9 @@ per covering face pair it separates), and the cover bound comes from the
 shared `cover_unions`.
 
 The candidates are the vertex sets that can be members at all: nonempty,
-connected, with acyclic complement.
+connected, with acyclic complement.  They are grown from their lowest
+vertex and tested as they arrive, so the guard refuses as soon as the
+(max_candidates + 1)-th is found.
 
 Maximality is operational: a reduced family is maximal when no single set
 can be added without breaking a criterion.  The smallest addable set is
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 
 from .complexes import (
     CellComplex,
-    is_connected,
     is_polytope_complex,
     vertex_adjacency,
 )
@@ -71,17 +72,41 @@ class SearchSpace:
 
     symmetry: vertex permutations (tuples) used to deduplicate results by
         orbit; they must be automorphisms of the complex.
-    max_candidates: refuse (GuardExceeded) to search a longer list.
+    max_candidates: refuse (GuardExceeded) to search a longer list, as soon
+        as the (max_candidates + 1)-th candidate is found.
     """
 
     symmetry: tuple = ()
     max_candidates: int = 60
 
 
-def connected_vertex_subsets(X: CellComplex) -> list:
-    """Masks of nonempty vertex subsets inducing a connected restriction."""
+def _connected_masks(X: CellComplex):
+    """Yield each nonempty mask inducing a connected restriction, once.
+
+    Each set grows from its lowest vertex v (ESU, Wernicke 2006) by one
+    extension vertex at a time.  Those lie above v and enter as neighbours
+    of the newest member not yet adjacent to the set, whose closed
+    neighbourhood rides along as a mask; so each set has one growth path.
+    The stack is explicit, so long paths cannot overflow it, and children
+    with the smallest extension come off it first.
+    """
     adj = vertex_adjacency(X)
-    return [m for m in range(1, 1 << X.n_vertices) if is_connected(adj, m)]
+    for v in range(X.n_vertices):
+        above = -2 << v
+        stack = [(1 << v, adj[v] | 1 << v, adj[v] & above)]
+        while stack:
+            sub, closed, ext = stack.pop()
+            yield sub
+            while ext:
+                u = ext.bit_length() - 1
+                ext ^= 1 << u
+                stack.append((sub | 1 << u, closed | adj[u],
+                              ext | adj[u] & above & ~closed))
+
+
+def connected_vertex_subsets(X: CellComplex) -> list:
+    """Increasing masks of nonempty vertex sets with connected restriction."""
+    return sorted(_connected_masks(X))
 
 
 def _mask_sort_key(m: int):
@@ -91,13 +116,15 @@ def _mask_sort_key(m: int):
 def _candidate_masks(X: CellComplex, space: SearchSpace,
                      oracle: AcyclicityOracle) -> tuple:
     full = (1 << X.n_vertices) - 1
-    masks = sorted((m for m in connected_vertex_subsets(X)
-                    if oracle.is_acyclic(full & ~m)), key=_mask_sort_key)
-    if len(masks) > space.max_candidates:
-        raise GuardExceeded(
-            f"{len(masks)} candidate sets exceed the limit of "
-            f"{space.max_candidates}; raise max_candidates to proceed")
-    return tuple(masks)
+    masks = []
+    for m in _connected_masks(X):
+        if oracle.is_acyclic(full & ~m):
+            masks.append(m)
+            if len(masks) > space.max_candidates:
+                raise GuardExceeded(
+                    f"more than {space.max_candidates} candidate sets; "
+                    "raise max_candidates to proceed")
+    return tuple(sorted(masks, key=_mask_sort_key))
 
 
 def _bits(x: int):

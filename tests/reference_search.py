@@ -12,10 +12,14 @@ The library's visit order is its own, so families are compared as sets.
 
 `reference_is_maximal` is the maximality test over every vertex subset;
 the library tries only connected ones and must return the same report.
+`reference_connected_vertex_subsets` finds those connected sets by
+flood-filling each of the 2^n vertex masks; the library grows them from
+their lowest vertex and must return the same list.
 """
 
 import itertools
 
+from cellres.complexes import is_connected, vertex_adjacency
 from cellres.monomials import (
     FamilyError,
     VertexFamily,
@@ -32,6 +36,12 @@ from cellres.resolution import (
     subfamily_unions,
 )
 from cellres.search import MaximalityReport
+
+
+def reference_connected_vertex_subsets(X) -> list:
+    """Masks of nonempty vertex subsets inducing a connected restriction."""
+    adj = vertex_adjacency(X)
+    return [m for m in range(1, 1 << X.n_vertices) if is_connected(adj, m)]
 
 
 def reference_search(X, field, cands, oracle=None) -> list:

@@ -2,11 +2,19 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from cellres.cli import main
-from cellres.constructions import edges_to_tree, fixture, tree_complex
+from cellres.constructions import (
+    edges_to_tree,
+    fixture,
+    polygon_complex,
+    polygon_family,
+    pyramid,
+    tree_complex,
+)
 from cellres.monomials import family_of
 from cellres.serialize import (
     canonical_json,
@@ -261,6 +269,33 @@ def test_guard_refusal_is_exit_2(capsys, tmp_path):
     assert out is None
     assert err["error"]["type"] == "guard"
     assert "max_candidates" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("name,X", [
+    ("40-gon", polygon_complex(40)),
+    ("pyramid-30-gon", pyramid(polygon_complex(30))),
+])
+def test_guard_refuses_large_complexes_quickly(capsys, tmp_path, name, X):
+    cx = write_doc(tmp_path, f"{name}.json", complex_to_dict(X))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--complex", cx)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "guard"
+
+
+@pytest.mark.parametrize("field", ["gf2", "rational"])
+def test_maximal_check_answers_on_the_41_gon(capsys, tmp_path, field):
+    cx = write_doc(tmp_path, "41-gon.json",
+                   complex_to_dict(polygon_complex(41)))
+    fam = write_doc(tmp_path, "arcs.json", family_to_dict(polygon_family(41)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "maximal-check", "--complex", cx,
+                       "--family", fam, "--field", field)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert out["result"]["maximality"]["is_maximal"] is True
 
 
 def test_malformed_json_is_exit_3(capsys, tmp_path):

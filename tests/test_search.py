@@ -50,6 +50,7 @@ from cellres.search import (
 )
 from reference_search import (
     from_scratch_search,
+    reference_connected_vertex_subsets,
     reference_is_maximal,
     reference_search,
 )
@@ -97,6 +98,35 @@ def test_connected_vertex_subsets_of_a_path():
         no_h0 = [m for m in range(1, 1 << X.n_vertices)
                  if 0 not in reduced_homology(restrict(X, set_of(m))).reduced_betti]
         assert connected_vertex_subsets(X) == no_h0
+
+
+# case name -> complex; each lists its connected sets in the library and
+# in the 2^n reference scan
+CONNECTED_SET_CASES = {
+    **{f"polygon-{n}": polygon_complex(n) for n in range(3, 13)},
+    "octagon-one-chord": subdivided_polygon(8, ((0, 4),)),
+    "nonagon-two-chords": subdivided_polygon(9, ((0, 3), (0, 6))),
+    "hexagon-two-chords": subdivided_polygon(6, ((1, 5), (3, 5))),
+    "twelve-gon-three-chords": subdivided_polygon(
+        12, ((0, 3), (0, 6), (0, 9))),
+    **{f"pyramid-{n}-gon": pyramid(polygon_complex(n)) for n in range(4, 9)},
+    **{f"bipyramid-{n}-gon": bipyramid_complex(n) for n in range(3, 7)},
+    "wheel-4": wheel_polytope(4),
+    "elongated-pyramid-3-gon": elongated_pyramid(polygon_complex(3)),
+    "elongated-pyramid-4-gon": elongated_pyramid(polygon_complex(4)),
+    "path-6": tree_complex(edges_to_tree(6, [(i, i + 1) for i in range(5)])),
+    "star-7": tree_complex(edges_to_tree(7, [(0, i) for i in range(1, 7)])),
+    "caterpillar-8": tree_complex(edges_to_tree(
+        8, [(0, 3), (1, 3), (3, 4), (4, 2), (4, 7), (7, 5), (7, 6)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONNECTED_SET_CASES))
+def test_connected_vertex_subsets_match_the_reference_scan(case):
+    X = CONNECTED_SET_CASES[case]
+    grown = list(search._connected_masks(X))
+    assert len(grown) == len(set(grown))
+    assert connected_vertex_subsets(X) == reference_connected_vertex_subsets(X)
 
 
 def test_odd_polygon_has_exactly_the_arc_family():
@@ -260,6 +290,33 @@ def test_guard_refuses_oversized_candidate_sets():
         enumerate_valid_families(polygon_complex(7),
                                  SearchSpace(max_candidates=3))
     assert "max_candidates" in str(err.value)
+
+
+class CountingOracle(AcyclicityOracle):
+    queries = 0
+
+    def is_acyclic(self, mask):
+        self.queries += 1
+        return super().is_acyclic(mask)
+
+
+def test_guard_refuses_after_one_candidate_past_the_limit():
+    # every connected set of the 40-gon has an acyclic complement, so each
+    # query keeps a candidate and the 61st is the first past the limit
+    X = polygon_complex(40)
+    oracle = CountingOracle(X)
+    with pytest.raises(GuardExceeded) as err:
+        enumerate_valid_families(X, SearchSpace(max_candidates=60),
+                                 oracle=oracle)
+    assert str(err.value) == ("more than 60 candidate sets; "
+                              "raise max_candidates to proceed")
+    assert oracle.queries <= 61
+
+
+def test_guard_refuses_a_long_path_without_deep_recursion():
+    X = tree_complex(edges_to_tree(2000, [(i, i + 1) for i in range(1999)]))
+    with pytest.raises(GuardExceeded):
+        enumerate_valid_families(X, SearchSpace())
 
 
 def test_unfiltered_search_finds_the_same_pentagon_family():
