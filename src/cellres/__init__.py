@@ -25,6 +25,7 @@ from .complexes import (
 from .linalg import GF2, RATIONAL, FieldSpec
 from .monomials import (
     FamilyError,
+    GuardExceeded,
     LabellingError,
     LcmLattice,
     Monomial,
@@ -90,7 +91,6 @@ from .constructions import (
 from .search import (
     ConjectureReport,
     CoveringReport,
-    GuardExceeded,
     MaximalityReport,
     SearchSpace,
     chord_symmetry,

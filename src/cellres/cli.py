@@ -310,18 +310,24 @@ def _run_verify(args, run: _Run):
     field = _field(args)
     X = run.load(args.complex_file, "complex")
     result = run.result = {}
+    oracle = None
     if args.labelling_file:
         L = run.load(args.labelling_file, "labelling")
     else:
         F = run.load(args.family_file, "family")
-        result["criteria"] = report_to_dict(check_family_criteria(X, F, field))
+        # the lcm supports of a family's labelling are the complements of
+        # the member unions the criteria test, so one oracle serves both;
+        # a size mismatch is still reported before missing signs
+        oracle = AcyclicityOracle(X, field) if F.n == X.n_vertices else None
+        result["criteria"] = report_to_dict(
+            check_family_criteria(X, F, field, oracle))
         try:
             L = labelling_of(F)
         except (FamilyError, LabellingError) as exc:
             result["note"] = f"{exc}; the family defines no labelling"
             run.exit_code = EXIT_NEGATIVE
             return
-    verdict = check_cm_labelling(X, L, field)
+    verdict = check_cm_labelling(X, L, field, oracle)
     result["cm_verdict"] = report_to_dict(verdict)
     if not verdict.is_cm:
         run.exit_code = EXIT_NEGATIVE

@@ -16,7 +16,7 @@ partial order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class LabellingError(ValueError):
@@ -25,6 +25,11 @@ class LabellingError(ValueError):
 
 class FamilyError(ValueError):
     """Invalid vertex family input."""
+
+
+class GuardExceeded(RuntimeError):
+    """Input refused before an exhaustive scan: more candidate sets than
+    the search allows, or more unions than UNION_LIMIT to close."""
 
 
 @dataclass(frozen=True)
@@ -286,10 +291,38 @@ def morphism_exists(F: VertexFamily, G: VertexFamily) -> bool:
     return refines(F, G)
 
 
+# the most unions `subfamily_unions` builds before it refuses the input;
+# 2^16 still closes 16 singleton vertex sets
+UNION_LIMIT = 1 << 16
+
+
+def subfamily_unions(masks) -> set:
+    """All unions of subfamilies, as bitmasks; includes 0 (empty union).
+
+    Raises GuardExceeded as soon as more than UNION_LIMIT unions are held.
+    The set only grows, so it never holds more than 2 * UNION_LIMIT.
+    """
+    unions = {0}
+    for m in masks:
+        if m in unions:
+            continue  # already a union, so it adds nothing
+        unions |= {u | m for u in unions}
+        if len(unions) > UNION_LIMIT:
+            raise GuardExceeded(
+                f"more than {UNION_LIMIT} unions of vertex sets; "
+                "the input is too large to scan exhaustively")
+    return unions
+
+
 @dataclass(frozen=True)
 class LcmLattice:
+    """The lcms of the nonempty sets of labels, each with its support: the
+    mask of the vertices whose labels divide it.  Points and supports are in
+    bijection, since a point is the lcm of its support (see lcm_lattice)."""
+
     n_variables: int
     points: frozenset  # exponent tuples
+    supports: dict = field(compare=False)  # point -> mask of labels dividing it
 
     def sorted_points(self) -> list:
         return sorted(self.points)
@@ -300,12 +333,24 @@ class LcmLattice:
 
 def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
     """Smallest set of exponent vectors containing the labels and closed
-    under componentwise max.  Every lcm of labels is reached by joining one
-    label at a time, so new points are joined with the labels only."""
-    labels = {m.exponents for m in L.labels}
-    points, frontier = set(labels), labels
-    while frontier:
-        frontier = {tuple(max(x, y) for x, y in zip(a, b))
-                    for a in frontier for b in labels} - points
-        points |= frontier
-    return LcmLattice(L.n_variables, frozenset(points))
+    under componentwise max, found as its supports, the closed vertex sets.
+
+    With A(p, t) the vertices whose exponent of p is at least t, the support
+    of b is the complement of the union of the A(p, b_p + 1).  Conversely a
+    nonempty complement M of a union of A's is {v : e(v) <= c} for some c
+    (the levels of one variable nest), and b = lcm(M) <= c, so M is b's
+    support.  b_p is the number of levels of p that M meets.
+    """
+    exps = [m.exponents for m in L.labels]
+    full = (1 << len(exps)) - 1
+    levels = [[mask_of(v for v, e in enumerate(exps) if e[p] >= t)
+               for t in range(1, max(e[p] for e in exps) + 1)]
+              for p in range(L.n_variables)]
+    supports = {}
+    for u in subfamily_unions(m for per_var in levels for m in per_var):
+        support = full & ~u
+        if support:
+            b = tuple(sum(1 for a in per_var if a & support)
+                      for per_var in levels)
+            supports[b] = support
+    return LcmLattice(L.n_variables, frozenset(supports), supports)

@@ -39,6 +39,7 @@ from .monomials import (
     lcm_lattice,
     mask_of,
     set_of,
+    subfamily_unions,
 )
 
 
@@ -100,14 +101,6 @@ class AcyclicityOracle:
             return False
         # a connected graph with reduced Euler characteristic zero is a tree
         return len(by_dim) <= 2 or not reduced_betti(by_dim, self.field)
-
-
-def subfamily_unions(masks) -> set:
-    """All unions of subfamilies, as bitmasks; includes 0 (empty union)."""
-    unions = {0}
-    for m in masks:
-        unions |= {u | m for u in unions}
-    return unions
 
 
 def cover_unions(base: int, masks, k: int):
@@ -234,20 +227,17 @@ def check_cellular_resolution(X: CellComplex, L: MonomialLabelling,
                               oracle: AcyclicityOracle = None):
     """(is_resolution, failing multidegree or None).
 
-    Walks the lcm lattice; for each point b restricts the complex to the
-    vertices whose labels divide b and tests acyclicity.
+    Walks the lcm lattice in increasing order and tests the restriction of
+    the complex to each point's support, the vertices whose labels divide
+    it.  lcm_lattice builds the supports directly: they are the closed
+    vertex sets M = {v : m_v divides lcm(M)}, one per point.
     """
     if L.n_vertices != X.n_vertices:
         raise FamilyError("labelling size does not match the complex")
     oracle = oracle or AcyclicityOracle(X, field)
     lattice = lcm_lattice(L)
-    exps = [m.exponents for m in L.labels]
     for b in lattice.sorted_points():
-        mask = 0
-        for v, e in enumerate(exps):
-            if all(x <= y for x, y in zip(e, b)):
-                mask |= 1 << v
-        if not oracle.is_acyclic(mask):
+        if not oracle.is_acyclic(lattice.supports[b]):
             return False, b
     return True, None
 

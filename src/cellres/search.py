@@ -42,11 +42,13 @@ from .complexes import (
 from .linalg import GF2, FieldSpec
 from .monomials import (
     FamilyError,
+    GuardExceeded,
     VertexFamily,
     _exact_cover_exists,
     member_key,
     reduce_family,
     set_of,
+    subfamily_unions,
 )
 from .resolution import (
     AcyclicityOracle,
@@ -55,12 +57,7 @@ from .resolution import (
     cover_unions,
     f_symmetry,
     separation_bits,
-    subfamily_unions,
 )
-
-
-class GuardExceeded(RuntimeError):
-    """Candidate list larger than the search guard allows."""
 
 
 @dataclass(frozen=True)

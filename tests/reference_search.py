@@ -27,13 +27,13 @@ from cellres.monomials import (
     mask_of,
     reduce_family,
     set_of,
+    subfamily_unions,
 )
 from cellres.resolution import (
     AcyclicityOracle,
     check_family_criteria,
     covering_face_pairs,
     cover_unions,
-    subfamily_unions,
 )
 from cellres.search import MaximalityReport
 

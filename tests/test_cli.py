@@ -15,7 +15,9 @@ from cellres.constructions import (
     pyramid,
     tree_complex,
 )
-from cellres.monomials import family_of
+from cellres.linalg import GF2, RATIONAL
+from cellres.monomials import family, family_of, labelling_of
+from cellres.resolution import AcyclicityOracle, check_family_criteria
 from cellres.serialize import (
     canonical_json,
     complex_to_dict,
@@ -283,6 +285,64 @@ def test_guard_refuses_large_complexes_quickly(capsys, tmp_path, name, X):
     assert code == 2
     assert out is None
     assert err["error"]["type"] == "guard"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("verify", "--labelling"),
+    ("verify", "--family"),
+    ("maximal-check", "--family"),
+])
+def test_guard_refuses_oversized_union_closures(capsys, tmp_path, command,
+                                                 flag):
+    # the singletons of the 40-gon, and their labelling x_0, ..., x_39,
+    # have 2^40 unions and 2^40 - 1 lcm points
+    singletons = family(40, [{v} for v in range(40)])
+    doc = (family_to_dict(singletons) if flag == "--family"
+           else labelling_to_dict(labelling_of(singletons)))
+    cx = write_doc(tmp_path, "40-gon.json",
+                   complex_to_dict(polygon_complex(40)))
+    inp = write_doc(tmp_path, "singletons.json", doc)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--complex", cx, flag, inp)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "guard"
+
+
+def test_verify_family_adds_no_oracle_work_to_the_criteria(capsys, tmp_path,
+                                                           monkeypatch):
+    # the lcm supports of an arc family's labelling are the complements of
+    # the member unions, so the CM pass asks nothing new of the one oracle
+    X, F = polygon_complex(15), polygon_family(15)
+    cx = write_doc(tmp_path, "15-gon.json", complex_to_dict(X))
+    fam = write_doc(tmp_path, "arcs.json", family_to_dict(F))
+    asked, computed = [], []
+    is_acyclic = AcyclicityOracle.is_acyclic
+    compute = AcyclicityOracle._compute
+
+    def counting_is_acyclic(self, mask):
+        asked.append(mask)
+        return is_acyclic(self, mask)
+
+    def counting_compute(self, mask):
+        computed.append(mask)
+        return compute(self, mask)
+
+    monkeypatch.setattr(AcyclicityOracle, "is_acyclic", counting_is_acyclic)
+    monkeypatch.setattr(AcyclicityOracle, "_compute", counting_compute)
+    for name, field in (("gf2", GF2), ("rational", RATIONAL)):
+        asked.clear()
+        computed.clear()
+        assert check_family_criteria(X, F, field).ok
+        criteria_asked, criteria_computed = set(asked), list(computed)
+        asked.clear()
+        computed.clear()
+        code, out, _ = run(capsys, "verify", "--complex", cx, "--family", fam,
+                           "--field", name)
+        assert code == 0 and out["result"]["cm_verdict"]["is_cm"]
+        assert set(asked) == criteria_asked
+        assert computed == criteria_computed
 
 
 @pytest.mark.parametrize("field", ["gf2", "rational"])

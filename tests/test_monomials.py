@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cellres
+import cellres.search
 from cellres.constructions import fixture, fixture_catalogue, polygon_family
 from cellres.monomials import (
+    UNION_LIMIT,
     FamilyError,
+    GuardExceeded,
     LabellingError,
     Refinement,
     family,
@@ -23,6 +27,7 @@ from cellres.monomials import (
     reduce_family,
     refinement_compare,
     refines,
+    subfamily_unions,
 )
 
 
@@ -122,6 +127,18 @@ def test_lcm_lattice_is_join_closed():
             lcms |= {tuple(map(max, p, m.exponents)) for p in lcms}
             lcms.add(m.exponents)
         assert lcm_lattice(L).points == lcms
+
+
+def test_union_closure_guard():
+    # 16 singletons close to exactly 2^16 unions, the empty one included
+    singles = [1 << v for v in range(16)]
+    assert len(subfamily_unions(singles)) == 1 << 16 <= UNION_LIMIT
+    # the first k singletons with 2^k > UNION_LIMIT are refused
+    too_many = [1 << v for v in range(UNION_LIMIT.bit_length())]
+    with pytest.raises(GuardExceeded):
+        subfamily_unions(too_many)
+    assert cellres.GuardExceeded is cellres.search.GuardExceeded \
+        is GuardExceeded
 
 
 def test_exact_cover_uses_parts_in_any_order():

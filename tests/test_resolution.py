@@ -1,17 +1,20 @@
 """Resolution checks: acyclicity oracle, CM verdicts, free complexes, strands."""
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
 from cellres.complexes import ComplexBuilder, reduced_homology, restrict
 from cellres.constructions import (
+    all_arcs,
     bipyramid_complex,
     chord_complex,
     chord_families,
     edges_to_tree,
     fixture,
+    fixture_catalogue,
     polygon_complex,
     polygon_family,
     pyramid,
@@ -21,6 +24,7 @@ from cellres.constructions import (
 from cellres.linalg import GF2, RATIONAL
 from cellres.monomials import (
     FamilyError,
+    LabellingError,
     family,
     labelling,
     labelling_of,
@@ -39,6 +43,12 @@ from cellres.resolution import (
     multidegree,
     strand_matches_homology,
 )
+from reference_lattice import (
+    divisibility_mask,
+    reference_check_cellular_resolution,
+    reference_lcm_lattice,
+)
+from test_acceptance import TWELVE_GON_SIXTEEN
 
 
 def strand_oracle(X, L, b, field=GF2) -> bool:
@@ -240,3 +250,50 @@ def test_free_complex_entries_are_quotient_monomials():
     assert set(entries) == {0, 1}
     quotients = sorted(entries.values())
     assert quotients == [(0, 1), (1, 0)]
+
+
+def random_labellings(count, seed):
+    """Seeded labellings with exponents up to 3 on the polygons with 3 to
+    8 vertices and on the pyramid over a pentagon; draws that are not
+    minimal generating sets are redrawn."""
+    rng = random.Random(seed)
+    complexes = [polygon_complex(n) for n in range(3, 9)]
+    complexes.append(pyramid(polygon_complex(5)))
+    out = []
+    while len(out) < count:
+        X = rng.choice(complexes)
+        k = rng.randint(2, 5)
+        rows = [tuple(rng.randint(0, 3) for _ in range(k))
+                for _ in range(X.n_vertices)]
+        try:
+            out.append((X, labelling(k, rows)))
+        except LabellingError:
+            continue
+    return out
+
+
+def lattice_cases():
+    cases = [fixture(fid) for fid in fixture_catalogue()]
+    # arcs of length (n - 1) // 2; on odd n that is polygon_family(n)
+    cases += [(polygon_complex(n),
+               labelling_of(family(n, all_arcs(n, (n - 1) // 2))))
+              for n in range(11, 18)]
+    cases.append((subdivided_polygon(12, ((0, 3), (0, 6), (0, 9))),
+                  labelling_of(family(12, TWELVE_GON_SIXTEEN))))
+    return cases + random_labellings(300, seed=10)
+
+
+def test_mask_lattice_matches_the_reference_closure():
+    verdicts = set()
+    for X, L in lattice_cases():
+        lat = lcm_lattice(L)
+        assert lat.points == reference_lcm_lattice(L)
+        assert lat.supports == {b: divisibility_mask(L, b) for b in lat.points}
+        for field in (GF2, RATIONAL):
+            ours, ref = AcyclicityOracle(X, field), AcyclicityOracle(X, field)
+            got = check_cellular_resolution(X, L, field, ours)
+            assert got == reference_check_cellular_resolution(X, L, field, ref)
+            assert list(ours.touched().items()) == \
+                list(ref.touched().items())
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
