@@ -37,6 +37,7 @@ from .resolution import (
     build_free_complex,
     check_cm_labelling,
     check_family_criteria,
+    require_family_on,
 )
 from .search import (
     GuardExceeded,
@@ -317,8 +318,9 @@ def _run_verify(args, run: _Run):
         F = run.load(args.family_file, "family")
         # the lcm supports of a family's labelling are the complements of
         # the member unions the criteria test, so one oracle serves both;
-        # a size mismatch is still reported before missing signs
-        oracle = AcyclicityOracle(X, field) if F.n == X.n_vertices else None
+        # a size mismatch is reported before missing signs
+        require_family_on(X, F)
+        oracle = AcyclicityOracle(X, field)
         result["criteria"] = report_to_dict(
             check_family_criteria(X, F, field, oracle))
         try:

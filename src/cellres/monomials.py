@@ -16,7 +16,7 @@ partial order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class LabellingError(ValueError):
@@ -316,19 +316,23 @@ def subfamily_unions(masks) -> set:
 
 @dataclass(frozen=True)
 class LcmLattice:
-    """The lcms of the nonempty sets of labels, each with its support: the
-    mask of the vertices whose labels divide it.  Points and supports are in
-    bijection, since a point is the lcm of its support (see lcm_lattice)."""
+    """The lcms of the nonempty sets of labels, each mapped to its support:
+    the mask of the vertices whose labels divide it.  Points and supports
+    are in bijection, since a point is the lcm of its support (see
+    lcm_lattice)."""
 
     n_variables: int
-    points: frozenset  # exponent tuples
-    supports: dict = field(compare=False)  # point -> mask of labels dividing it
+    supports: dict  # exponent tuple -> mask of labels dividing it
+
+    @property
+    def points(self) -> frozenset:
+        return frozenset(self.supports)
 
     def sorted_points(self) -> list:
-        return sorted(self.points)
+        return sorted(self.supports)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.supports)
 
 
 def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
@@ -339,18 +343,29 @@ def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
     of b is the complement of the union of the A(p, b_p + 1).  Conversely a
     nonempty complement M of a union of A's is {v : e(v) <= c} for some c
     (the levels of one variable nest), and b = lcm(M) <= c, so M is b's
-    support.  b_p is the number of levels of p that M meets.
+    support.  Only the levels t that occur as exponents are closed: any
+    other A(p, t) equals the next occurring level up, or is empty.  So the
+    work does not grow with the exponents, and b_p is the largest level of
+    p that M meets.
     """
     exps = [m.exponents for m in L.labels]
     full = (1 << len(exps)) - 1
-    levels = [[mask_of(v for v, e in enumerate(exps) if e[p] >= t)
-               for t in range(1, max(e[p] for e in exps) + 1)]
+    # per variable, highest first: (t, A(p, t)) for each exponent t > 0
+    levels = [[(t, mask_of(v for v, e in enumerate(exps) if e[p] >= t))
+               for t in sorted({e[p] for e in exps} - {0}, reverse=True)]
               for p in range(L.n_variables)]
     supports = {}
-    for u in subfamily_unions(m for per_var in levels for m in per_var):
+    for u in subfamily_unions(a for per_var in levels for _, a in per_var):
         support = full & ~u
-        if support:
-            b = tuple(sum(1 for a in per_var if a & support)
-                      for per_var in levels)
-            supports[b] = support
-    return LcmLattice(L.n_variables, frozenset(supports), supports)
+        if not support:
+            continue
+        b = []
+        for per_var in levels:
+            for t, a in per_var:
+                if a & support:
+                    b.append(t)
+                    break
+            else:
+                b.append(0)
+        supports[tuple(b)] = support
+    return LcmLattice(L.n_variables, supports)

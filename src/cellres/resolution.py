@@ -170,13 +170,18 @@ def separation_bits(X: CellComplex, masks) -> list:
     return out
 
 
+def require_family_on(X: CellComplex, F: VertexFamily):
+    """Raise FamilyError unless F is a family on the vertices of X."""
+    if F.n != X.n_vertices:
+        raise FamilyError(
+            f"family on {F.n} vertices does not match complex on {X.n_vertices}")
+
+
 def check_family_criteria(X: CellComplex, F: VertexFamily,
                           field: FieldSpec = GF2,
                           oracle: AcyclicityOracle = None) -> FamilyCriteriaReport:
     """Evaluate the three validity criteria for a family on a complex."""
-    if F.n != X.n_vertices:
-        raise FamilyError(
-            f"family on {F.n} vertices does not match complex on {X.n_vertices}")
+    require_family_on(X, F)
     d = X.dim
     if d < 1:
         raise FamilyError("criteria need a complex of dimension at least 1")

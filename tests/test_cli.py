@@ -16,7 +16,7 @@ from cellres.constructions import (
     tree_complex,
 )
 from cellres.linalg import GF2, RATIONAL
-from cellres.monomials import family, family_of, labelling_of
+from cellres.monomials import family, family_of, labelling, labelling_of
 from cellres.resolution import AcyclicityOracle, check_family_criteria
 from cellres.serialize import (
     canonical_json,
@@ -308,6 +308,18 @@ def test_guard_refuses_oversized_union_closures(capsys, tmp_path, command,
     assert code == 2
     assert out is None
     assert err["error"]["type"] == "guard"
+
+
+def test_verify_answers_huge_exponents_quickly(capsys, tmp_path):
+    # x^(10^9), y^(10^9) on an edge: the lcm lattice has three points
+    cx = write_doc(tmp_path, "edge.json", complex_to_dict(
+        tree_complex(edges_to_tree(2, [(0, 1)]))))
+    lab = write_doc(tmp_path, "huge.json", labelling_to_dict(
+        labelling(2, [(10 ** 9, 0), (0, 10 ** 9)])))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--complex", cx, "--labelling", lab)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out["result"]["cm_verdict"]["is_cm"]
 
 
 def test_verify_family_adds_no_oracle_work_to_the_criteria(capsys, tmp_path,

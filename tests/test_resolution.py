@@ -280,7 +280,13 @@ def lattice_cases():
               for n in range(11, 18)]
     cases.append((subdivided_polygon(12, ((0, 3), (0, 6), (0, 9))),
                   labelling_of(family(12, TWELVE_GON_SIXTEEN))))
-    return cases + random_labellings(300, seed=10)
+    # the same shapes with exponents near 10^9: the mask closure works on
+    # the exponents that occur, so its cost must not grow with their size
+    big = {0: 0, 1: 10 ** 9, 2: 10 ** 9 + 1, 3: 2 * 10 ** 9}
+    huge = [(X, labelling(L.n_variables,
+                          [tuple(big[e] for e in m.exponents) for m in L.labels]))
+            for X, L in random_labellings(20, seed=11)]
+    return cases + random_labellings(300, seed=10) + huge
 
 
 def test_mask_lattice_matches_the_reference_closure():
