@@ -10,6 +10,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -166,6 +167,9 @@ def _symmetry(spec_text: str, X):
                    "use none, dihedral, or chord:A")
 
 
+# parse_args leaves the parser unchanged, so one parser serves every call
+# of main in a process; building it costs more than a whole guard refusal
+@functools.cache
 def _build_parser() -> _Parser:
     top = _Parser(prog="cellres", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")

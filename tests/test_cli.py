@@ -88,6 +88,23 @@ def test_output_is_byte_stable(capsys):
     assert first == canonical_json(json.loads(first))
 
 
+def test_one_parser_serves_every_call(capsys):
+    from cellres.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    argv = ["construct", "chord", "--n", "6", "--a", "2"]
+    main(argv)
+    first = capsys.readouterr().out
+    # a usage error and options of other calls leave nothing behind
+    code, _, err = run(capsys, "verify", "--complex", "x.json")
+    assert code == 3 and err["error"]["type"] == "CliError"
+    code, out, _ = run(capsys, "construct", "polygon", "--n", "4",
+                       "--field", "rational", "--timing")
+    assert code == 0 and out["field"] == "rational"
+    main(argv)
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["field"] == "gf2"
+
+
 def test_timing_flag_adds_wall_time(capsys):
     code, out, _ = run(capsys, "construct", "polygon", "--n", "4", "--timing")
     assert code == 0
