@@ -17,12 +17,7 @@ import sys
 import time
 
 from . import constructions as cons
-from .complexes import (
-    ComplexError,
-    SignsMissingError,
-    reduced_homology,
-    restrict,
-)
+from .complexes import ComplexError, reduced_homology, restrict
 from .linalg import GF2, RATIONAL
 from .monomials import (
     FamilyError,
@@ -61,7 +56,6 @@ from .serialize import (
     labelling_from_dict,
     labelling_to_dict,
     parse_json,
-    refinement_to_str,
     report_to_dict,
 )
 
@@ -311,29 +305,33 @@ def _run_construct(args, run: _Run):
     run.result = build(*(_construct_flag(f, args, run) for f in flags))
 
 
+def _family_criteria(args, run: _Run, X):
+    """(family, oracle, criteria report) for --family on X; a size
+    mismatch is reported before missing signs."""
+    F = run.load(args.family_file, "family")
+    require_family_on(X, F)
+    oracle = AcyclicityOracle(X, _field(args))
+    return F, oracle, check_family_criteria(X, F, oracle.field, oracle)
+
+
 def _run_verify(args, run: _Run):
-    field = _field(args)
     X = run.load(args.complex_file, "complex")
     result = run.result = {}
     oracle = None
     if args.labelling_file:
         L = run.load(args.labelling_file, "labelling")
     else:
-        F = run.load(args.family_file, "family")
         # the lcm supports of a family's labelling are the complements of
-        # the member unions the criteria test, so one oracle serves both;
-        # a size mismatch is reported before missing signs
-        require_family_on(X, F)
-        oracle = AcyclicityOracle(X, field)
-        result["criteria"] = report_to_dict(
-            check_family_criteria(X, F, field, oracle))
+        # the member unions the criteria test, so one oracle serves both
+        F, oracle, criteria = _family_criteria(args, run, X)
+        result["criteria"] = report_to_dict(criteria)
         try:
             L = labelling_of(F)
         except (FamilyError, LabellingError) as exc:
             result["note"] = f"{exc}; the family defines no labelling"
             run.exit_code = EXIT_NEGATIVE
             return
-    verdict = check_cm_labelling(X, L, field, oracle)
+    verdict = check_cm_labelling(X, L, _field(args), oracle)
     result["cm_verdict"] = report_to_dict(verdict)
     if not verdict.is_cm:
         run.exit_code = EXIT_NEGATIVE
@@ -353,24 +351,16 @@ def _run_enumerate(args, run: _Run):
 
 
 def _run_maximal_check(args, run: _Run):
-    field = _field(args)
     X = run.load(args.complex_file, "complex")
-    F = run.load(args.family_file, "family")
-    oracle = AcyclicityOracle(X, field)
-    criteria = check_family_criteria(X, F, field, oracle)
+    F, oracle, criteria = _family_criteria(args, run, X)
+    run.result = {"criteria": report_to_dict(criteria)}
     if not criteria.ok:
-        run.result = {
-            "criteria": report_to_dict(criteria),
-            "note": "family fails the validity criteria; "
-                    "maximality is undefined for it",
-        }
+        run.result["note"] = ("family fails the validity criteria; "
+                              "maximality is undefined for it")
         run.exit_code = EXIT_NEGATIVE
         return
-    verdict = is_maximal(X, F, field, oracle)
-    run.result = {
-        "criteria": report_to_dict(criteria),
-        "maximality": report_to_dict(verdict),
-    }
+    verdict = is_maximal(X, F, oracle.field, oracle)
+    run.result["maximality"] = report_to_dict(verdict)
     if not verdict.is_maximal:
         run.exit_code = EXIT_NEGATIVE
 
@@ -402,7 +392,7 @@ def _run_morphism(args, run: _Run):
     exists = morphism_exists(F, G)
     run.result = {
         "morphism_exists": exists,
-        "relation": refinement_to_str(refinement_compare(F, G)),
+        "relation": refinement_compare(F, G).value,
     }
     if not exists:
         run.exit_code = EXIT_NEGATIVE
@@ -464,7 +454,7 @@ def main(argv=None) -> int:
         _emit_error("guard", str(exc))
         return EXIT_GUARD
     except (CliError, SerializationError, LabellingError, FamilyError,
-            ComplexError, SignsMissingError) as exc:
+            ComplexError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_BAD_INPUT
 

@@ -73,14 +73,10 @@ class ComplexBuilder:
                 self.add_cell(0, (v,), ())
 
     def add_cell(self, dim: int, vertices, boundary=()) -> int:
+        """Append a cell whose boundary is (cell_id, sign) pairs."""
         cid = len(self._cells)
-        entries = []
-        for entry in boundary:
-            if isinstance(entry, tuple):
-                entries.append((entry[0], entry[1]))
-            else:
-                entries.append((entry, 0))
-        self._cells.append(Cell(cid, dim, frozenset(vertices), tuple(entries)))
+        self._cells.append(Cell(cid, dim, frozenset(vertices),
+                                tuple((b, s) for b, s in boundary)))
         return cid
 
     def build(self) -> CellComplex:

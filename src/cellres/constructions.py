@@ -128,32 +128,19 @@ def _lcm_degree_table(L: MonomialLabelling):
     return deg
 
 
-def _tree_passes_thresholds(edges, n, edge_deg) -> bool:
-    thresholds = sorted(set(edge_deg.values()))
-    for d in thresholds:
-        parent = list(range(n))
-        for (i, j) in edges:
-            if edge_deg[(i, j)] <= d:
-                parent[_find(parent, i)] = _find(parent, j)
-        for (i, j), dd in edge_deg.items():
-            if dd <= d and _find(parent, i) != _find(parent, j):
-                return False
-    return True
-
-
 def tree_resolution_trees(L: MonomialLabelling) -> frozenset:
     """All trees on the label set whose threshold subgraphs are spanning
     forests of the corresponding threshold subgraphs of the complete graph.
 
-    Exhaustive over labelled trees, so intended for small vertex counts.
+    Those are the minimum spanning trees of the complete graph weighted by
+    lcm degree, so each has the weight of the Kruskal tree
+    canonical_resolution_tree.  Exhaustive over labelled trees, so intended
+    for small vertex counts.
     """
-    n = L.n_vertices
     edge_deg = _lcm_degree_table(L)
-    out = set()
-    for edges in all_labelled_trees(n):
-        if _tree_passes_thresholds(edges, n, edge_deg):
-            out.add(edges)
-    return frozenset(out)
+    least = sum(edge_deg[e] for e in canonical_resolution_tree(L).edges)
+    return frozenset(edges for edges in all_labelled_trees(L.n_vertices)
+                     if sum(edge_deg[e] for e in edges) == least)
 
 
 def canonical_resolution_tree(L: MonomialLabelling) -> OrientedTree:

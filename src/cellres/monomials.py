@@ -258,8 +258,10 @@ def refines(F: VertexFamily, G: VertexFamily) -> bool:
 
 
 class Refinement(enum.Enum):
-    FINER = "first-refines-second"
-    COARSER = "second-refines-first"
+    """Relation of a first family to a second; values are the wire names."""
+
+    FINER = "finer"
+    COARSER = "coarser"
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
 

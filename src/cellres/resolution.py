@@ -177,6 +177,12 @@ def require_family_on(X: CellComplex, F: VertexFamily):
             f"family on {F.n} vertices does not match complex on {X.n_vertices}")
 
 
+def require_labelling_on(X: CellComplex, L: MonomialLabelling):
+    """Raise FamilyError unless L labels the vertices of X."""
+    if L.n_vertices != X.n_vertices:
+        raise FamilyError("labelling size does not match the complex")
+
+
 def check_family_criteria(X: CellComplex, F: VertexFamily,
                           field: FieldSpec = GF2,
                           oracle: AcyclicityOracle = None) -> FamilyCriteriaReport:
@@ -237,8 +243,7 @@ def check_cellular_resolution(X: CellComplex, L: MonomialLabelling,
     it.  lcm_lattice builds the supports directly: they are the closed
     vertex sets M = {v : m_v divides lcm(M)}, one per point.
     """
-    if L.n_vertices != X.n_vertices:
-        raise FamilyError("labelling size does not match the complex")
+    require_labelling_on(X, L)
     oracle = oracle or AcyclicityOracle(X, field)
     lattice = lcm_lattice(L)
     for b in lattice.sorted_points():
@@ -266,8 +271,7 @@ def check_minimal(X: CellComplex, L: MonomialLabelling):
     degree-zero vertex label would be a unit entry in the first map and is
     rejected the same way (witness (None, vertex cell id)).
     """
-    if L.n_vertices != X.n_vertices:
-        raise FamilyError("labelling size does not match the complex")
+    require_labelling_on(X, L)
     mdeg = {}
     for c in X.cells:
         mdeg[c.id] = multidegree(L, c.vertices).exponents
@@ -283,37 +287,29 @@ def check_minimal(X: CellComplex, L: MonomialLabelling):
 
 
 def _minimum_cover_size(universe: int, masks):
-    """Smallest number of masks whose union contains `universe`."""
+    """Smallest number of masks whose union contains `universe`, or None.
+
+    Deepens the size bound one step at a time; some mask of a cover holds
+    the lowest uncovered vertex, so each step branches only on those.
+    """
     reach = 0
     for m in masks:
         reach |= m
     if universe & ~reach:
         return None
-    # greedy upper bound
-    covered, best = 0, 0
-    while covered & universe != universe:
-        gain, pick = -1, None
-        for m in masks:
-            g = bin(m & universe & ~covered).count("1")
-            if g > gain:
-                gain, pick = g, m
-        covered |= pick
-        best += 1
-    order = sorted(range(len(masks)), key=lambda i: -bin(masks[i]).count("1"))
 
-    def dfs(covered, used, best):
-        if covered & universe == universe:
-            return used
-        if used + 1 >= best:
-            return best
-        low = (universe & ~covered)
-        low &= -low
-        for i in order:
-            if masks[i] & low:
-                best = dfs(covered | masks[i], used + 1, best)
-        return best
+    def covers(covered, k):
+        rest = universe & ~covered
+        if not rest:
+            return True
+        low = rest & -rest
+        return k > 0 and any(covers(covered | m, k - 1)
+                             for m in masks if m & low)
 
-    return dfs(0, 0, best)
+    size = 0
+    while not covers(0, size):
+        size += 1
+    return size
 
 
 def codimension(L: MonomialLabelling) -> int:
@@ -356,7 +352,6 @@ def check_cm_labelling(X: CellComplex, L: MonomialLabelling,
                        field: FieldSpec = GF2,
                        oracle: AcyclicityOracle = None) -> CmVerdict:
     """Full verdict: resolution, minimality, codimension versus dimension."""
-    oracle = oracle or AcyclicityOracle(X, field)
     res_ok, res_w = check_cellular_resolution(X, L, field, oracle)
     min_ok, min_w = check_minimal(X, L)
     codim = codimension(L)
@@ -412,8 +407,7 @@ def build_free_complex(X: CellComplex, L: MonomialLabelling) -> CellularFreeComp
     and its boundary cell.  The composite of consecutive maps is verified
     to vanish.
     """
-    if L.n_vertices != X.n_vertices:
-        raise FamilyError("labelling size does not match the complex")
+    require_labelling_on(X, L)
     if not X.fully_signed():
         raise SignsMissingError("free complex needs signed incidences")
     zero = (0,) * L.n_variables

@@ -16,7 +16,7 @@ import dataclasses
 import json
 
 from .complexes import Cell, CellComplex, validate_complex
-from .monomials import Monomial, MonomialLabelling, Refinement, VertexFamily
+from .monomials import Monomial, MonomialLabelling, VertexFamily
 
 
 class SerializationError(ValueError):
@@ -147,10 +147,6 @@ def report_to_dict(rep) -> dict:
     names = [f.name for f in dataclasses.fields(rep)]
     names += [k for k, v in vars(type(rep)).items() if isinstance(v, property)]
     return {k: _plain(getattr(rep, k)) for k in names}
-
-
-def refinement_to_str(rel: Refinement) -> str:
-    return rel.name.lower()
 
 
 def _plain(value):

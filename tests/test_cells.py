@@ -1,5 +1,7 @@
 """Cell complex plumbing: validation, restriction, homology, signs."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from cellres.complexes import (
     CellComplex,
     ComplexBuilder,
     ComplexError,
+    SignConflictError,
     assign_signs,
     euler_characteristic,
     is_polytope_complex,
@@ -153,6 +156,26 @@ def test_sign_assignment_roundtrip():
         redone = assign_signs(strip_signs(X))
         assert redone.fully_signed()
         assert validate_complex(redone) == []
+
+
+def test_sign_assignment_refuses_the_hemicube():
+    # K4 with its three 4-cycles as 2-cells is the projective plane; a
+    # 3-cell over it passes every combinatorial check, but a non-orientable
+    # boundary admits no signs with vanishing composite
+    b = ComplexBuilder(4)
+    edge = {e: b.add_cell(1, e, ((e[0], 0), (e[1], 0)))
+            for e in itertools.combinations(range(4), 2)}
+    squares = []
+    for cyc in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)):
+        sides = [tuple(sorted(p)) for p in zip(cyc, cyc[1:] + cyc[:1])]
+        squares.append(b.add_cell(2, cyc, tuple((edge[s], 0) for s in sides)))
+    b.add_cell(3, range(4), tuple((q, 0) for q in squares))
+    X = b.build()
+    assert validate_complex(X) == []
+    with pytest.raises(SignConflictError, match=(
+            "cell 13: faces 4 and 9 force opposite relative signs "
+            "between boundary cells 10 and 11")):
+        assign_signs(X)
 
 
 def test_polytope_recognition():

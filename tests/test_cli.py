@@ -7,6 +7,7 @@ import time
 import pytest
 
 from cellres.cli import main
+from cellres.complexes import strip_signs
 from cellres.constructions import (
     edges_to_tree,
     fixture,
@@ -385,6 +386,29 @@ def test_maximal_check_answers_on_the_41_gon(capsys, tmp_path, field):
     assert time.perf_counter() - start < 5.0
     assert code == 0
     assert out["result"]["maximality"]["is_maximal"] is True
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("verify", "--family"),
+    ("maximal-check", "--family"),
+    ("verify", "--labelling"),
+])
+@pytest.mark.parametrize("field", ["gf2", "rational"])
+def test_size_mismatch_is_a_family_error(capsys, tmp_path, command, flag,
+                                         field):
+    # the pentagon carries no signs, so over Q an oracle built before the
+    # size check would report missing signs instead
+    arcs = polygon_family(7)
+    doc = (family_to_dict(arcs) if flag == "--family"
+           else labelling_to_dict(labelling_of(arcs)))
+    cx = write_doc(tmp_path, "pentagon.json",
+                   complex_to_dict(strip_signs(polygon_complex(5))))
+    inp = write_doc(tmp_path, "arcs.json", doc)
+    code, out, err = run(capsys, command, "--complex", cx, flag, inp,
+                         "--field", field)
+    assert code == 3 and out is None
+    assert err["error"]["type"] == "FamilyError"
+    assert "does not match" in err["error"]["message"]
 
 
 def test_malformed_json_is_exit_3(capsys, tmp_path):

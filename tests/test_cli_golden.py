@@ -1,4 +1,4 @@
-"""CLI stdout pinned byte for byte on two fixtures over both fields.
+"""CLI stdout pinned byte for byte on catalogued fixtures.
 
 `cli_golden.json` holds, per command, the exit code and the exact stdout
 and stderr.  The input files are written into the working directory under
@@ -31,13 +31,18 @@ from cellres.serialize import (
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 FIXTURES = {"hex-squares-combined": "0,2,4", "wheel-hexagon": "1,3,5,7"}
 FIELDS = ("gf2", "rational")
+# square-free splits of hex-squares; their ordered pairs give all four
+# refinement relations
+SPLITS = ("hex-squares-polarized", "hex-squares-alternative",
+          "hex-squares-combined")
 
 
 def write_inputs(directory):
-    for fid in FIXTURES:
+    for fid in sorted({*FIXTURES, *SPLITS, "hex-squares"}):
         X, L = fixture(fid)
-        docs = {"complex": complex_to_dict(X), "labelling": labelling_to_dict(L),
-                "family": family_to_dict(family_of(L))}
+        docs = {"complex": complex_to_dict(X), "labelling": labelling_to_dict(L)}
+        if L.is_squarefree():
+            docs["family"] = family_to_dict(family_of(L))
         for kind, doc in docs.items():
             Path(directory, f"{fid}.{kind}.json").write_text(canonical_json(doc))
 
@@ -55,6 +60,13 @@ def commands():
                 yield [*argv, "--field", field]
     for field in FIELDS:
         yield ["conjecture", "selfdual", "--field", field]
+    for source in SPLITS:
+        for target in SPLITS:
+            yield ["morphism", "--from", f"{source}.family.json",
+                   "--to", f"{target}.family.json"]
+    yield ["polarize", "--labelling", "hex-squares.labelling.json"]
+    yield ["construct", "tree-labelling", "--n", "6",
+           "--edges", "0-1,1-2,1-3,3-4,3-5"]
 
 
 def run_command(argv) -> dict:

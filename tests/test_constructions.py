@@ -1,6 +1,7 @@
 """Constructors: trees, polygons, chords, pyramids, wheels, fixtures."""
 
 import itertools
+import random
 
 import pytest
 
@@ -31,8 +32,9 @@ from cellres.constructions import (
     wheel_family,
     wheel_polytope,
 )
-from cellres.monomials import family_of, labelling, polarize
+from cellres.monomials import LabellingError, family_of, labelling, polarize
 from cellres.resolution import check_cm_labelling
+from reference_trees import reference_tree_resolution_trees
 
 
 def test_oriented_tree_validation():
@@ -84,6 +86,31 @@ def test_complement_products_admit_every_tree():
     rows = [tuple(0 if p == i else 1 for p in range(n)) for i in range(n)]
     L = labelling(n, rows)
     assert tree_resolution_trees(L) == frozenset(all_labelled_trees(n))
+
+
+def random_labelling(rng, n):
+    """Seeded labelling of n vertices in 2-4 variables, exponents up to 3."""
+    while True:
+        nvar = rng.randint(2, 4)
+        rows = [tuple(rng.randint(0, 3) for _ in range(nvar))
+                for _ in range(n)]
+        try:
+            return labelling(nvar, rows)
+        except LabellingError:
+            continue
+
+
+def test_resolution_trees_match_the_threshold_rule():
+    rng = random.Random(20261018)
+    ties = 0
+    for n, count in ((2, 20), (3, 60), (4, 70), (5, 70), (6, 60), (7, 20)):
+        for _ in range(count):
+            L = random_labelling(rng, n)
+            trees = tree_resolution_trees(L)
+            assert trees == reference_tree_resolution_trees(L)
+            ties += len(trees) > 1
+    # equal lcm degrees are common, so many labellings have several trees
+    assert ties >= 100
 
 
 def test_canonical_resolution_tree_passes():

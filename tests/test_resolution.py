@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -29,6 +30,7 @@ from cellres.monomials import (
     labelling,
     labelling_of,
     lcm_lattice,
+    mask_of,
     set_of,
 )
 from cellres.resolution import (
@@ -40,6 +42,7 @@ from cellres.resolution import (
     check_minimal,
     codimension,
     codimension_family,
+    cover_unions,
     multidegree,
     strand_matches_homology,
 )
@@ -153,6 +156,54 @@ def test_codimension_counts_minimal_variable_cover():
 def test_codimension_family_matches_labelling_codimension():
     for F in (polygon_family(5), *chord_families(5, 2), *chord_families(6, 3)):
         assert codimension_family(F) == codimension(labelling_of(F))
+
+
+def least_cover_size(universe, masks):
+    """Fewest masks whose union holds universe, by trying every subset."""
+    for k in range(len(masks) + 1):
+        if any(u & universe == universe for u in cover_unions(0, masks, k)):
+            return k
+    return None
+
+
+def random_masks(rng, n):
+    """Up to 12 distinct nonempty vertex masks of one seeded density."""
+    p = rng.choice((0.2, 0.35, 0.5))
+    masks = (mask_of(v for v in range(n) if rng.random() < p)
+             for _ in range(rng.randint(1, 12)))
+    return sorted({m for m in masks if m})
+
+
+def test_codimension_is_the_least_cover():
+    rng = random.Random(20261018)
+    largest = 0
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        masks = random_masks(rng, n)
+        want = least_cover_size((1 << n) - 1, masks)
+        largest = max(largest, want or 0)
+        cases = [(codimension_family, family(n, map(set_of, masks)))]
+        # the masks as variable supports, with exponents 1 or 2
+        rows = [tuple(rng.randint(1, 2) if m >> v & 1 else 0 for m in masks)
+                for v in range(n)]
+        try:
+            cases.append((codimension, labelling(len(masks), rows)))
+        except LabellingError:
+            pass
+        for codim, arg in cases:
+            if want is None:
+                with pytest.raises(FamilyError):
+                    codim(arg)
+            else:
+                assert codim(arg) == want
+    assert largest >= 5
+
+
+def test_codimension_of_many_singletons_is_quick():
+    singletons = family(40, [{v} for v in range(40)])
+    start = time.perf_counter()
+    assert codimension_family(singletons) == 40
+    assert time.perf_counter() - start < 0.05
 
 
 def test_codimension_family_requires_cover():
