@@ -2,8 +2,7 @@
 
 Usage:
     python scripts/conjecture_evidence.py [--kind {variable-count,selfdual,all}]
-                                          [--max-candidates N] [--jobs N]
-                                          [--json]
+                                          [--max-candidates N] [--json]
 
 variable-count: every maximal family on an n-gon subdivided by k chords is
 expected to have n + k members.  The table reports, per instance, how many
@@ -65,7 +64,6 @@ def main(argv=None):
     ap.add_argument("--kind", choices=["variable-count", "selfdual", "all"],
                     default="all")
     ap.add_argument("--max-candidates", type=int, default=200)
-    ap.add_argument("--jobs", type=int, default=None)
     ap.add_argument("--json", action="store_true",
                     help="emit the raw reports as canonical JSON")
     args = ap.parse_args(argv)
@@ -76,7 +74,7 @@ def main(argv=None):
     for kind in kinds:
         if kind == "variable-count":
             reports.append(variable_count_report(
-                max_candidates=args.max_candidates, jobs=args.jobs))
+                max_candidates=args.max_candidates))
         else:
             reports.append(selfdual_report(max_candidates=args.max_candidates))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import sys
 import time
 
@@ -115,20 +114,6 @@ def _field(args):
     return RATIONAL if args.field == "rational" else GF2
 
 
-def _jobs(args):
-    """Worker count from --jobs, else CELLRES_JOBS; values <= 0 mean serial."""
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("CELLRES_JOBS", "").strip()
-        if not env:
-            return None
-        try:
-            jobs = int(env)
-        except ValueError as exc:
-            raise CliError(f"CELLRES_JOBS must be an integer, got {env!r}") from exc
-    return max(1, jobs)
-
-
 def _parse_pairs(text: str, what: str) -> tuple:
     """'0-1,1-2' -> ((0, 1), (1, 2))"""
     pairs = []
@@ -201,7 +186,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--symmetry", default="none",
                    help="none | dihedral | chord:A")
     p.add_argument("--max-candidates", type=int, default=60)
-    p.add_argument("--jobs", type=int)
+    # ignored: bench/workloads.py jobs_ops still passes --jobs 2
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
 
     p = cmd("maximal-check", help="is the family maximal on the complex?")
     p.add_argument("--complex", dest="complex_file", required=True)
@@ -226,7 +212,6 @@ def _build_parser() -> _Parser:
     p = cmd("conjecture", help="evidence tables for the open conjectures")
     p.add_argument("kind", choices=["variable-count", "selfdual"])
     p.add_argument("--max-candidates", type=int, default=200)
-    p.add_argument("--jobs", type=int)
 
     return top
 
@@ -342,7 +327,7 @@ def _run_enumerate(args, run: _Run):
     space = SearchSpace(symmetry=_symmetry(args.symmetry, X),
                         max_candidates=args.max_candidates)
     enum = enumerate_maximal_families if args.maximal else enumerate_valid_families
-    families = enum(X, space, _field(args), _jobs(args))
+    families = enum(X, space, _field(args))
     run.result = {
         "maximal_only": bool(args.maximal),
         "count": len(families),
@@ -410,7 +395,7 @@ def _run_polarize(args, run: _Run):
 def _run_conjecture(args, run: _Run):
     field = _field(args)
     if args.kind == "variable-count":
-        rep = variable_count_report(field=field, jobs=_jobs(args),
+        rep = variable_count_report(field=field,
                                     max_candidates=args.max_candidates)
     else:
         rep = selfdual_report(field=field, max_candidates=args.max_candidates)

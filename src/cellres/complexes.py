@@ -13,6 +13,7 @@ includes dimension -1 and a one-point complex is acyclic.  The void complex
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .linalg import GF2, FieldSpec, gf2_rank, matrix_rank
@@ -113,9 +114,13 @@ def validate_complex(X: CellComplex) -> list:
         for v in c.vertices:
             if not 0 <= v < X.n_vertices:
                 diags.append(f"cell {c.id}: vertex {v} out of range")
-    for v in range(X.n_vertices):
-        if v not in seen_vertices:
-            diags.append(f"vertex {v} has no dimension-0 cell")
+    # one diagnostic names the lowest missing vertex and counts the rest,
+    # so its size does not grow with n_vertices
+    missing = X.n_vertices - sum(0 <= v < X.n_vertices for v in seen_vertices)
+    if missing > 0:
+        v = next(v for v in itertools.count() if v not in seen_vertices)
+        more = f", nor do {missing - 1} more vertices" if missing > 1 else ""
+        diags.append(f"vertex {v} has no dimension-0 cell{more}")
     ncells = len(X.cells)
     for c in X.cells:
         if c.dim == 0:

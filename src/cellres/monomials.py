@@ -16,6 +16,7 @@ partial order.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 
@@ -29,7 +30,8 @@ class FamilyError(ValueError):
 
 class GuardExceeded(RuntimeError):
     """Input refused before an exhaustive scan: more candidate sets than
-    the search allows, or more unions than UNION_LIMIT to close."""
+    the search allows, more unions than UNION_LIMIT to close, or more than
+    UNION_LIMIT variables to polarize into."""
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,12 @@ class MonomialLabelling:
         used = set()
         for m in self.labels:
             used |= m.support()
-        missing = set(range(self.n_variables)) - used
-        if missing:
-            raise LabellingError(f"variables {sorted(missing)} occur in no label")
+        missing = self.n_variables - len(used)
+        if missing > 0:
+            p = next(p for p in itertools.count() if p not in used)
+            more = (f", nor do {missing - 1} more variables" if missing > 1
+                    else "")
+            raise LabellingError(f"variable {p} occurs in no label{more}")
 
     @property
     def n_vertices(self) -> int:
@@ -197,9 +202,14 @@ def polarize(L: MonomialLabelling) -> MonomialLabelling:
     Variable p becomes max-exponent-many variables; an exponent k uses its
     first k copies.  New variables are ordered by (old variable, copy), so a
     square-free input is returned unchanged.  Divisibility between labels is
-    preserved in both directions.
+    preserved in both directions.  Refuses (GuardExceeded) before building
+    any row when that takes more than UNION_LIMIT variables.
     """
     maxes = [max(m.exponents[p] for m in L.labels) for p in range(L.n_variables)]
+    total = sum(maxes)
+    if total > UNION_LIMIT:
+        raise GuardExceeded(
+            f"polarization needs {total} variables, more than {UNION_LIMIT}")
     rows = []
     for m in L.labels:
         row = []
@@ -207,7 +217,7 @@ def polarize(L: MonomialLabelling) -> MonomialLabelling:
             e = m.exponents[p]
             row.extend([1] * e + [0] * (top - e))
         rows.append(tuple(row))
-    return labelling(sum(maxes), rows)
+    return labelling(total, rows)
 
 
 def _exact_cover_exists(target: int, parts) -> bool:

@@ -30,8 +30,6 @@ set can only break the hereditary part, which keeps each try cheap.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import (
@@ -133,13 +131,11 @@ def _bits(x: int):
 
 
 def _search(X: CellComplex, field: FieldSpec, cands: tuple,
-            only_first: int = None, oracle: AcyclicityOracle = None):
+            oracle: AcyclicityOracle = None):
     """Yield every valid family over a fixed candidate list, exactly once.
 
     Families come as tuples of member masks in the order they were chosen;
-    the visit order is not part of the contract.  When only_first is
-    given, only the root branch that chooses that candidate index is
-    searched (used to partition work across processes).
+    the visit order is not part of the contract.
 
     A node holds the chosen members, their subfamily unions, the
     requirements they meet and the live set: the candidates that can still
@@ -181,8 +177,6 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
                     break
         for j in _bits(live if pick is None else pick):
             live &= ~(1 << j)
-            if only_first is not None and not chosen and j != only_first:
-                continue
             m = cands[j]
             chosen.append(m)
             fresh = {u | m for u in unions} - unions
@@ -202,11 +196,6 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
     root = sum(1 << j for j, m in enumerate(cands)
                if m != full and oracle.is_acyclic(full & ~m))
     yield from descend(root, {0}, 0)
-
-
-def _search_worker(args):
-    X, field, cands, j = args
-    return list(_search(X, field, cands, only_first=j))
 
 
 def _check_automorphism(X: CellComplex, perm: tuple):
@@ -242,13 +231,13 @@ def _materialize(n, mask_tuples, symmetry) -> list:
 
 
 def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
-                             field: FieldSpec = GF2, jobs: int = None,
+                             field: FieldSpec = GF2,
                              oracle: AcyclicityOracle = None) -> list:
     """All families over the candidate set passing the three criteria.
 
     Results are canonically ordered (members sorted by size then content,
     families likewise) and, when a symmetry group is supplied, reduced to
-    one representative per orbit.  Independent of the job count.
+    one representative per orbit.
     """
     space = space or SearchSpace()
     if X.dim < 1:
@@ -261,16 +250,8 @@ def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
             _check_automorphism(X, tuple(perm))
         symmetry = tuple({tuple(p) for p in space.symmetry}
                          | {tuple(range(X.n_vertices))})
-    workers = min(jobs or 1, os.cpu_count() or 1, len(cands))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _search_worker,
-                [(X, field, cands, j) for j in range(len(cands))])
-            hits = [m for part in parts for m in part]
-    else:
-        hits = _search(X, field, cands, oracle=oracle)
-    return _materialize(X.n_vertices, hits, symmetry)
+    return _materialize(X.n_vertices, _search(X, field, cands, oracle),
+                        symmetry)
 
 
 def any_valid_family(X: CellComplex, space: SearchSpace = None,
@@ -290,7 +271,7 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
         raise FamilyError("search needs a complex of dimension at least 1")
     oracle = oracle or AcyclicityOracle(X, field)
     cands = _candidate_masks(X, space, oracle)
-    hit = next(_search(X, field, cands, oracle=oracle), None)
+    hit = next(_search(X, field, cands, oracle), None)
     if hit is None:
         return None
     return VertexFamily(X.n_vertices, tuple(
@@ -351,11 +332,10 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
 
 
 def enumerate_maximal_families(X: CellComplex, space: SearchSpace = None,
-                               field: FieldSpec = GF2,
-                               jobs: int = None) -> list:
+                               field: FieldSpec = GF2) -> list:
     """The valid families that are maximal, canonically ordered."""
     oracle = AcyclicityOracle(X, field)
-    valid = enumerate_valid_families(X, space, field, jobs, oracle=oracle)
+    valid = enumerate_valid_families(X, space, field, oracle)
     return [F for F in valid if is_maximal(X, F, field, oracle).is_maximal]
 
 
@@ -467,7 +447,6 @@ VARIABLE_COUNT_INSTANCES = (
 
 
 def variable_count_report(instances=None, field: FieldSpec = GF2,
-                          jobs: int = None,
                           max_candidates: int = 200) -> ConjectureReport:
     """Do maximal families on polygons with k chords have n + k members?
 
@@ -481,7 +460,7 @@ def variable_count_report(instances=None, field: FieldSpec = GF2,
     for n, chords in (instances or VARIABLE_COUNT_INSTANCES):
         X = subdivided_polygon(n, chords)
         space = SearchSpace(max_candidates=max_candidates)
-        families = enumerate_maximal_families(X, space, field, jobs)
+        families = enumerate_maximal_families(X, space, field)
         expected = n + len(chords)
         sizes = [len(F.sets) for F in families]
         row = {

@@ -60,6 +60,9 @@ def test_validation_flags_missing_vertex_cell():
     cells = (Cell(0, 0, frozenset({0}), ()),)
     diags = validate_complex(CellComplex(2, cells))
     assert any("vertex 1 has no dimension-0 cell" in d for d in diags)
+    # one diagnostic, however many vertices lack a cell
+    assert validate_complex(CellComplex(10 ** 8, cells)) == [
+        "vertex 1 has no dimension-0 cell, nor do 99999998 more vertices"]
 
 
 def test_validation_flags_wrong_boundary_dimension():
@@ -195,6 +198,10 @@ def test_f_vector_symmetry():
     assert bipyramid_complex(3).f_vector() == (5, 9, 6, 1)
     assert not f_symmetry(bipyramid_complex(3))
     assert f_symmetry(polygon_complex(9))
+    # the void complex has no f-vector, and a chord splits the top cell
+    assert not f_symmetry(CellComplex(0, ()))
+    assert chord_complex(6, 3).f_vector() == (6, 7, 2)
+    assert not f_symmetry(chord_complex(6, 3))
 
 
 def test_field_spec_accepts_only_gf2_and_the_rationals():

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -178,9 +182,13 @@ def test_enumerate_pentagon(capsys, tmp_path):
     assert out["result"]["maximal_only"] is False
     assert out["result"]["families"][0]["sets"] == [
         [0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
-    code, out, _ = run(capsys, "enumerate", "--complex", cx, "--maximal",
-                       "--jobs", "2")
-    assert code == 0
+    outputs = []
+    for extra in ([], ["--jobs", "2"]):
+        assert main(["enumerate", "--complex", cx, "--maximal", *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    # --jobs is accepted and ignored: the output bytes do not change
+    assert outputs[0] == outputs[1]
+    out = json.loads(outputs[1])
     assert out["result"]["maximal_only"] is True
     assert out["result"]["count"] == 1
 
@@ -340,6 +348,69 @@ def test_verify_answers_huge_exponents_quickly(capsys, tmp_path):
     assert code == 0 and out["result"]["cm_verdict"]["is_cm"]
 
 
+def test_polarize_refuses_huge_exponents_quickly(capsys, tmp_path):
+    # 2 * 10^8 polarized variables: refused before any row is built
+    lab = write_doc(tmp_path, "huge.json", labelling_to_dict(
+        labelling(2, [(10 ** 8, 0), (0, 10 ** 8)])))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "polarize", "--labelling", lab)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "guard"
+    assert "200000000 variables" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command, flag, doc, first", [
+    ("homology", "--complex", {"n_vertices": 10 ** 8, "cells": []},
+     "vertex 0 has no dimension-0 cell, nor do 99999999 more vertices"),
+    ("polarize", "--labelling", {"n_variables": 10 ** 8, "labels": []},
+     "variable 0 occurs in no label, nor do 99999999 more variables"),
+])
+def test_missing_vertices_or_variables_give_a_short_diagnostic(
+        capsys, tmp_path, command, flag, doc, first):
+    path = write_doc(tmp_path, "doc.json", doc)
+    start = time.perf_counter()
+    code = main([command, flag, path])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert len(captured.err) < 1024
+    err = json.loads(captured.err)
+    assert err["error"]["type"] == "SerializationError"
+    assert first in err["error"]["message"]
+
+
+def test_verify_reports_the_codimension_witness(capsys, tmp_path):
+    # xy, xz on an edge: a minimal cellular resolution of an ideal of
+    # codimension 1, one short of the dimension of the edge plus one
+    cx = write_doc(tmp_path, "edge.json", complex_to_dict(
+        tree_complex(edges_to_tree(2, [(0, 1)]))))
+    lab = write_doc(tmp_path, "lab.json", labelling_to_dict(
+        labelling(3, [(1, 1, 0), (1, 0, 1)])))
+    code, out, _ = run(capsys, "verify", "--complex", cx, "--labelling", lab)
+    assert code == 1
+    verdict = out["result"]["cm_verdict"]
+    assert verdict["is_cellular_resolution"] and verdict["is_minimal"]
+    assert not verdict["is_cm"]
+    assert verdict["witness"] == ["codimension", [1, 2]]
+
+
+def test_maximal_check_reports_a_decomposable_member(capsys, tmp_path):
+    # on the path 0-1-2 the valid family {0},{1,2},{0,1},{2},{0,2} is not
+    # reduced: {0,2} is the disjoint union of the members {0} and {2}
+    cx = write_doc(tmp_path, "path.json", complex_to_dict(
+        tree_complex(edges_to_tree(3, [(0, 1), (1, 2)]))))
+    fam = write_doc(tmp_path, "fam.json", family_to_dict(
+        family(3, [{0}, {1, 2}, {0, 1}, {2}, {0, 2}])))
+    code, out, _ = run(capsys, "maximal-check", "--complex", cx,
+                       "--family", fam)
+    assert code == 1
+    assert out["result"]["criteria"]["ok"]
+    maximality = out["result"]["maximality"]
+    assert maximality["is_maximal"] is False
+    assert maximality["decomposable"] == [0, 2]
+
+
 def test_verify_family_adds_no_oracle_work_to_the_criteria(capsys, tmp_path,
                                                            monkeypatch):
     # the lcm supports of an arc family's labelling are the complements of
@@ -470,36 +541,21 @@ def test_bad_flag_value_is_exit_3(capsys):
     assert code == 3
 
 
-def test_jobs_env_override(capsys, tmp_path, monkeypatch):
-    code, out, _ = run(capsys, "construct", "polygon", "--n", "5")
-    cx = write_doc(tmp_path, "pent.json", out["result"]["complex"])
-    monkeypatch.setenv("CELLRES_JOBS", "2")
-    code, out, _ = run(capsys, "enumerate", "--complex", cx)
-    assert code == 0 and out["result"]["count"] == 1
-    monkeypatch.setenv("CELLRES_JOBS", "many")
-    code, out, err = run(capsys, "enumerate", "--complex", cx)
-    assert code == 3
-    assert "CELLRES_JOBS" in err["error"]["message"]
+def test_conjecture_rejects_the_jobs_flag(capsys):
+    code, out, err = run(capsys, "conjecture", "variable-count",
+                         "--jobs", "2")
+    assert code == 3 and out is None
+    assert err["error"]["type"] == "CliError"
 
 
-def test_jobs_zero_flag_matches_env(capsys, tmp_path, monkeypatch):
-    import cellres.search
-
-    def no_pool(max_workers):
-        raise AssertionError(f"pool of {max_workers} started for a serial run")
-
-    monkeypatch.setattr(cellres.search, "ProcessPoolExecutor", no_pool)
-    code, out, _ = run(capsys, "construct", "chord", "--n", "6", "--a", "3")
-    cx = write_doc(tmp_path, "chord.json", out["result"]["complex"])
-    outputs = []
-    for flag, env in ((["--jobs", "0"], None), ([], "0"),
-                      (["--jobs", "-2"], None), ([], "-2")):
-        if env is None:
-            monkeypatch.delenv("CELLRES_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("CELLRES_JOBS", env)
-        code = main(["enumerate", "--complex", cx, "--maximal"] + flag)
-        assert code == 0
-        outputs.append(capsys.readouterr().out)
-    assert len(set(outputs)) == 1
-    assert json.loads(outputs[0])["result"]["count"] == 2
+def test_import_loads_no_process_pool():
+    # the family search runs in process, so importing the CLI does not
+    # pull in the multiprocessing machinery
+    probe = ("import sys, cellres.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('multiprocessing', 'concurrent')))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -47,8 +47,13 @@ def test_labelling_rejects_divisibility():
 
 
 def test_labelling_rejects_unused_variable():
-    with pytest.raises(LabellingError):
+    with pytest.raises(LabellingError,
+                       match="^variable 2 occurs in no label$"):
         labelling(3, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(LabellingError,
+                       match="^variable 1 occurs in no label, "
+                             "nor do 3 more variables$"):
+        labelling(5, [(1, 0, 0, 0, 0)])
 
 
 def test_labelling_rejects_negative_exponent():
@@ -107,6 +112,13 @@ def test_polarize_fixes_squarefree_labellings():
     L = labelling(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
     P = polarize(L)
     assert [m.exponents for m in P.labels] == [m.exponents for m in L.labels]
+
+
+def test_polarize_refuses_past_the_union_limit():
+    top = polarize(labelling(2, [(UNION_LIMIT - 1, 0), (0, 1)]))
+    assert top.n_variables == UNION_LIMIT
+    with pytest.raises(GuardExceeded, match=f"{UNION_LIMIT + 1} variables"):
+        polarize(labelling(2, [(UNION_LIMIT, 0), (0, 1)]))
 
 
 def test_lcm_lattice_is_join_closed():

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -31,3 +33,11 @@ def test_conjecture_evidence_emits_json_reports(capsys):
     assert [r["kind"] for r in reports] == ["selfdual"]
     assert reports[0]["holds"] is True
     assert set(reports[0]) == {"kind", "rows", "counterexamples", "holds"}
+
+
+def test_conjecture_evidence_rejects_the_jobs_flag(capsys):
+    script = load_script("conjecture_evidence")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

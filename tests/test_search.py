@@ -1,12 +1,11 @@
 """Family enumeration, maximality, covering checks, conjecture harnesses."""
 
-import os
 import random
 
 import pytest
 
 import cellres.search as search
-from cellres.complexes import reduced_homology, restrict
+from cellres.complexes import ComplexBuilder, reduced_homology, restrict
 from cellres.constructions import (
     bipyramid_complex,
     chord_complex,
@@ -151,15 +150,14 @@ def test_enumeration_is_independent_of_candidate_order():
     assert [as_sorted_sets(F) for F in base] == [as_sorted_sets(F) for F in shuffled]
 
 
-def test_enumeration_is_independent_of_pruning_and_jobs():
+def test_enumeration_is_independent_of_pruning():
     X = chord_complex(5, 2)
     base = enumerate_valid_families(X, SP)
     cands = default_candidates(X)
     unpruned = search._materialize(
         X.n_vertices, from_scratch_search(X, GF2, cands), ())
-    parallel = enumerate_valid_families(X, SP, jobs=2)
     key = lambda fams: [as_sorted_sets(F) for F in fams]
-    assert key(base) == key(unpruned) == key(parallel)
+    assert key(base) == key(unpruned)
 
 
 def _pyramid_over_pentagon_short_list(field):
@@ -197,51 +195,6 @@ def test_forward_checking_matches_the_reference_walk(case, field):
     assert len(set(got)) == len(got)
     assert sorted(got) == sorted(
         family_key(masks) for masks in reference_search(X, field, cands))
-
-
-def test_worker_count_is_clamped_before_forking(monkeypatch):
-    sizes = []
-
-    class PoolRecorder:
-        """Stands in for ProcessPoolExecutor: records the requested worker
-        count and maps in this process, so no worker is ever started."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", PoolRecorder)
-    X = chord_complex(5, 2)
-    key = lambda fams: [as_sorted_sets(F) for F in fams]
-    base = key(enumerate_valid_families(X, SP))
-    assert key(enumerate_valid_families(X, SP, jobs=10 ** 6)) == base
-    cpus = os.cpu_count() or 1
-    assert len(sizes) == (1 if cpus > 1 else 0)
-    assert all(w <= cpus for w in sizes)
-
-    # with a known core count the clamp is exact, and a short candidate
-    # list caps the pool at one worker per candidate: a single edge has
-    # the three candidates {0}, {1} and {0, 1}
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-    sizes.clear()
-    assert key(enumerate_valid_families(X, SP, jobs=10 ** 6)) == base
-    edge = tree_complex(edges_to_tree(2, [(0, 1)]))
-    enumerate_valid_families(edge, SP, jobs=10 ** 6)
-    assert sizes == [4, 3]
-
-    # zero or negative job counts run serially
-    sizes.clear()
-    for jobs in (0, -4, 1):
-        assert key(enumerate_valid_families(X, SP, jobs=jobs)) == base
-    assert sizes == []
 
 
 def test_enumeration_over_the_rationals_matches_gf2():
@@ -450,6 +403,19 @@ def test_existence_search_handles_solid_polytopes():
     assert any_valid_family(E, wide) is None
 
 
+def test_no_family_on_a_complex_that_is_not_acyclic():
+    # a signed 5-cycle with no 2-cell: the complement of the empty union,
+    # the whole complex, already fails, over either field
+    b = ComplexBuilder(5)
+    for i in range(5):
+        b.add_cell(1, (i, (i + 1) % 5), (((i + 1) % 5, 1), (i, -1)))
+    X = b.build()
+    for field in (GF2, RATIONAL):
+        assert reduced_homology(X, field).reduced_betti == {1: 1}
+        assert enumerate_valid_families(X, SP, field) == []
+        assert any_valid_family(X, SP, field) is None
+
+
 def test_enumeration_on_the_pyramid_over_a_pentagon():
     X = pyramid(polygon_complex(5))
     found = enumerate_valid_families(X, SP)
@@ -524,3 +490,14 @@ def test_selfdual_report_holds_on_the_corpus():
             assert row["symmetric"]
     methods = {row["method"] for row in rep.rows}
     assert methods == {"witness-family", "existence-search"}
+
+
+def test_selfdual_report_skips_searches_past_the_guard():
+    rep = selfdual_report(max_candidates=3)
+    skipped = {row["name"] for row in rep.rows
+               if row["method"] == "skipped-guard"}
+    assert skipped == {"pyramid-4-gon", "pyramid-6-gon", "bipyramid-3-gon",
+                       "bipyramid-4-gon"}
+    for row in rep.rows:
+        assert (row["admits_valid_family"] is None) == (row["name"] in skipped)
+    assert rep.holds
