@@ -30,8 +30,8 @@ class FamilyError(ValueError):
 
 class GuardExceeded(RuntimeError):
     """Input refused before an exhaustive scan: more candidate sets than
-    the search allows, more unions than UNION_LIMIT to close, or more than
-    UNION_LIMIT variables to polarize into."""
+    the search allows, more unions than UNION_LIMIT to close, or a
+    polarization past its variable or exponent limit."""
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,19 @@ def polarize(L: MonomialLabelling) -> MonomialLabelling:
     first k copies.  New variables are ordered by (old variable, copy), so a
     square-free input is returned unchanged.  Divisibility between labels is
     preserved in both directions.  Refuses (GuardExceeded) before building
-    any row when that takes more than UNION_LIMIT variables.
+    any row when that takes more than UNION_LIMIT variables, or more than
+    2 * UNION_LIMIT exponents over all rows: the output and its pairwise
+    divisibility check grow as labels times variables.
     """
     maxes = [max(m.exponents[p] for m in L.labels) for p in range(L.n_variables)]
     total = sum(maxes)
     if total > UNION_LIMIT:
         raise GuardExceeded(
             f"polarization needs {total} variables, more than {UNION_LIMIT}")
+    if len(L.labels) * total > 2 * UNION_LIMIT:
+        raise GuardExceeded(
+            f"polarization needs {len(L.labels)} rows of {total} exponents, "
+            f"more than {2 * UNION_LIMIT} in all")
     rows = []
     for m in L.labels:
         row = []

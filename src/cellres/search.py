@@ -23,8 +23,11 @@ vertex and tested as they arrive, so the guard refuses as soon as the
 
 Maximality is operational: a reduced family is maximal when no single set
 can be added without breaking a criterion.  The smallest addable set is
-always connected, so the test tries the same connected sets, and adding a
-set can only break the hereditary part, which keeps each try cheap.
+always connected and can only break the hereditary part, so the sets to
+try are the candidates that pass it.  For maximal families the engine
+finds them as the live set plus the excluded set of Bron and Kerbosch and
+tests each valid family where it is reached; `is_maximal` checks one given
+family and names a witness.
 """
 
 from __future__ import annotations
@@ -131,8 +134,9 @@ def _bits(x: int):
 
 
 def _search(X: CellComplex, field: FieldSpec, cands: tuple,
-            oracle: AcyclicityOracle = None):
-    """Yield every valid family over a fixed candidate list, exactly once.
+            oracle: AcyclicityOracle = None, maximal: bool = False):
+    """Yield every valid family over a fixed candidate list, exactly once;
+    with `maximal`, only those that are maximal over that list.
 
     Families come as tuples of member masks in the order they were chosen;
     the visit order is not part of the contract.
@@ -149,6 +153,15 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
     has no live candidate.  Once every requirement is met, the node is a
     valid family and the options are the whole live set.  Branch i adds
     option i and bans options 0..i-1, so no family is reached twice.
+
+    With `maximal`, a node also carries the excluded set of Bron and
+    Kerbosch (CACM 16(9), 1973): the banned options that could still join,
+    filtered by the same test as the live set.  Live and excluded together
+    are then every candidate that can join the chosen members.  A valid
+    node is yielded only if each of them is a disjoint union of members
+    and no member is a disjoint union of other members; that is exactly
+    `is_maximal` over these candidates.  Without `maximal` the excluded
+    set stays empty, so the search makes the same oracle calls.
     """
     oracle = oracle or AcyclicityOracle(X, field)
     n = X.n_vertices
@@ -165,8 +178,14 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
             for k in range(goal.bit_length())]
     chosen = []
 
-    def descend(live, unions, served):
-        if served == goal:
+    def maximal_at(joinable):
+        return (all(_exact_cover_exists(cands[k], chosen)
+                    for k in _bits(joinable))
+                and not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
+                            for i, m in enumerate(chosen)))
+
+    def descend(live, excl, unions, served):
+        if served == goal and (not maximal or maximal_at(live | excl)):
             yield tuple(chosen)
         pick = None
         for k in _bits(goal & ~served):
@@ -184,18 +203,21 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
             bounds = (list(cover_unions(m, chosen[:-1], size - 1)) if size
                       else [])
             nxt = 0
-            for k in _bits(live):
+            for k in _bits(live | excl):
                 c = cands[k]
                 if (all(c | u != full for u in bounds)
                         and all(oracle.is_acyclic(full & ~(w | c))
                                 for w in fresh)):
                     nxt |= 1 << k
-            yield from descend(nxt, unions | fresh, served | serve[j])
+            yield from descend(nxt & live, nxt & ~live, unions | fresh,
+                               served | serve[j])
             chosen.pop()
+            if maximal:
+                excl |= 1 << j
 
     root = sum(1 << j for j, m in enumerate(cands)
                if m != full and oracle.is_acyclic(full & ~m))
-    yield from descend(root, {0}, 0)
+    yield from descend(root, 0, {0}, 0)
 
 
 def _check_automorphism(X: CellComplex, perm: tuple):
@@ -230,15 +252,8 @@ def _materialize(n, mask_tuples, symmetry) -> list:
             for key in sorted(keys)]
 
 
-def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
-                             field: FieldSpec = GF2,
-                             oracle: AcyclicityOracle = None) -> list:
-    """All families over the candidate set passing the three criteria.
-
-    Results are canonically ordered (members sorted by size then content,
-    families likewise) and, when a symmetry group is supplied, reduced to
-    one representative per orbit.
-    """
+def _families(X: CellComplex, space: SearchSpace, field: FieldSpec,
+              oracle: AcyclicityOracle, maximal: bool) -> list:
     space = space or SearchSpace()
     if X.dim < 1:
         raise FamilyError("enumeration needs a complex of dimension at least 1")
@@ -250,8 +265,20 @@ def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
             _check_automorphism(X, tuple(perm))
         symmetry = tuple({tuple(p) for p in space.symmetry}
                          | {tuple(range(X.n_vertices))})
-    return _materialize(X.n_vertices, _search(X, field, cands, oracle),
-                        symmetry)
+    return _materialize(X.n_vertices,
+                        _search(X, field, cands, oracle, maximal), symmetry)
+
+
+def enumerate_valid_families(X: CellComplex, space: SearchSpace = None,
+                             field: FieldSpec = GF2,
+                             oracle: AcyclicityOracle = None) -> list:
+    """All families over the candidate set passing the three criteria.
+
+    Results are canonically ordered (members sorted by size then content,
+    families likewise) and, when a symmetry group is supplied, reduced to
+    one representative per orbit.
+    """
+    return _families(X, space, field, oracle, maximal=False)
 
 
 def any_valid_family(X: CellComplex, space: SearchSpace = None,
@@ -333,10 +360,12 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
 
 def enumerate_maximal_families(X: CellComplex, space: SearchSpace = None,
                                field: FieldSpec = GF2) -> list:
-    """The valid families that are maximal, canonically ordered."""
-    oracle = AcyclicityOracle(X, field)
-    valid = enumerate_valid_families(X, space, field, oracle)
-    return [F for F in valid if is_maximal(X, F, field, oracle).is_maximal]
+    """The valid families that are maximal, canonically ordered.
+
+    The search yields them directly (see `_search`); automorphisms preserve
+    maximality, so each orbit representative is maximal when its orbit is.
+    """
+    return _families(X, space, field, None, maximal=True)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ The library's visit order is its own, so families are compared as sets.
 
 `reference_is_maximal` is the maximality test over every vertex subset;
 the library tries only connected ones and must return the same report.
+`reference_maximal_families` enumerates the valid families and keeps those
+`is_maximal` accepts; the library's search yields the maximal ones
+directly and must return the same list, in the same order.
 `reference_connected_vertex_subsets` finds those connected sets by
 flood-filling each of the 2^n vertex masks; the library grows them from
 their lowest vertex and must return the same list.
@@ -20,6 +23,7 @@ their lowest vertex and must return the same list.
 import itertools
 
 from cellres.complexes import is_connected, vertex_adjacency
+from cellres.linalg import GF2
 from cellres.monomials import (
     FamilyError,
     VertexFamily,
@@ -35,7 +39,11 @@ from cellres.resolution import (
     covering_face_pairs,
     cover_unions,
 )
-from cellres.search import MaximalityReport
+from cellres.search import (
+    MaximalityReport,
+    enumerate_valid_families,
+    is_maximal,
+)
 
 
 def reference_connected_vertex_subsets(X) -> list:
@@ -155,3 +163,10 @@ def reference_is_maximal(X, F, field, oracle=None) -> MaximalityReport:
         if all(oracle.is_acyclic(full & ~(t | u)) for u in unions):
             return MaximalityReport(False, extension=set_of(t))
     return MaximalityReport(True)
+
+
+def reference_maximal_families(X, space=None, field=GF2) -> list:
+    """The valid families, canonically ordered, that `is_maximal` accepts."""
+    oracle = AcyclicityOracle(X, field)
+    valid = enumerate_valid_families(X, space, field, oracle)
+    return [F for F in valid if is_maximal(X, F, field, oracle).is_maximal]

@@ -360,6 +360,21 @@ def test_polarize_refuses_huge_exponents_quickly(capsys, tmp_path):
     assert "200000000 variables" in err["error"]["message"]
 
 
+def test_polarize_refuses_many_long_rows_quickly(capsys, tmp_path):
+    # 400 labels in 2 variables: 64,120 polarized variables pass the
+    # variable limit, but the rows would hold 400 * 64,120 exponents
+    lab = write_doc(tmp_path, "long.json", labelling_to_dict(
+        labelling(2, [(80 * i, 32200 - 80 * i) for i in range(400)])))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "polarize", "--labelling", lab)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "guard"
+    assert err["error"]["message"] == (
+        "polarization needs 400 rows of 64120 exponents, more than 131072 "
+        "in all")
+
+
 @pytest.mark.parametrize("command, flag, doc, first", [
     ("homology", "--complex", {"n_vertices": 10 ** 8, "cells": []},
      "vertex 0 has no dimension-0 cell, nor do 99999999 more vertices"),

@@ -58,8 +58,14 @@ def commands():
                          ("homology", *cx, "--vertices", vertices),
                          ("betti", *cx, *lab)):
                 yield [*argv, "--field", field]
+    # the reflection 0<->4, 1<->3 fixes hex-squares-combined
+    cx = ("--complex", "hex-squares-combined.complex.json")
     for field in FIELDS:
-        yield ["conjecture", "selfdual", "--field", field]
+        for argv in (("enumerate", *cx), ("enumerate", *cx, "--maximal"),
+                     ("enumerate", *cx, "--maximal", "--symmetry", "chord:4"),
+                     ("conjecture", "variable-count"),
+                     ("conjecture", "selfdual")):
+            yield [*argv, "--field", field]
     for source in SPLITS:
         for target in SPLITS:
             yield ["morphism", "--from", f"{source}.family.json",

@@ -119,6 +119,10 @@ def test_polarize_refuses_past_the_union_limit():
     assert top.n_variables == UNION_LIMIT
     with pytest.raises(GuardExceeded, match=f"{UNION_LIMIT + 1} variables"):
         polarize(labelling(2, [(UNION_LIMIT, 0), (0, 1)]))
+    # two rows of UNION_LIMIT exponents fill the limit on all rows; three
+    # are over it
+    with pytest.raises(GuardExceeded, match=f"more than {2 * UNION_LIMIT}"):
+        polarize(labelling(2, [(UNION_LIMIT - 2, 0), (0, 2), (1, 1)]))
 
 
 def test_lcm_lattice_is_join_closed():

@@ -1,8 +1,11 @@
 """Family enumeration, maximality, covering checks, conjecture harnesses."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellres.search as search
 from cellres.complexes import ComplexBuilder, reduced_homology, restrict
@@ -51,6 +54,7 @@ from reference_search import (
     from_scratch_search,
     reference_connected_vertex_subsets,
     reference_is_maximal,
+    reference_maximal_families,
     reference_search,
 )
 
@@ -246,11 +250,17 @@ def test_guard_refuses_oversized_candidate_sets():
 
 
 class CountingOracle(AcyclicityOracle):
-    queries = 0
+    """Counts acyclicity queries and the ones the cache cannot answer."""
+
+    queries = misses = 0
 
     def is_acyclic(self, mask):
         self.queries += 1
         return super().is_acyclic(mask)
+
+    def _compute(self, mask):
+        self.misses += 1
+        return super()._compute(mask)
 
 
 def test_guard_refuses_after_one_candidate_past_the_limit():
@@ -435,6 +445,129 @@ def test_octagon_maximal_families_have_n_plus_k_members(n, chords, count,
     found = enumerate_maximal_families(subdivided_polygon(n, chords), SP)
     assert len(found) == count
     assert [len(F.sets) for F in found] == [members] * count
+
+
+def fan(n):
+    """The n-gon triangulated by the chords from vertex 0."""
+    return subdivided_polygon(n, tuple((0, k) for k in range(2, n - 1)))
+
+
+# case name -> complex; the search's maximal families must equal the
+# filtered valid ones
+MAXIMAL_FAMILY_CASES = {
+    **{f"{n}-gon-chords-" + "-".join(f"{a}{b}" for a, b in chords):
+       subdivided_polygon(n, chords)
+       for n, chords in VARIABLE_COUNT_INSTANCES},
+    **{f"fan-{n}-gon": fan(n) for n in range(5, 9)},
+    "12-gon-chords-03-06-09": subdivided_polygon(
+        12, ((0, 3), (0, 6), (0, 9))),
+    "10-gon-chords-03-06": subdivided_polygon(10, ((0, 3), (0, 6))),
+    "11-gon-chords-03-37": subdivided_polygon(11, ((0, 3), (3, 7))),
+    "pyramid-5-gon": pyramid(polygon_complex(5)),
+}
+
+
+def chord_symmetries(X):
+    """The chord reflections that are automorphisms of X."""
+    found = []
+    for a in range(X.n_vertices):
+        perms = chord_symmetry(X.n_vertices, a)
+        try:
+            search._check_automorphism(X, perms[1])
+        except FamilyError:
+            continue
+        found.append(perms)
+    return found
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(MAXIMAL_FAMILY_CASES))
+def test_maximal_families_match_the_filtered_valid_ones(case, field):
+    X = MAXIMAL_FAMILY_CASES[case]
+    symmetries = chord_symmetries(X)
+    assert bool(symmetries) == (case not in ("10-gon-chords-03-06",
+                                             "11-gon-chords-03-37"))
+    spaces = [SP] + [SearchSpace(symmetry=perms, max_candidates=200)
+                     for perms in symmetries[:1]]
+    for space in spaces:
+        got = enumerate_maximal_families(X, space, field)
+        assert got == reference_maximal_families(X, space, field)
+
+
+@st.composite
+def polygons_with_chords(draw):
+    """An n-gon, 4 <= n <= 8, and a set of pairwise non-crossing chords."""
+    n = draw(st.integers(4, 8))
+    diagonals = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if v - u not in (1, n - 1)]
+    chords = []
+    for u, v in draw(st.lists(st.sampled_from(diagonals), unique=True,
+                              max_size=n - 3)):
+        if not any(a < u < b < v or u < a < v < b for a, b in chords):
+            chords.append((u, v))
+    return n, tuple(chords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polygons_with_chords())
+def test_maximal_families_match_the_filter_on_random_polygons(polygon):
+    X = subdivided_polygon(*polygon)
+    for field in (GF2, RATIONAL):
+        assert (enumerate_maximal_families(X, SP, field)
+                == reference_maximal_families(X, SP, field))
+
+
+# case name -> complex; over every vertex subset as candidates, some valid
+# families have a member that is a disjoint union of others
+EVERY_SUBSET_CASES = {
+    "path-3": tree_complex(edges_to_tree(3, [(0, 1), (1, 2)])),
+    "path-4": tree_complex(edges_to_tree(4, [(0, 1), (1, 2), (2, 3)])),
+    "star-4": tree_complex(edges_to_tree(4, [(0, 1), (0, 2), (0, 3)])),
+    "chord-5-2": chord_complex(5, 2),
+}
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(EVERY_SUBSET_CASES))
+def test_maximal_search_over_every_subset_matches_the_reference_scan(
+        case, field):
+    X = EVERY_SUBSET_CASES[case]
+    cands = every_subset(X.n_vertices)
+    want = [family_key(masks) for masks in search._search(X, field, cands)
+            if reference_is_maximal(X, family(X.n_vertices, map(set_of, masks)),
+                                    field).is_maximal]
+    got = [family_key(masks)
+           for masks in search._search(X, field, cands, maximal=True)]
+    assert want and sorted(got) == sorted(want)
+
+
+def test_maximal_families_come_without_the_maximality_filter(
+        hexagon_two_chords, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search must not call this")
+    monkeypatch.setattr(search, "is_maximal", refuse)
+    monkeypatch.setattr(search, "check_family_criteria", refuse)
+    found = enumerate_maximal_families(hexagon_two_chords, SP)
+    assert sorted(as_sorted_sets(F) for F in found) == sorted(
+        sorted(f) for f in HEXAGON_MAXIMAL)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_fan_triangulations_have_two_to_the_n_minus_3_maximal_families(n):
+    assert len(enumerate_maximal_families(fan(n), SP)) == 2 ** (n - 3)
+
+
+def test_valid_and_existence_searches_make_the_same_oracle_calls(
+        hexagon_two_chords):
+    # counts from before the search could carry an excluded set: with the
+    # maximal switch off it must make exactly these queries
+    X = hexagon_two_chords
+    oracle = CountingOracle(X)
+    assert len(enumerate_valid_families(X, SP, GF2, oracle)) == 26
+    assert (oracle.queries, oracle.misses) == (1104, 62)
+    oracle = CountingOracle(X)
+    assert any_valid_family(X, SP, GF2, oracle) is not None
+    assert (oracle.queries, oracle.misses) == (506, 59)
 
 
 def test_covering_property_of_maximal_families(hexagon_two_chords,
