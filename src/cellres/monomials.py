@@ -16,7 +16,6 @@ partial order.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 
@@ -80,17 +79,24 @@ class MonomialLabelling:
             if len(m.exponents) != self.n_variables:
                 raise LabellingError(
                     f"label {m.exponents} does not have {self.n_variables} exponents")
-        for i, a in enumerate(self.labels):
-            for j, b in enumerate(self.labels):
-                if i != j and a.divides(b):
-                    raise LabellingError(
-                        f"label at vertex {i} divides label at vertex {j}")
-        used = set()
-        for m in self.labels:
-            used |= m.support()
-        missing = self.n_variables - len(used)
+        exps = [m.exponents for m in self.labels]
+        levels = _level_masks(exps)
+        at_least = [dict(per_var) for per_var in levels]
+        everyone = (1 << len(exps)) - 1
+        for i, e in enumerate(exps):
+            # label i divides the labels at or above each of its levels
+            above = everyone & ~(1 << i)
+            for p, t in enumerate(e):
+                if t:
+                    above &= at_least[p][t]
+            if above:
+                j = (above & -above).bit_length() - 1
+                raise LabellingError(
+                    f"label at vertex {i} divides label at vertex {j}")
+        missing = self.n_variables - sum(1 for per_var in levels if per_var)
         if missing > 0:
-            p = next(p for p in itertools.count() if p not in used)
+            p = next((p for p, per_var in enumerate(levels) if not per_var),
+                     len(levels))
             more = (f", nor do {missing - 1} more variables" if missing > 1
                     else "")
             raise LabellingError(f"variable {p} occurs in no label{more}")
@@ -332,6 +338,25 @@ def subfamily_unions(masks) -> set:
     return unions
 
 
+def _level_masks(exps) -> list:
+    """Per variable p, highest first: (t, A(p, t)) for each exponent t > 0
+    that occurs, where A(p, t) is the mask of the labels whose exponent of
+    p is at least t.  A variable that occurs in no label gets no levels;
+    with no labels at all the list is empty."""
+    levels = []
+    for column in zip(*exps):
+        exactly = {}
+        for v, e in enumerate(column):
+            if e:
+                exactly[e] = exactly.get(e, 0) | 1 << v
+        per_var, acc = [], 0
+        for t in sorted(exactly, reverse=True):
+            acc |= exactly[t]
+            per_var.append((t, acc))
+        levels.append(per_var)
+    return levels
+
+
 @dataclass(frozen=True)
 class LcmLattice:
     """The lcms of the nonempty sets of labels, each mapped to its support:
@@ -368,10 +393,7 @@ def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
     """
     exps = [m.exponents for m in L.labels]
     full = (1 << len(exps)) - 1
-    # per variable, highest first: (t, A(p, t)) for each exponent t > 0
-    levels = [[(t, mask_of(v for v, e in enumerate(exps) if e[p] >= t))
-               for t in sorted({e[p] for e in exps} - {0}, reverse=True)]
-              for p in range(L.n_variables)]
+    levels = _level_masks(exps)
     supports = {}
     for u in subfamily_unions(a for per_var in levels for _, a in per_var):
         support = full & ~u

@@ -162,6 +162,14 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
     and no member is a disjoint union of other members; that is exactly
     `is_maximal` over these candidates.  Without `maximal` the excluded
     set stays empty, so the search makes the same oracle calls.
+
+    The filter's answers are candidate bitsets kept per union for the
+    whole search (`short`, `tried` and `passed` below).  A child's live
+    and excluded sets are the parent's ANDed with the mask of each
+    cover-bound union, then narrowed by each fresh member union in turn,
+    so a candidate that fails one union is never asked about the next: the
+    oracle sees the restrictions a candidate-by-candidate test would ask
+    about, and each (union, candidate) question at most once.
     """
     oracle = oracle or AcyclicityOracle(X, field)
     n = X.n_vertices
@@ -174,9 +182,39 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
              for m, bits in zip(cands, separation_bits(X, cands))]
     goal = (1 << (n + len(covering_face_pairs(X)))) - 1
     # bit j of reqs[k] is set when candidate j meets requirement k
-    reqs = [sum(1 << j for j, bits in enumerate(serve) if bits >> k & 1)
-            for k in range(goal.bit_length())]
+    reqs = [0] * goal.bit_length()
+    for j, bits in enumerate(serve):
+        for k in _bits(bits):
+            reqs[k] |= 1 << j
+    # candidate bitsets, memoized over the whole search: short[u] holds the
+    # candidates c with c | u != full; tried[w] those asked whether the
+    # complement of w | c is acyclic, filled in as nodes ask, and passed[w]
+    # those that answered yes
+    short, tried, passed = {}, {}, {}
+    everyone = (1 << len(cands)) - 1
     chosen = []
+
+    def short_of(u):
+        got = short.get(u)
+        if got is None:
+            # c | u == full when c holds every vertex outside u
+            covers = everyone
+            for v in _bits(full & ~u):
+                covers &= reqs[v]
+            got = short[u] = everyone & ~covers
+        return got
+
+    def acyclic_among(w, ask):
+        asked = tried.get(w, 0)
+        new = ask & ~asked
+        if new:
+            ok = passed.get(w, 0)
+            for k in _bits(new):
+                if oracle.is_acyclic(full & ~(w | cands[k])):
+                    ok |= 1 << k
+            tried[w] = asked | new
+            passed[w] = ok
+        return ask & passed.get(w, 0)
 
     def maximal_at(joinable):
         return (all(_exact_cover_exists(cands[k], chosen)
@@ -200,15 +238,12 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
             chosen.append(m)
             fresh = {u | m for u in unions} - unions
             size = min(d - 1, len(chosen))
-            bounds = (list(cover_unions(m, chosen[:-1], size - 1)) if size
-                      else [])
-            nxt = 0
-            for k in _bits(live | excl):
-                c = cands[k]
-                if (all(c | u != full for u in bounds)
-                        and all(oracle.is_acyclic(full & ~(w | c))
-                                for w in fresh)):
-                    nxt |= 1 << k
+            nxt = live | excl
+            if size:
+                for u in cover_unions(m, chosen[:-1], size - 1):
+                    nxt &= short_of(u)
+            for w in fresh:
+                nxt = acyclic_among(w, nxt)
             yield from descend(nxt & live, nxt & ~live, unions | fresh,
                                served | serve[j])
             chosen.pop()

@@ -15,6 +15,11 @@ the library tries only connected ones and must return the same report.
 `reference_maximal_families` enumerates the valid families and keeps those
 `is_maximal` accepts; the library's search yields the maximal ones
 directly and must return the same list, in the same order.
+`reference_family_search` is the library's requirement-driven search as
+it was before it kept its filter answers as candidate bitsets: each child
+asks the cover bound and the oracle about every candidate in turn.  The
+library must yield the same families in the same order and leave the same
+restrictions in the oracle's cache.
 `reference_connected_vertex_subsets` finds those connected sets by
 flood-filling each of the 2^n vertex masks; the library grows them from
 their lowest vertex and must return the same list.
@@ -38,9 +43,11 @@ from cellres.resolution import (
     check_family_criteria,
     covering_face_pairs,
     cover_unions,
+    separation_bits,
 )
 from cellres.search import (
     MaximalityReport,
+    _bits,
     enumerate_valid_families,
     is_maximal,
 )
@@ -50,6 +57,65 @@ def reference_connected_vertex_subsets(X) -> list:
     """Masks of nonempty vertex subsets inducing a connected restriction."""
     adj = vertex_adjacency(X)
     return [m for m in range(1, 1 << X.n_vertices) if is_connected(adj, m)]
+
+
+def reference_family_search(X, field, cands, oracle=None, maximal=False):
+    """`_search` with the per-candidate filter: same families, same order."""
+    oracle = oracle or AcyclicityOracle(X, field)
+    n = X.n_vertices
+    full = (1 << n) - 1
+    d = X.dim
+    if not oracle.is_acyclic(full):
+        return
+    # requirement bits: vertex v is bit v, covering face pair k is bit n + k
+    serve = [m | bits << n
+             for m, bits in zip(cands, separation_bits(X, cands))]
+    goal = (1 << (n + len(covering_face_pairs(X)))) - 1
+    # bit j of reqs[k] is set when candidate j meets requirement k
+    reqs = [sum(1 << j for j, bits in enumerate(serve) if bits >> k & 1)
+            for k in range(goal.bit_length())]
+    chosen = []
+
+    def maximal_at(joinable):
+        return (all(_exact_cover_exists(cands[k], chosen)
+                    for k in _bits(joinable))
+                and not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
+                            for i, m in enumerate(chosen)))
+
+    def descend(live, excl, unions, served):
+        if served == goal and (not maximal or maximal_at(live | excl)):
+            yield tuple(chosen)
+        pick = None
+        for k in _bits(goal & ~served):
+            opts = reqs[k] & live
+            if pick is None or opts.bit_count() < pick.bit_count():
+                pick = opts
+                if not opts:
+                    break
+        for j in _bits(live if pick is None else pick):
+            live &= ~(1 << j)
+            m = cands[j]
+            chosen.append(m)
+            fresh = {u | m for u in unions} - unions
+            size = min(d - 1, len(chosen))
+            bounds = (list(cover_unions(m, chosen[:-1], size - 1)) if size
+                      else [])
+            nxt = 0
+            for k in _bits(live | excl):
+                c = cands[k]
+                if (all(c | u != full for u in bounds)
+                        and all(oracle.is_acyclic(full & ~(w | c))
+                                for w in fresh)):
+                    nxt |= 1 << k
+            yield from descend(nxt & live, nxt & ~live, unions | fresh,
+                               served | serve[j])
+            chosen.pop()
+            if maximal:
+                excl |= 1 << j
+
+    root = sum(1 << j for j, m in enumerate(cands)
+               if m != full and oracle.is_acyclic(full & ~m))
+    yield from descend(root, 0, {0}, 0)
 
 
 def reference_search(X, field, cands, oracle=None) -> list:

@@ -1,6 +1,7 @@
 """Monomial labellings, vertex families, reduction and refinement."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -54,11 +55,74 @@ def test_labelling_rejects_unused_variable():
                        match="^variable 1 occurs in no label, "
                              "nor do 3 more variables$"):
         labelling(5, [(1, 0, 0, 0, 0)])
+    with pytest.raises(LabellingError,
+                       match="^variable 0 occurs in no label, "
+                             "nor do 99999999 more variables$"):
+        labelling(10 ** 8, [])
 
 
 def test_labelling_rejects_negative_exponent():
     with pytest.raises(LabellingError):
         labelling(2, [(1, 0), (0, -1)])
+
+
+def pairwise_labelling_error(n_variables, rows):
+    """The labelling checks made by testing every ordered pair of labels;
+    the message of the first failing check, or None."""
+    labels = [monomial(*r) for r in rows]
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            if i != j and a.divides(b):
+                return f"label at vertex {i} divides label at vertex {j}"
+    used = set()
+    for m in labels:
+        used |= m.support()
+    missing = n_variables - len(used)
+    if missing > 0:
+        p = next(p for p in itertools.count() if p not in used)
+        more = (f", nor do {missing - 1} more variables" if missing > 1
+                else "")
+        return f"variable {p} occurs in no label{more}"
+    return None
+
+
+@st.composite
+def labelling_rows(draw):
+    k = draw(st.integers(0, 3))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * k),
+                         min_size=1, max_size=4))
+    # rows come from a small pool, so duplicates are common
+    return k, draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelling_rows())
+def test_labelling_checks_match_the_pairwise_checks(case):
+    k, rows = case
+    want = pairwise_labelling_error(k, rows)
+    if want is None:
+        assert labelling(k, rows).n_vertices == len(rows)
+    else:
+        with pytest.raises(LabellingError) as err:
+            labelling(k, rows)
+        assert str(err.value) == want
+
+
+def test_labelling_names_the_first_dividing_pair():
+    with pytest.raises(LabellingError,
+                       match="^label at vertex 1 divides label at vertex 3$"):
+        labelling(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 0)])
+    with pytest.raises(LabellingError,
+                       match="^label at vertex 0 divides label at vertex 2$"):
+        labelling(2, [(1, 0), (0, 2), (1, 1)])
+
+
+def test_many_unit_monomials_construct_quickly():
+    rows = [tuple(int(p == v) for p in range(600)) for v in range(600)]
+    start = time.perf_counter()
+    L = labelling(600, rows)
+    assert time.perf_counter() - start < 0.5
+    assert L.n_vertices == 600 and L.is_squarefree()
 
 
 def test_family_rejects_empty_member():

@@ -52,6 +52,7 @@ from cellres.search import (
 )
 from reference_search import (
     from_scratch_search,
+    reference_family_search,
     reference_connected_vertex_subsets,
     reference_is_maximal,
     reference_maximal_families,
@@ -559,15 +560,45 @@ def test_fan_triangulations_have_two_to_the_n_minus_3_maximal_families(n):
 
 def test_valid_and_existence_searches_make_the_same_oracle_calls(
         hexagon_two_chords):
-    # counts from before the search could carry an excluded set: with the
-    # maximal switch off it must make exactly these queries
+    # with the maximal switch off both searches make exactly these calls;
+    # the misses are those of the search before it carried an excluded set
+    # or kept candidate bitsets, the queries only the ones those bitsets
+    # leave to ask (1,104 and 506 before them)
     X = hexagon_two_chords
     oracle = CountingOracle(X)
     assert len(enumerate_valid_families(X, SP, GF2, oracle)) == 26
-    assert (oracle.queries, oracle.misses) == (1104, 62)
+    assert (oracle.queries, oracle.misses) == (703, 62)
     oracle = CountingOracle(X)
     assert any_valid_family(X, SP, GF2, oracle) is not None
-    assert (oracle.queries, oracle.misses) == (506, 59)
+    assert (oracle.queries, oracle.misses) == (474, 59)
+
+
+BITSET_FILTER_CASES = {
+    "bipyramid-4": lambda: bipyramid_complex(4),
+    "bipyramid-5": lambda: bipyramid_complex(5),
+    **{f"pyramid-{n}-gon": (lambda n=n: pyramid(polygon_complex(n)))
+       for n in range(5, 9)},
+    "elongated-triangle-pyramid":
+        lambda: elongated_pyramid(polygon_complex(3)),
+    "hexagon-chords-15-35":
+        lambda: subdivided_polygon(6, ((1, 5), (3, 5))),
+}
+
+
+@pytest.mark.parametrize("maximal", [False, True], ids=["valid", "maximal"])
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(BITSET_FILTER_CASES))
+def test_bitset_filter_matches_the_per_candidate_filter(case, field, maximal):
+    X = BITSET_FILTER_CASES[case]()
+    cands = search._candidate_masks(X, SP, AcyclicityOracle(X, field))
+    got_oracle = AcyclicityOracle(X, field)
+    want_oracle = AcyclicityOracle(X, field)
+    got = list(search._search(X, field, cands, got_oracle, maximal))
+    want = list(reference_family_search(X, field, cands, want_oracle,
+                                        maximal))
+    assert got == want
+    # the same restrictions reach the oracle, so it misses on the same ones
+    assert got_oracle.touched() == want_oracle.touched()
 
 
 def test_covering_property_of_maximal_families(hexagon_two_chords,
