@@ -146,6 +146,14 @@ def _symmetry(spec_text: str, X):
                    "use none, dihedral, or chord:A")
 
 
+def nonnegative_int(text: str) -> int:
+    """Option type for counts; argparse names it when int() fails."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 0, got {value}")
+    return value
+
+
 # parse_args leaves the parser unchanged, so one parser serves every call
 # of main in a process; building it costs more than a whole guard refusal
 @functools.cache
@@ -185,7 +193,7 @@ def _build_parser() -> _Parser:
                    help="keep only maximal families")
     p.add_argument("--symmetry", default="none",
                    help="none | dihedral | chord:A")
-    p.add_argument("--max-candidates", type=int, default=60)
+    p.add_argument("--max-candidates", type=nonnegative_int, default=60)
     # ignored: bench/workloads.py jobs_ops still passes --jobs 2
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
 
@@ -211,7 +219,7 @@ def _build_parser() -> _Parser:
 
     p = cmd("conjecture", help="evidence tables for the open conjectures")
     p.add_argument("kind", choices=["variable-count", "selfdual"])
-    p.add_argument("--max-candidates", type=int, default=200)
+    p.add_argument("--max-candidates", type=nonnegative_int, default=200)
 
     return top
 

@@ -162,9 +162,17 @@ def mask_of(vertices) -> int:
     return m
 
 
+def iter_bits(mask: int):
+    """Indices of the set bits of a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def set_of(mask: int) -> frozenset:
     """Vertex set of a bitmask; inverse of mask_of."""
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    return frozenset(iter_bits(mask))
 
 
 def family_of(L: MonomialLabelling) -> VertexFamily:

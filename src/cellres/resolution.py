@@ -30,12 +30,13 @@ from .complexes import (
     restrict,
     vertex_adjacency,
 )
-from .linalg import GF2, FieldSpec
+from .linalg import GF2, FieldSpec, gf2_rank
 from .monomials import (
     FamilyError,
     Monomial,
     MonomialLabelling,
     VertexFamily,
+    iter_bits,
     lcm_lattice,
     mask_of,
     set_of,
@@ -59,9 +60,20 @@ class AcyclicityOracle:
 
     Queries take a vertex bitmask.  Results are cached; the cache also
     serves as the record of which restrictions a run has touched, which the
-    test suite replays over other fields.  Cheap necessary conditions
-    (reduced Euler characteristic, connectivity) run before any rank
-    computation.
+    test suite replays over other fields.
+
+    The complex is packed once into bitsets over cell ids: the star of
+    each vertex, the cells of each dimension, the boundary of each cell.
+    On a miss the cells inside the mask are those in no star of a vertex
+    outside it, and the checks run in this order: the reduced Euler
+    characteristic (popcounts), connectivity of the 1-skeleton, then, for
+    restrictions of dimension 2 or more, one GF(2) elimination of the
+    boundary bitsets, in cell-id coordinates.  Over Q that elimination is
+    a certificate: by the universal coefficient theorem (Hatcher,
+    Algebraic Topology, Thm 3A.3) dim H_k(C; Q) <= dim H_k(C; F_2) for a
+    finite complex of free abelian groups, so a restriction acyclic over
+    GF(2) is acyclic over Q.  Only the rest, such as a projective plane
+    with its 2-torsion, goes on to exact elimination over Q.
     """
 
     def __init__(self, X: CellComplex, field: FieldSpec = GF2):
@@ -71,8 +83,17 @@ class AcyclicityOracle:
         self.X = X
         self.field = field
         self.full_mask = (1 << X.n_vertices) - 1
-        self._top = X.dim
-        self._cells = [(mask_of(c.vertices), c) for c in X.cells]
+        self._star = [0] * X.n_vertices
+        self._dims = [0] * (X.dim + 1)
+        for c in X.cells:
+            for v in c.vertices:
+                self._star[v] |= 1 << c.id
+            self._dims[c.dim] |= 1 << c.id
+        # the bitsets of distinct dimensions are disjoint: sum is union
+        self._all = sum(self._dims)
+        self._even = sum(self._dims[0::2])
+        self._upper = sum(self._dims[2:])
+        self._boundary = [mask_of(b for b, _ in c.boundary) for c in X.cells]
         self._adj = vertex_adjacency(X)
         self._verdicts = {}
 
@@ -87,20 +108,35 @@ class AcyclicityOracle:
         return got
 
     def _compute(self, mask: int) -> bool:
-        by_dim = [[] for _ in range(self._top + 1)]
-        for vm, c in self._cells:
-            if vm & ~mask == 0:
-                by_dim[c.dim].append(c)
-        while by_dim and not by_dim[-1]:
-            by_dim.pop()
-        if not by_dim:
+        outside = 0
+        for v in iter_bits(self.full_mask & ~mask):
+            outside |= self._star[v]
+        inside = self._all & ~outside
+        if not inside:
             return True  # void restriction
-        if sum((-1) ** d * len(cells) for d, cells in enumerate(by_dim)) != 1:
+        size = inside.bit_count()
+        if 2 * (inside & self._even).bit_count() - size != 1:
             return False  # nonzero reduced Euler characteristic
-        if len(by_dim[0]) > 1 and not is_connected(self._adj, mask):
+        f0 = (inside & self._dims[0]).bit_count()
+        if f0 > 1 and not is_connected(self._adj, mask):
             return False
-        # a connected graph with reduced Euler characteristic zero is a tree
-        return len(by_dim) <= 2 or not reduced_betti(by_dim, self.field)
+        upper = inside & self._upper
+        if not upper:
+            # a connected graph with reduced Euler characteristic 0 is a tree
+            return True
+        # the reduced Betti numbers from dimension 1 up are >= 0 and sum to
+        # f_1 + ... + f_top - r_1 - 2(r_2 + ... + r_top), r_d the rank of
+        # the boundary on d-cells; r_1 = f_0 - 1 when connected, and one
+        # elimination yields r_2 + ... as boundaries of distinct
+        # dimensions meet disjoint cell ids
+        if 2 * gf2_rank(self._boundary[i] for i in iter_bits(upper)) \
+                == size - 2 * f0 + 1:
+            return True
+        if not self.field.is_rational:
+            return False
+        return not reduced_betti(
+            [[self.X.cells[i] for i in iter_bits(inside & cells)]
+             for cells in self._dims], self.field)
 
 
 def cover_unions(base: int, masks, k: int):

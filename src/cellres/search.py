@@ -46,6 +46,7 @@ from .monomials import (
     GuardExceeded,
     VertexFamily,
     _exact_cover_exists,
+    iter_bits,
     member_key,
     reduce_family,
     set_of,
@@ -125,14 +126,6 @@ def _candidate_masks(X: CellComplex, space: SearchSpace,
     return tuple(sorted(masks, key=_mask_sort_key))
 
 
-def _bits(x: int):
-    """Indices of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        x ^= low
-        yield low.bit_length() - 1
-
-
 def _search(X: CellComplex, field: FieldSpec, cands: tuple,
             oracle: AcyclicityOracle = None, maximal: bool = False):
     """Yield every valid family over a fixed candidate list, exactly once;
@@ -184,7 +177,7 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
     # bit j of reqs[k] is set when candidate j meets requirement k
     reqs = [0] * goal.bit_length()
     for j, bits in enumerate(serve):
-        for k in _bits(bits):
+        for k in iter_bits(bits):
             reqs[k] |= 1 << j
     # candidate bitsets, memoized over the whole search: short[u] holds the
     # candidates c with c | u != full; tried[w] those asked whether the
@@ -199,7 +192,7 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
         if got is None:
             # c | u == full when c holds every vertex outside u
             covers = everyone
-            for v in _bits(full & ~u):
+            for v in iter_bits(full & ~u):
                 covers &= reqs[v]
             got = short[u] = everyone & ~covers
         return got
@@ -209,7 +202,7 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
         new = ask & ~asked
         if new:
             ok = passed.get(w, 0)
-            for k in _bits(new):
+            for k in iter_bits(new):
                 if oracle.is_acyclic(full & ~(w | cands[k])):
                     ok |= 1 << k
             tried[w] = asked | new
@@ -218,7 +211,7 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
 
     def maximal_at(joinable):
         return (all(_exact_cover_exists(cands[k], chosen)
-                    for k in _bits(joinable))
+                    for k in iter_bits(joinable))
                 and not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
                             for i, m in enumerate(chosen)))
 
@@ -226,13 +219,13 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
         if served == goal and (not maximal or maximal_at(live | excl)):
             yield tuple(chosen)
         pick = None
-        for k in _bits(goal & ~served):
+        for k in iter_bits(goal & ~served):
             opts = reqs[k] & live
             if pick is None or opts.bit_count() < pick.bit_count():
                 pick = opts
                 if not opts:
                     break
-        for j in _bits(live if pick is None else pick):
+        for j in iter_bits(live if pick is None else pick):
             live &= ~(1 << j)
             m = cands[j]
             chosen.append(m)

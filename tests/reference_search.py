@@ -33,6 +33,7 @@ from cellres.monomials import (
     FamilyError,
     VertexFamily,
     _exact_cover_exists,
+    iter_bits,
     mask_of,
     reduce_family,
     set_of,
@@ -47,7 +48,6 @@ from cellres.resolution import (
 )
 from cellres.search import (
     MaximalityReport,
-    _bits,
     enumerate_valid_families,
     is_maximal,
 )
@@ -78,7 +78,7 @@ def reference_family_search(X, field, cands, oracle=None, maximal=False):
 
     def maximal_at(joinable):
         return (all(_exact_cover_exists(cands[k], chosen)
-                    for k in _bits(joinable))
+                    for k in iter_bits(joinable))
                 and not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
                             for i, m in enumerate(chosen)))
 
@@ -86,13 +86,13 @@ def reference_family_search(X, field, cands, oracle=None, maximal=False):
         if served == goal and (not maximal or maximal_at(live | excl)):
             yield tuple(chosen)
         pick = None
-        for k in _bits(goal & ~served):
+        for k in iter_bits(goal & ~served):
             opts = reqs[k] & live
             if pick is None or opts.bit_count() < pick.bit_count():
                 pick = opts
                 if not opts:
                     break
-        for j in _bits(live if pick is None else pick):
+        for j in iter_bits(live if pick is None else pick):
             live &= ~(1 << j)
             m = cands[j]
             chosen.append(m)
@@ -101,7 +101,7 @@ def reference_family_search(X, field, cands, oracle=None, maximal=False):
             bounds = (list(cover_unions(m, chosen[:-1], size - 1)) if size
                       else [])
             nxt = 0
-            for k in _bits(live | excl):
+            for k in iter_bits(live | excl):
                 c = cands[k]
                 if (all(c | u != full for u in bounds)
                         and all(oracle.is_acyclic(full & ~(w | c))

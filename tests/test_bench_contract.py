@@ -17,6 +17,7 @@ import cellres.complexes as complexes
 import cellres.resolution as resolution
 from cellres.constructions import fixture, polygon_complex, pyramid
 from cellres.linalg import GF2, RATIONAL
+from test_resolution import projective_plane
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -59,23 +60,36 @@ def test_tracer_counts_rank_calls_on_every_route_and_uninstalls():
         Y, L = fixture("pyramid-pentagon")
         fc = resolution.build_free_complex(Y, L)
         top = tuple(max(e) for e in zip(*(m.exponents for m in L.labels)))
+        P = projective_plane()
+        # route -> (call, {field: rank kinds the call raises}); an oracle
+        # miss certifies acyclicity over Q by GF(2) ranks alone, and only
+        # the projective plane, cyclic over GF(2) but acyclic over Q, goes
+        # on to exact elimination over Q
+        plain = {GF2: {"rank_gf2"}, RATIONAL: {"rank_q"}}
         routes = {
-            "oracle miss": lambda field: resolution.AcyclicityOracle(
+            "oracle miss": (lambda field: resolution.AcyclicityOracle(
                 X, field).is_acyclic(full),
-            "reduced_homology": lambda field: complexes.reduced_homology(
-                X, field).acyclic,
-            "strand_ranks": lambda field: resolution.strand_ranks(
-                fc, top, field) == (0,) * len(fc.multidegrees),
+                {GF2: {"rank_gf2"}, RATIONAL: {"rank_gf2"}}),
+            "oracle miss, Q fallback": (
+                lambda field: resolution.AcyclicityOracle(
+                    P, field).is_acyclic((1 << P.n_vertices) - 1),
+                {RATIONAL: {"rank_gf2", "rank_q"}}),
+            "reduced_homology": (lambda field: complexes.reduced_homology(
+                X, field).acyclic, plain),
+            "strand_ranks": (lambda field: resolution.strand_ranks(
+                fc, top, field) == (0,) * len(fc.multidegrees), plain),
         }
-        for route, call in routes.items():
-            for field, kind in ((GF2, "rank_gf2"), (RATIONAL, "rank_q")):
-                seen = rank_counts(tracer)[kind]
+        for route, (call, raises) in routes.items():
+            for field, kinds in raises.items():
+                seen = rank_counts(tracer)
                 assert call(field), route
-                assert rank_counts(tracer)[kind] > seen, (route, kind)
+                now = rank_counts(tracer)
+                assert {k for k in now if now[k] > seen[k]} == kinds, \
+                    (route, field)
         metrics = tracer.metrics()
         assert metrics["linalg.rank_calls_gf2"] > 0
         assert metrics["linalg.rank_calls_q"] > 0
-        assert metrics["resolution.oracle_misses"] == 2
+        assert metrics["resolution.oracle_misses"] == 3
     finally:
         tracer.uninstall()
     after = bindings(tracing)

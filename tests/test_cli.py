@@ -556,6 +556,31 @@ def test_bad_flag_value_is_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["-1", "x"])
+@pytest.mark.parametrize("command", ["enumerate", "conjecture"])
+def test_bad_max_candidates_is_exit_3(capsys, tmp_path, command, value):
+    # refused while parsing, before any input is read or any guard compares
+    # a candidate count with it
+    if command == "enumerate":
+        cx = write_doc(tmp_path, "pent.json",
+                       complex_to_dict(polygon_complex(5)))
+        argv = ["enumerate", "--complex", cx]
+    else:
+        argv = ["conjecture", "variable-count"]
+    code, out, err = run(capsys, *argv, "--max-candidates", value)
+    assert code == 3 and out is None
+    assert err["error"]["type"] == "CliError"
+    assert "--max-candidates" in err["error"]["message"]
+
+
+def test_zero_max_candidates_is_a_guard_refusal(capsys, tmp_path):
+    cx = write_doc(tmp_path, "pent.json", complex_to_dict(polygon_complex(5)))
+    code, out, err = run(capsys, "enumerate", "--complex", cx,
+                         "--max-candidates", "0")
+    assert code == 2 and out is None
+    assert err["error"]["message"].startswith("more than 0 candidate sets")
+
+
 def test_conjecture_rejects_the_jobs_flag(capsys):
     code, out, err = run(capsys, "conjecture", "variable-count",
                          "--jobs", "2")

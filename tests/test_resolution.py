@@ -6,14 +6,23 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cellres.complexes import ComplexBuilder, reduced_homology, restrict
+import cellres.resolution as resolution
+from cellres.complexes import (
+    ComplexBuilder,
+    assign_signs,
+    reduced_homology,
+    restrict,
+)
 from cellres.constructions import (
     all_arcs,
     bipyramid_complex,
     chord_complex,
     chord_families,
     edges_to_tree,
+    elongated_pyramid,
     fixture,
     fixture_catalogue,
     polygon_complex,
@@ -21,6 +30,7 @@ from cellres.constructions import (
     pyramid,
     subdivided_polygon,
     tree_complex,
+    wheel_polytope,
 )
 from cellres.linalg import GF2, RATIONAL
 from cellres.monomials import (
@@ -46,12 +56,14 @@ from cellres.resolution import (
     multidegree,
     strand_matches_homology,
 )
+from cellres.search import SearchSpace, any_valid_family
 from reference_lattice import (
     divisibility_mask,
     reference_check_cellular_resolution,
     reference_lcm_lattice,
 )
 from test_acceptance import TWELVE_GON_SIXTEEN
+from test_search import polygons_with_chords
 
 
 def strand_oracle(X, L, b, field=GF2) -> bool:
@@ -80,6 +92,26 @@ def path_on_three():
 
 def star_on_three():
     return tree_complex(edges_to_tree(3, [(0, 1), (0, 2)]))
+
+
+# the six-vertex real projective plane: a cone from 0 over the pentagon
+# 1..5, closed up by the five triangles on the pentagram's edges
+PROJECTIVE_PLANE = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3))
+
+
+def projective_plane():
+    """Signed 10-triangle RP^2: H_1 and H_2 are GF(2), nothing over Q."""
+    b = ComplexBuilder(6)
+    edge = {}
+    for t in PROJECTIVE_PLANE:
+        for e in itertools.combinations(sorted(t), 2):
+            if e not in edge:
+                edge[e] = b.add_cell(1, e, ((e[0], 0), (e[1], 0)))
+    for t in PROJECTIVE_PLANE:
+        b.add_cell(2, t, tuple((edge[e], 0)
+                               for e in itertools.combinations(sorted(t), 2)))
+    return assign_signs(b.build())
 
 
 def squares_labelling():
@@ -222,13 +254,68 @@ def test_acyclicity_oracle_caches_and_agrees_with_fields():
     # on every mask the short-circuits and the rank kernel agree with the
     # homology of the restriction
     for X in (chord_complex(6, 2), pyramid(polygon_complex(5)),
-              bipyramid_complex(4), subdivided_polygon(6, ((1, 5), (3, 5)))):
+              bipyramid_complex(4), subdivided_polygon(6, ((1, 5), (3, 5))),
+              projective_plane(), wheel_polytope(4),
+              elongated_pyramid(polygon_complex(3))):
         for field in (GF2, RATIONAL):
             oracle = AcyclicityOracle(X, field)
             for mask in range(1 << X.n_vertices):
-                restriction = restrict(X, set_of(mask))
-                assert oracle.is_acyclic(mask) == \
-                    reduced_homology(restriction, field).acyclic
+                assert_oracle_matches_homology(oracle, mask)
+
+
+def assert_oracle_matches_homology(oracle, mask):
+    restriction = restrict(oracle.X, set_of(mask))
+    assert oracle.is_acyclic(mask) == \
+        reduced_homology(restriction, oracle.field).acyclic, mask
+
+
+def test_projective_plane_is_acyclic_over_q_only():
+    P = projective_plane()
+    assert P.f_vector() == (6, 15, 10)
+    assert reduced_homology(P, GF2).reduced_betti == {1: 1, 2: 1}
+    full = (1 << 6) - 1
+    assert not AcyclicityOracle(P, GF2).is_acyclic(full)
+    assert AcyclicityOracle(P, RATIONAL).is_acyclic(full)
+
+
+def test_rational_existence_search_needs_no_exact_elimination(monkeypatch):
+    # the pyramid over the 8-gon admits no valid family, so the search
+    # exhausts its tree; every cone it asks about is acyclic over GF(2)
+    # already, so the rational search asks the same questions and never
+    # eliminates over Q
+    X = pyramid(polygon_complex(8))
+    calls = []
+    betti = resolution.reduced_betti
+    monkeypatch.setattr(resolution, "reduced_betti",
+                        lambda *a: calls.append(a) or betti(*a))
+    misses = {}
+    for field in (GF2, RATIONAL):
+        oracle = AcyclicityOracle(X, field)
+        assert any_valid_family(X, SearchSpace(max_candidates=200), field,
+                                oracle=oracle) is None
+        misses[field] = oracle.touched()
+    assert misses[GF2] == misses[RATIONAL]
+    assert len(misses[GF2]) > 100
+    assert calls == []
+
+
+@st.composite
+def random_mask_cases(draw):
+    """A pyramid over an n-gon (4 <= n <= 8) cut by non-crossing chords,
+    or a bipyramid over 3 to 6 vertices, and one vertex mask on it."""
+    if draw(st.booleans()):
+        X = pyramid(subdivided_polygon(*draw(polygons_with_chords())))
+    else:
+        X = bipyramid_complex(draw(st.integers(3, 6)))
+    return X, draw(st.integers(0, (1 << X.n_vertices) - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_mask_cases())
+def test_oracle_matches_homology_on_random_masks(case):
+    X, mask = case
+    for field in (GF2, RATIONAL):
+        assert_oracle_matches_homology(AcyclicityOracle(X, field), mask)
 
 
 def test_family_criteria_report_fields():
