@@ -545,6 +545,29 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, command, flag, doc):
     assert err["error"]["type"] == "SerializationError"
 
 
+ENTRY_MESSAGE = "cell 2: boundary entries are [cell_id, sign] with sign in -1/0/+1"
+
+
+@pytest.mark.parametrize("cell,key,value,message", [
+    (1, "extra", 0,
+     "cell #1 needs exactly the keys id, dim, vertices, boundary"),
+    (1, "id", 2, "cell ids must be dense and ordered; cell #1 has id 2"),
+    (0, "dim", True, "cell 0: dim must be a non-negative integer"),
+    (0, "vertices", [True], "cell 0: vertices must be a list of integers"),
+    (2, "boundary", {"0": -1}, "cell 2: boundary must be a list"),
+    (2, "boundary", [[0, -1, 0], [1, 1]], ENTRY_MESSAGE),
+    (2, "boundary", [[0, True], [1, 1]], ENTRY_MESSAGE),
+    (2, "boundary", [[0, -1], [1, 2]], ENTRY_MESSAGE),
+], ids=["keys", "id-order", "bool-dim", "bool-vertex", "boundary-type",
+        "triple", "bool-sign", "sign-2"])
+def test_malformed_cells_name_the_cell_and_the_fault(capsys, tmp_path, cell,
+                                                     key, value, message):
+    path = write_doc(tmp_path, "doc.json", _edge_complex(cell, key, value))
+    code, out, err = run(capsys, "homology", "--complex", path)
+    assert code == 3 and out is None
+    assert err["error"] == {"type": "SerializationError", "message": message}
+
+
 def test_no_subcommand_is_exit_3(capsys):
     code, out, err = run(capsys)
     assert code == 3

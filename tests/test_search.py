@@ -573,6 +573,20 @@ def test_valid_and_existence_searches_make_the_same_oracle_calls(
     assert (oracle.queries, oracle.misses) == (474, 59)
 
 
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("X,calls", [
+    (bipyramid_complex(5), (7483, 128)),
+    (pyramid(polygon_complex(8)), (4734, 387)),
+], ids=["bipyramid-5", "pyramid-8-gon"])
+def test_existence_search_asks_the_oracle_a_fixed_set_of_questions(X, calls,
+                                                                   field):
+    # the (queries, misses) of the search that kept candidate bitsets; a
+    # faster engine must ask exactly these questions and miss on these masks
+    oracle = CountingOracle(X, field)
+    assert any_valid_family(X, SP, field, oracle) is None
+    assert (oracle.queries, oracle.misses) == calls
+
+
 BITSET_FILTER_CASES = {
     "bipyramid-4": lambda: bipyramid_complex(4),
     "bipyramid-5": lambda: bipyramid_complex(5),
