@@ -58,9 +58,11 @@ def f_symmetry(X: CellComplex) -> bool:
 class AcyclicityOracle:
     """Memoized acyclicity of vertex-induced restrictions of one complex.
 
-    Queries take a vertex bitmask.  Results are cached; the cache also
-    serves as the record of which restrictions a run has touched, which the
-    test suite replays over other fields.
+    Queries take a vertex bitmask, one at a time (`is_acyclic`) or as a
+    batch of candidates removed together with one union (`acyclic_bits`).
+    Results are cached under the mask asked; the cache also serves as the
+    record of which restrictions a run has touched, which the test suite
+    replays over other fields.
 
     The complex is packed once into bitsets over cell ids: the star of
     each vertex, the cells of each dimension, the boundary of each cell.
@@ -107,10 +109,35 @@ class AcyclicityOracle:
             self._verdicts[mask] = got
         return got
 
+    def acyclic_bits(self, out: int, masks, bits: int) -> int:
+        """The bits k of `bits` for which the restriction to the vertices
+        outside out | masks[k] is acyclic.
+
+        Each question is the one `is_acyclic(full & ~(out | masks[k]))`
+        asks, answered from and stored in the same cache, so a search asks
+        about one union and many candidates in one call.
+        """
+        verdicts = self._verdicts
+        keep = self.full_mask & ~out
+        ok = 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            mask = keep & ~masks[low.bit_length() - 1]
+            got = verdicts.get(mask)
+            if got is None:
+                got = verdicts[mask] = self._compute(mask)
+            if got:
+                ok |= low
+        return ok
+
     def _compute(self, mask: int) -> bool:
         outside = 0
-        for v in iter_bits(self.full_mask & ~mask):
-            outside |= self._star[v]
+        rest = self.full_mask & ~mask
+        while rest:
+            low = rest & -rest
+            outside |= self._star[low.bit_length() - 1]
+            rest ^= low
         inside = self._all & ~outside
         if not inside:
             return True  # void restriction
@@ -129,8 +156,12 @@ class AcyclicityOracle:
         # the boundary on d-cells; r_1 = f_0 - 1 when connected, and one
         # elimination yields r_2 + ... as boundaries of distinct
         # dimensions meet disjoint cell ids
-        if 2 * gf2_rank(self._boundary[i] for i in iter_bits(upper)) \
-                == size - 2 * f0 + 1:
+        rows = []
+        while upper:
+            low = upper & -upper
+            rows.append(self._boundary[low.bit_length() - 1])
+            upper ^= low
+        if 2 * gf2_rank(rows) == size - 2 * f0 + 1:
             return True
         if not self.field.is_rational:
             return False
@@ -188,22 +219,28 @@ def covering_face_pairs(X: CellComplex) -> list:
     return pairs
 
 
-def separation_bits(X: CellComplex, masks) -> list:
-    """Per vertex mask, the bitset of covering face pairs it separates.
+def requirement_rows(X: CellComplex, masks) -> list:
+    """Which masks meet each requirement on a valid family, as bitsets.
 
-    Bit k is set when the mask misses the smaller cell of pair k of
-    covering_face_pairs(X) and meets the larger one.
+    Bit j of row v is set when masks[j] holds vertex v.  Bit j of row
+    n + k is set when masks[j] misses the smaller cell of pair k of
+    covering_face_pairs(X) and meets the larger one: meet[c], the OR of
+    the vertex rows of cell c, holds the masks meeting c.
     """
-    cells = [mask_of(c.vertices) for c in X.cells]
-    pairs = [(cells[b], cells[cid]) for b, cid in covering_face_pairs(X)]
-    out = []
-    for m in masks:
-        bits = 0
-        for k, (small, big) in enumerate(pairs):
-            if m & small == 0 and m & big:
-                bits |= 1 << k
-        out.append(bits)
-    return out
+    rows = [0] * X.n_vertices
+    for j, m in enumerate(masks):
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    meet = []
+    for c in X.cells:
+        got = 0
+        for v in c.vertices:
+            got |= rows[v]
+        meet.append(got)
+    return rows + [meet[big] & ~meet[small]
+                   for small, big in covering_face_pairs(X)]
 
 
 def require_family_on(X: CellComplex, F: VertexFamily):
@@ -247,21 +284,14 @@ def check_family_criteria(X: CellComplex, F: VertexFamily,
             complements_acyclic, union_witness = False, set_of(u)
             break
 
-    separated = 0
-    for bits in separation_bits(X, masks):
-        separated |= bits
-    unseparated = [p for k, p in enumerate(covering_face_pairs(X))
-                   if not separated >> k & 1]
-    face_separation = not unseparated
-    separation_witness = unseparated[0] if unseparated else None
-
-    covered = 0
-    for m in masks:
-        covered |= m
-    covers_vertices = covered == full
-    uncovered = None
-    if not covers_vertices:
-        uncovered = min(set_of(full & ~covered))
+    # a zero row is a requirement no member meets
+    rows = requirement_rows(X, masks)
+    n = X.n_vertices
+    uncovered = next((v for v in range(n) if not rows[v]), None)
+    covers_vertices = uncovered is None
+    separation_witness = next((p for p, row in zip(covering_face_pairs(X),
+                                                   rows[n:]) if not row), None)
+    face_separation = separation_witness is None
 
     return FamilyCriteriaReport(
         cover_bound, complements_acyclic, face_separation, covers_vertices,

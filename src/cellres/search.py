@@ -12,9 +12,10 @@ new member are run.  While a requirement is unmet the engine branches on
 the live candidates serving the unmet requirement with the fewest of them
 (the minimum-remaining-values rule of Knuth's Algorithm X), so a subtree
 ends as soon as some requirement has no live candidate left.
-Requirements are one bitset per candidate (a bit per vertex it covers and
-per covering face pair it separates), and the cover bound comes from the
-shared `cover_unions`.
+Requirements are rows over the candidates, from `requirement_rows`: row k
+holds the candidates meeting requirement k, and each node keeps the rows
+its members leave unmet.  The cover bound comes from the shared
+`cover_unions`.
 
 The candidates are the vertex sets that can be members at all: nonempty,
 connected, with acyclic complement.  They are grown from their lowest
@@ -46,7 +47,6 @@ from .monomials import (
     GuardExceeded,
     VertexFamily,
     _exact_cover_exists,
-    iter_bits,
     member_key,
     reduce_family,
     set_of,
@@ -55,10 +55,9 @@ from .monomials import (
 from .resolution import (
     AcyclicityOracle,
     check_family_criteria,
-    covering_face_pairs,
     cover_unions,
     f_symmetry,
-    separation_bits,
+    requirement_rows,
 )
 
 
@@ -135,17 +134,18 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
     the visit order is not part of the contract.
 
     A node holds the chosen members, their subfamily unions, the
-    requirements they meet and the live set: the candidates that can still
-    join without breaking the cover bound or the acyclic-complement
-    condition.  Both conditions are closed under subfamilies, so a child
-    filters its parent's live set by what the newest member adds alone:
-    the cover-bound unions that contain it and the member unions it
-    creates.  While a requirement is unmet, the options are the live
-    candidates serving the unmet requirement with the fewest of them (ties
-    to the lowest requirement bit), and none at all when that requirement
-    has no live candidate.  Once every requirement is met, the node is a
-    valid family and the options are the whole live set.  Branch i adds
-    option i and bans options 0..i-1, so no family is reached twice.
+    requirement rows they leave unmet, in requirement order, and the live
+    set: the candidates that can still join without breaking the cover
+    bound or the acyclic-complement condition.  Both conditions are closed
+    under subfamilies, so a child filters its parent's live set by what
+    the newest member adds alone: the cover-bound unions that contain it
+    and the member unions it creates; it keeps the unmet rows the new
+    member does not serve.  While a row is unmet, the options are its live
+    candidates for the first unmet row with the fewest of them, and none
+    at all when that row has no live candidate.  Once no row is unmet, the
+    node is a valid family and the options are the whole live set.  Branch
+    i adds option i and bans options 0..i-1, so no family is reached
+    twice.
 
     With `maximal`, a node also carries the excluded set of Bron and
     Kerbosch (CACM 16(9), 1973): the banned options that could still join,
@@ -162,23 +162,17 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
     cover-bound union, then narrowed by each fresh member union in turn,
     so a candidate that fails one union is never asked about the next: the
     oracle sees the restrictions a candidate-by-candidate test would ask
-    about, and each (union, candidate) question at most once.
+    about, and each (union, candidate) question at most once.  The new
+    questions about one union go to the oracle in one `acyclic_bits` call.
     """
     oracle = oracle or AcyclicityOracle(X, field)
-    n = X.n_vertices
-    full = (1 << n) - 1
+    full = (1 << X.n_vertices) - 1
     d = X.dim
     if not oracle.is_acyclic(full):
         return
-    # requirement bits: vertex v is bit v, covering face pair k is bit n + k
-    serve = [m | bits << n
-             for m, bits in zip(cands, separation_bits(X, cands))]
-    goal = (1 << (n + len(covering_face_pairs(X)))) - 1
-    # bit j of reqs[k] is set when candidate j meets requirement k
-    reqs = [0] * goal.bit_length()
-    for j, bits in enumerate(serve):
-        for k in iter_bits(bits):
-            reqs[k] |= 1 << j
+    # bit j of reqs[k] is set when candidate j meets requirement k: vertex
+    # k for k < n, covering face pair k - n after that
+    reqs = requirement_rows(X, cands)
     # candidate bitsets, memoized over the whole search: short[u] holds the
     # candidates c with c | u != full; tried[w] those asked whether the
     # complement of w | c is acyclic, filled in as nodes ask, and passed[w]
@@ -192,8 +186,11 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
         if got is None:
             # c | u == full when c holds every vertex outside u
             covers = everyone
-            for v in iter_bits(full & ~u):
-                covers &= reqs[v]
+            rest = full & ~u
+            while rest:
+                low = rest & -rest
+                covers &= reqs[low.bit_length() - 1]
+                rest ^= low
             got = short[u] = everyone & ~covers
         return got
 
@@ -201,33 +198,37 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
         asked = tried.get(w, 0)
         new = ask & ~asked
         if new:
-            ok = passed.get(w, 0)
-            for k in iter_bits(new):
-                if oracle.is_acyclic(full & ~(w | cands[k])):
-                    ok |= 1 << k
             tried[w] = asked | new
-            passed[w] = ok
+            passed[w] = passed.get(w, 0) | oracle.acyclic_bits(w, cands, new)
         return ask & passed.get(w, 0)
 
     def maximal_at(joinable):
-        return (all(_exact_cover_exists(cands[k], chosen)
-                    for k in iter_bits(joinable))
-                and not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
-                            for i, m in enumerate(chosen)))
+        while joinable:
+            low = joinable & -joinable
+            if not _exact_cover_exists(cands[low.bit_length() - 1], chosen):
+                return False
+            joinable ^= low
+        return not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
+                       for i, m in enumerate(chosen))
 
-    def descend(live, excl, unions, served):
-        if served == goal and (not maximal or maximal_at(live | excl)):
+    def descend(live, excl, unions, unmet):
+        opts = live
+        if unmet:
+            fewest = len(cands) + 1
+            for row in unmet:
+                got = row & live
+                count = got.bit_count()
+                if count < fewest:
+                    opts, fewest = got, count
+                    if not count:
+                        break
+        elif not maximal or maximal_at(live | excl):
             yield tuple(chosen)
-        pick = None
-        for k in iter_bits(goal & ~served):
-            opts = reqs[k] & live
-            if pick is None or opts.bit_count() < pick.bit_count():
-                pick = opts
-                if not opts:
-                    break
-        for j in iter_bits(live if pick is None else pick):
-            live &= ~(1 << j)
-            m = cands[j]
+        while opts:
+            low = opts & -opts
+            opts ^= low
+            live &= ~low
+            m = cands[low.bit_length() - 1]
             chosen.append(m)
             fresh = {u | m for u in unions} - unions
             size = min(d - 1, len(chosen))
@@ -238,14 +239,14 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
             for w in fresh:
                 nxt = acyclic_among(w, nxt)
             yield from descend(nxt & live, nxt & ~live, unions | fresh,
-                               served | serve[j])
+                               [row for row in unmet if not row & low])
             chosen.pop()
             if maximal:
-                excl |= 1 << j
+                excl |= low
 
     root = sum(1 << j for j, m in enumerate(cands)
                if m != full and oracle.is_acyclic(full & ~m))
-    yield from descend(root, 0, {0}, 0)
+    yield from descend(root, 0, {0}, reqs)
 
 
 def _check_automorphism(X: CellComplex, perm: tuple):

@@ -23,9 +23,11 @@ class SerializationError(ValueError):
     """Malformed document for one of the wire formats."""
 
 
-def _require(cond: bool, message: str):
+def _require(cond: bool, message: str, *args):
+    """Raise SerializationError unless cond; the message is formatted with
+    args only then, so checks on valid input build no text."""
     if not cond:
-        raise SerializationError(message)
+        raise SerializationError(message.format(*args))
 
 
 def _is_int(value) -> bool:
@@ -33,9 +35,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_list(value, what: str) -> list:
-    _require(isinstance(value, list) and all(_is_int(v) for v in value),
-             f"{what} must be a list of integers")
+def _int_list(value, what: str, *args) -> list:
+    _require(isinstance(value, list) and all(map(_is_int, value)),
+             what + " must be a list of integers", *args)
     return list(value)
 
 
@@ -69,22 +71,23 @@ def complex_from_dict(doc) -> CellComplex:
     for i, rec in enumerate(doc["cells"]):
         _require(isinstance(rec, dict) and
                  set(rec) == {"id", "dim", "vertices", "boundary"},
-                 f"cell #{i} needs exactly the keys id, dim, vertices, boundary")
+                 "cell #{} needs exactly the keys id, dim, vertices, boundary",
+                 i)
         _require(_is_int(rec["id"]) and rec["id"] == i,
-                 f"cell ids must be dense and ordered; cell #{i} has id "
-                 f"{rec['id']}")
+                 "cell ids must be dense and ordered; cell #{} has id {}",
+                 i, rec["id"])
         _require(_is_int(rec["dim"]) and rec["dim"] >= 0,
-                 f"cell {i}: dim must be a non-negative integer")
-        verts = _int_list(rec["vertices"], f"cell {i}: vertices")
+                 "cell {}: dim must be a non-negative integer", i)
+        verts = _int_list(rec["vertices"], "cell {}: vertices", i)
         _require(isinstance(rec["boundary"], list),
-                 f"cell {i}: boundary must be a list")
+                 "cell {}: boundary must be a list", i)
         boundary = []
         for pair in rec["boundary"]:
             _require(isinstance(pair, list) and len(pair) == 2
-                     and all(_is_int(v) for v in pair)
+                     and _is_int(pair[0]) and _is_int(pair[1])
                      and pair[1] in (-1, 0, 1),
-                     f"cell {i}: boundary entries are [cell_id, sign] "
-                     "with sign in -1/0/+1")
+                     "cell {}: boundary entries are [cell_id, sign] "
+                     "with sign in -1/0/+1", i)
             boundary.append((pair[0], pair[1]))
         cells.append(Cell(i, rec["dim"], frozenset(verts), tuple(boundary)))
     try:

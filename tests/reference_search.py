@@ -23,6 +23,10 @@ restrictions in the oracle's cache.
 `reference_connected_vertex_subsets` finds those connected sets by
 flood-filling each of the 2^n vertex masks; the library grows them from
 their lowest vertex and must return the same list.
+`reference_family_criteria` is `check_family_criteria` as it was when it
+read face separation from `separation_bits`, one test per member and
+covering face pair, and coverage from the union of the members; the
+library reads both from requirement rows and must return the same report.
 """
 
 import itertools
@@ -41,16 +45,34 @@ from cellres.monomials import (
 )
 from cellres.resolution import (
     AcyclicityOracle,
+    FamilyCriteriaReport,
     check_family_criteria,
     covering_face_pairs,
     cover_unions,
-    separation_bits,
 )
 from cellres.search import (
     MaximalityReport,
     enumerate_valid_families,
     is_maximal,
 )
+
+
+def separation_bits(X, masks) -> list:
+    """Per vertex mask, the bitset of covering face pairs it separates.
+
+    Bit k is set when the mask misses the smaller cell of pair k of
+    covering_face_pairs(X) and meets the larger one.
+    """
+    cells = [mask_of(c.vertices) for c in X.cells]
+    pairs = [(cells[b], cells[cid]) for b, cid in covering_face_pairs(X)]
+    out = []
+    for m in masks:
+        bits = 0
+        for k, (small, big) in enumerate(pairs):
+            if m & small == 0 and m & big:
+                bits |= 1 << k
+        out.append(bits)
+    return out
 
 
 def reference_connected_vertex_subsets(X) -> list:
@@ -236,3 +258,46 @@ def reference_maximal_families(X, space=None, field=GF2) -> list:
     oracle = AcyclicityOracle(X, field)
     valid = enumerate_valid_families(X, space, field, oracle)
     return [F for F in valid if is_maximal(X, F, field, oracle).is_maximal]
+
+
+def reference_family_criteria(X, F, field=GF2, oracle=None):
+    """`check_family_criteria` with separation read off `separation_bits`."""
+    d = X.dim
+    masks = F.member_masks()
+    full = (1 << X.n_vertices) - 1
+    oracle = oracle or AcyclicityOracle(X, field)
+
+    cover_bound, cover_witness = True, None
+    k = min(d, len(masks))
+    for combo, u in zip(itertools.combinations(range(len(masks)), k),
+                        cover_unions(0, masks, k)):
+        if u == full:
+            cover_bound, cover_witness = False, combo
+            break
+
+    complements_acyclic, union_witness = True, None
+    for u in sorted(subfamily_unions(masks)):
+        if not oracle.is_acyclic(full & ~u):
+            complements_acyclic, union_witness = False, set_of(u)
+            break
+
+    separated = 0
+    for bits in separation_bits(X, masks):
+        separated |= bits
+    unseparated = [p for k, p in enumerate(covering_face_pairs(X))
+                   if not separated >> k & 1]
+    face_separation = not unseparated
+    separation_witness = unseparated[0] if unseparated else None
+
+    covered = 0
+    for m in masks:
+        covered |= m
+    covers_vertices = covered == full
+    uncovered = None
+    if not covers_vertices:
+        uncovered = min(set_of(full & ~covered))
+
+    return FamilyCriteriaReport(
+        cover_bound, complements_acyclic, face_separation, covers_vertices,
+        field.describe(), cover_witness, union_witness, separation_witness,
+        uncovered)

@@ -62,6 +62,7 @@ from reference_lattice import (
     reference_check_cellular_resolution,
     reference_lcm_lattice,
 )
+from reference_search import reference_family_criteria
 from test_acceptance import TWELVE_GON_SIXTEEN
 from test_search import polygons_with_chords
 
@@ -316,6 +317,28 @@ def test_oracle_matches_homology_on_random_masks(case):
     X, mask = case
     for field in (GF2, RATIONAL):
         assert_oracle_matches_homology(AcyclicityOracle(X, field), mask)
+
+
+@st.composite
+def random_family_cases(draw):
+    """A polygon (4 <= n <= 8) cut by non-crossing chords, or the pyramid
+    over one, and a family of up to eight distinct members on it."""
+    X = subdivided_polygon(*draw(polygons_with_chords()))
+    if draw(st.booleans()):
+        X = pyramid(X)
+    members = draw(st.lists(
+        st.frozensets(st.integers(0, X.n_vertices - 1), min_size=1),
+        min_size=1, max_size=8, unique=True))
+    return X, family(X.n_vertices, members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_family_cases())
+def test_family_criteria_match_the_per_member_reference(case):
+    X, F = case
+    for field in (GF2, RATIONAL):
+        assert (check_family_criteria(X, F, field)
+                == reference_family_criteria(X, F, field))
 
 
 def test_family_criteria_report_fields():
