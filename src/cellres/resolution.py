@@ -220,7 +220,7 @@ def covering_face_pairs(X: CellComplex) -> list:
 
 
 def requirement_rows(X: CellComplex, masks) -> list:
-    """Which masks meet each requirement on a valid family, as bitsets.
+    """Per requirement on a valid family, the bitset of masks meeting it.
 
     Bit j of row v is set when masks[j] holds vertex v.  Bit j of row
     n + k is set when masks[j] misses the smaller cell of pair k of
