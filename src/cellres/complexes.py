@@ -63,6 +63,9 @@ class CellComplex:
         return tuple(counts)
 
 
+_EMPTY_FACE = ((-1, 1),)  # a vertex's boundary in the augmented complex
+
+
 class ComplexBuilder:
     """Incremental constructor; add_cell returns the new cell id."""
 
@@ -90,30 +93,68 @@ def validate_complex(X: CellComplex) -> list:
     Checked: cell ids are positional; vertex cells are singletons covering
     each vertex exactly once; boundaries reference cells one dimension down,
     each at most once; the vertex set of a positive-dimensional cell is the
-    union of its boundary's vertex sets; signs lie in {-1, 0, +1}; when the
-    complex is fully signed, the composite boundary vanishes; and every
-    (d, d-2) incidence closes into a diamond (exactly two intermediate
-    cells).
+    union of its boundary's vertex sets; signs lie in {-1, 0, +1}.  The rest
+    is read off the augmented chain complex, where every vertex has the
+    empty face, named -1, as its boundary with sign +1: every face two
+    dimensions below a cell lies under exactly two of its boundary cells
+    (the diamond property; for an edge, two endpoints), and when the complex
+    is fully signed the composite boundary vanishes (for an edge, endpoints
+    of opposite sign).
     """
     diags = []
-    for i, c in enumerate(X.cells):
+    cells = X.cells
+    ncells = len(cells)
+    seen_vertices = {}
+    signed = True
+    nonzero = []  # composite-boundary faults, reported if fully signed
+    for i, c in enumerate(cells):
         if c.id != i:
             diags.append(f"cell at index {i} has id {c.id}")
-    seen_vertices = {}
-    for c in X.cells:
         if c.dim == 0:
+            if c.boundary:
+                diags.append(f"cell {c.id}: dimension-0 cell with nonempty boundary")
             if len(c.vertices) != 1:
                 diags.append(f"cell {c.id}: dimension-0 cell must have one vertex")
                 continue
-            (v,) = tuple(c.vertices)
+            (v,) = c.vertices
             if v in seen_vertices:
                 diags.append(f"vertex {v} appears in cells {seen_vertices[v]} and {c.id}")
             seen_vertices[v] = c.id
-        if not c.vertices:
+        elif not c.vertices:
             diags.append(f"cell {c.id}: empty vertex set")
         for v in c.vertices:
             if not 0 <= v < X.n_vertices:
                 diags.append(f"cell {c.id}: vertex {v} out of range")
+        if c.dim == 0:
+            continue
+        if len(dict(c.boundary)) != len(c.boundary):
+            diags.append(f"cell {c.id}: repeated boundary cell")
+        closure = set()
+        count = {}  # face -> boundary cells above it
+        total = {}  # face -> signed sum of their incidences
+        for b, s in c.boundary:
+            if not s:
+                signed = False
+            elif s not in (-1, 1):
+                diags.append(f"cell {c.id}: sign {s} on boundary cell {b}")
+            if not 0 <= b < ncells:
+                diags.append(f"cell {c.id}: boundary id {b} out of range")
+                continue
+            bc = cells[b]
+            if bc.dim != c.dim - 1:
+                diags.append(f"cell {c.id}: boundary cell {b} has dimension {bc.dim}")
+            closure |= bc.vertices
+            for f, t in bc.boundary if bc.dim else _EMPTY_FACE:
+                count[f] = count.get(f, 0) + 1
+                total[f] = total.get(f, 0) + s * t
+        if closure != c.vertices:
+            diags.append(f"cell {c.id}: vertex set differs from union of boundary vertex sets")
+        for f, k in count.items():
+            if k != 2:
+                diags.append(f"cell {c.id}: face {f} lies under {k} boundary cells, expected 2")
+        if any(total.values()):
+            bad = sorted(f for f, v in total.items() if v)
+            nonzero.append(f"cell {c.id}: boundary of boundary is nonzero at {bad}")
     # one diagnostic names the lowest missing vertex and counts the rest,
     # so its size does not grow with n_vertices
     missing = X.n_vertices - sum(0 <= v < X.n_vertices for v in seen_vertices)
@@ -121,54 +162,7 @@ def validate_complex(X: CellComplex) -> list:
         v = next(v for v in itertools.count() if v not in seen_vertices)
         more = f", nor do {missing - 1} more vertices" if missing > 1 else ""
         diags.append(f"vertex {v} has no dimension-0 cell{more}")
-    ncells = len(X.cells)
-    for c in X.cells:
-        if c.dim == 0:
-            if c.boundary:
-                diags.append(f"cell {c.id}: dimension-0 cell with nonempty boundary")
-            continue
-        ids = [b for b, _ in c.boundary]
-        if len(set(ids)) != len(ids):
-            diags.append(f"cell {c.id}: repeated boundary cell")
-        closure = set()
-        for b, s in c.boundary:
-            if not 0 <= b < ncells:
-                diags.append(f"cell {c.id}: boundary id {b} out of range")
-                continue
-            bc = X.cells[b]
-            if bc.dim != c.dim - 1:
-                diags.append(f"cell {c.id}: boundary cell {b} has dimension {bc.dim}")
-            if s not in (-1, 0, 1):
-                diags.append(f"cell {c.id}: sign {s} on boundary cell {b}")
-            closure |= bc.vertices
-        if closure != c.vertices:
-            diags.append(f"cell {c.id}: vertex set differs from union of boundary vertex sets")
-    # diamond property: each codimension-2 face below a cell sits under
-    # exactly two of its boundary cells
-    for c in X.cells:
-        if c.dim < 2:
-            continue
-        counts = {}
-        for b, _ in c.boundary:
-            if not 0 <= b < ncells:
-                continue
-            for f, _ in X.cells[b].boundary:
-                counts[f] = counts.get(f, 0) + 1
-        for f, k in counts.items():
-            if k != 2:
-                diags.append(f"cell {c.id}: face {f} lies under {k} boundary cells, expected 2")
-    if X.fully_signed():
-        for c in X.cells:
-            if c.dim < 2:
-                continue
-            acc = {}
-            for b, s in c.boundary:
-                for f, t in X.cells[b].boundary:
-                    acc[f] = acc.get(f, 0) + s * t
-            bad = {f: v for f, v in acc.items() if v != 0}
-            if bad:
-                diags.append(f"cell {c.id}: boundary of boundary is nonzero at {sorted(bad)}")
-    return diags
+    return diags + nonzero if signed else diags
 
 
 def restrict(X: CellComplex, vertices) -> CellComplex:

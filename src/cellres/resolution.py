@@ -170,6 +170,20 @@ class AcyclicityOracle:
              for cells in self._dims], self.field)
 
 
+def oracle_for(X: CellComplex, field: FieldSpec,
+               oracle: AcyclicityOracle = None) -> AcyclicityOracle:
+    """The oracle an entry point answers with: a new one for X over field,
+    or `oracle`, which must answer for that same complex and field."""
+    if oracle is None:
+        return AcyclicityOracle(X, field)
+    if oracle.X != X or oracle.field != field:
+        raise ValueError(
+            "the oracle must answer for the complex and field asked about "
+            f"(it answers over {oracle.field.describe()}, "
+            f"asked over {field.describe()})")
+    return oracle
+
+
 def cover_unions(base: int, masks, k: int):
     """Yield base | (union of S) for every k-subset S of masks, in the
     order of itertools.combinations; the cover bound compares these with
@@ -266,7 +280,10 @@ def check_family_criteria(X: CellComplex, F: VertexFamily,
         raise FamilyError("criteria need a complex of dimension at least 1")
     masks = F.member_masks()
     full = (1 << X.n_vertices) - 1
-    oracle = oracle or AcyclicityOracle(X, field)
+    oracle = oracle_for(X, field, oracle)
+    # closing the unions first refuses an oversized family (GuardExceeded)
+    # before the cover-bound scan over its d-subsets
+    unions = sorted(subfamily_unions(masks))
 
     # a cover by fewer than d members is still a cover by d (members may
     # repeat), so families smaller than d are tested as a whole
@@ -279,7 +296,7 @@ def check_family_criteria(X: CellComplex, F: VertexFamily,
             break
 
     complements_acyclic, union_witness = True, None
-    for u in sorted(subfamily_unions(masks)):
+    for u in unions:
         if not oracle.is_acyclic(full & ~u):
             complements_acyclic, union_witness = False, set_of(u)
             break
@@ -310,7 +327,7 @@ def check_cellular_resolution(X: CellComplex, L: MonomialLabelling,
     vertex sets M = {v : m_v divides lcm(M)}, one per point.
     """
     require_labelling_on(X, L)
-    oracle = oracle or AcyclicityOracle(X, field)
+    oracle = oracle_for(X, field, oracle)
     lattice = lcm_lattice(L)
     for b in lattice.sorted_points():
         if not oracle.is_acyclic(lattice.supports[b]):

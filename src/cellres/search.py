@@ -57,6 +57,7 @@ from .resolution import (
     check_family_criteria,
     cover_unions,
     f_symmetry,
+    oracle_for,
     requirement_rows,
 )
 
@@ -165,7 +166,7 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
     about, and each (union, candidate) question at most once.  The new
     questions about one union go to the oracle in one `acyclic_bits` call.
     """
-    oracle = oracle or AcyclicityOracle(X, field)
+    oracle = oracle_for(X, field, oracle)
     full = (1 << X.n_vertices) - 1
     d = X.dim
     if not oracle.is_acyclic(full):
@@ -286,7 +287,7 @@ def _families(X: CellComplex, space: SearchSpace, field: FieldSpec,
     space = space or SearchSpace()
     if X.dim < 1:
         raise FamilyError("enumeration needs a complex of dimension at least 1")
-    oracle = oracle or AcyclicityOracle(X, field)
+    oracle = oracle_for(X, field, oracle)
     cands = _candidate_masks(X, space, oracle)
     symmetry = ()
     if space.symmetry:
@@ -325,7 +326,7 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
     space = space or SearchSpace()
     if X.dim < 1:
         raise FamilyError("search needs a complex of dimension at least 1")
-    oracle = oracle or AcyclicityOracle(X, field)
+    oracle = oracle_for(X, field, oracle)
     cands = _candidate_masks(X, space, oracle)
     hit = next(_search(X, field, cands, oracle), None)
     if hit is None:
@@ -360,7 +361,7 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     scan over connected sets in increasing mask order returns the same
     `extension` as a scan over every vertex subset would.
     """
-    oracle = oracle or AcyclicityOracle(X, field)
+    oracle = oracle_for(X, field, oracle)
     rep = check_family_criteria(X, F, field, oracle)
     if not rep.ok:
         raise FamilyError("maximality is defined for families passing "
@@ -425,7 +426,7 @@ def covering_property_check(X: CellComplex, F: VertexFamily,
     A failure here indicates a bug (both statements are theorems for the
     inputs they are checked on), which is exactly why the suite runs it.
     """
-    oracle = oracle or AcyclicityOracle(X, field)
+    oracle = oracle_for(X, field, oracle)
     verdict = is_maximal(X, F, field, oracle)
     if not verdict.is_maximal:
         raise FamilyError("covering properties apply to maximal families only")

@@ -90,10 +90,7 @@ def complex_from_dict(doc) -> CellComplex:
                      "with sign in -1/0/+1", i)
             boundary.append((pair[0], pair[1]))
         cells.append(Cell(i, rec["dim"], frozenset(verts), tuple(boundary)))
-    try:
-        X = CellComplex(n, tuple(cells))
-    except ValueError as exc:
-        raise SerializationError(str(exc)) from exc
+    X = CellComplex(n, tuple(cells))
     problems = validate_complex(X)
     if problems:
         raise SerializationError("not a valid complex: " + "; ".join(problems))

@@ -25,6 +25,8 @@ from cellres.constructions import (
     chord_complex,
     edges_to_tree,
     elongated_pyramid,
+    fixture,
+    fixture_catalogue,
     polygon_complex,
     pyramid,
     subdivided_polygon,
@@ -93,6 +95,62 @@ def test_validation_flags_flipped_sign():
     cells[-1] = Cell(top.id, top.dim, top.vertices, flipped)
     diags = validate_complex(CellComplex(X.n_vertices, tuple(cells)))
     assert any("boundary of boundary is nonzero" in d for d in diags)
+
+
+def single_corruptions(X):
+    """Every complex one fault away from X: a boundary entry dropped, its
+    sign flipped (when X is fully signed), or its id moved out of range or
+    negative; an edge given one endpoint or three, with its vertex set
+    to match."""
+    cells = X.cells
+
+    def with_cell(c, vertices, boundary):
+        new = list(cells)
+        new[c.id] = Cell(c.id, c.dim, frozenset(vertices), tuple(boundary))
+        return CellComplex(X.n_vertices, tuple(new))
+
+    for c in cells:
+        for k, (b, s) in enumerate(c.boundary):
+            head, tail = c.boundary[:k], c.boundary[k + 1:]
+            yield with_cell(c, c.vertices, head + tail)
+            if X.fully_signed():
+                yield with_cell(c, c.vertices, head + ((b, -s),) + tail)
+            for bad in (len(cells), -1):
+                yield with_cell(c, c.vertices, head + ((bad, s),) + tail)
+        if c.dim == 1:
+            kept = c.boundary[0]
+            yield with_cell(c, cells[kept[0]].vertices, (kept,))
+            third = next(v for v in cells
+                         if v.dim == 0 and not v.vertices <= c.vertices)
+            yield with_cell(c, c.vertices | third.vertices,
+                            c.boundary + ((third.id, 1),))
+
+
+CORRUPTED = {
+    "tree": tree_complex(edges_to_tree(4, [(0, 1), (1, 2), (1, 3)])),
+    "cycle": cycle_complex(4),
+    "polygon": polygon_complex(5),
+    "unsigned polygon": strip_signs(polygon_complex(5)),
+    "chord": chord_complex(6, 3),
+    "subdivided": subdivided_polygon(6, ((1, 5), (3, 5))),
+    "pyramid": pyramid(polygon_complex(4)),
+    "elongated pyramid": elongated_pyramid(polygon_complex(3)),
+    "wheel": wheel_polytope(4),
+    "bipyramid": bipyramid_complex(3),
+    **{fid: fixture(fid)[0] for fid in fixture_catalogue()},
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTED))
+def test_every_single_corruption_is_diagnosed(name):
+    # the augmented complex gives every vertex the empty face as its
+    # boundary, so the diamond and composite-boundary checks reach edges
+    # too: no corruption passes, and none makes the validator raise
+    X = CORRUPTED[name]
+    assert validate_complex(X) == []
+    for count, Y in enumerate(single_corruptions(X), 1):
+        assert validate_complex(Y), (name, count)
+    assert count > len(X.cells)
 
 
 def test_restrict_keeps_induced_cells():

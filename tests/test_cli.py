@@ -568,6 +568,48 @@ def test_malformed_cells_name_the_cell_and_the_fault(capsys, tmp_path, cell,
     assert err["error"] == {"type": "SerializationError", "message": message}
 
 
+def _vertex_cells(n):
+    return [{"id": v, "dim": 0, "vertices": [v], "boundary": []}
+            for v in range(n)]
+
+
+def _boundary_id_99():
+    doc = complex_to_dict(polygon_complex(3))
+    doc["cells"][-1]["boundary"][0][0] = 99
+    return doc
+
+
+@pytest.mark.parametrize("command", [
+    "homology", "enumerate", "verify", "maximal-check", "betti"])
+@pytest.mark.parametrize("doc,diag", [
+    (_boundary_id_99(), "cell 6: boundary id 99 out of range"),
+    ({"n_vertices": 2, "cells": _vertex_cells(2) + [
+        {"id": 2, "dim": 1, "vertices": [0], "boundary": [[0, -1]]}]},
+     "cell 2: face -1 lies under 1 boundary cells, expected 2"),
+    ({"n_vertices": 3, "cells": _vertex_cells(3) + [
+        {"id": 3, "dim": 1, "vertices": [0, 1, 2],
+         "boundary": [[0, -1], [1, 1], [2, 1]]}]},
+     "cell 3: face -1 lies under 3 boundary cells, expected 2"),
+    (_edge_complex(2, "boundary", [[1, 1], [0, 1]]),
+     "cell 2: boundary of boundary is nonzero at [-1]"),
+], ids=["boundary-id-99", "one-endpoint", "three-endpoints", "same-sign"])
+def test_malformed_complexes_exit_3_from_every_command(capsys, tmp_path,
+                                                      command, doc, diag):
+    n = doc["n_vertices"]
+    cx = write_doc(tmp_path, "complex.json", doc)
+    fam = write_doc(tmp_path, "family.json", {"n": n, "sets": [[0]]})
+    lab = write_doc(tmp_path, "labelling.json", {
+        "n_variables": n,
+        "labels": [[int(v == p) for p in range(n)] for v in range(n)]})
+    extra = {"verify": ["--family", fam], "maximal-check": ["--family", fam],
+             "betti": ["--labelling", lab]}.get(command, [])
+    code, out, err = run(capsys, command, "--complex", cx, *extra,
+                         "--field", "rational")
+    assert code == 3 and out is None
+    assert err["error"]["type"] == "SerializationError"
+    assert diag in err["error"]["message"]
+
+
 def test_no_subcommand_is_exit_3(capsys):
     code, out, err = run(capsys)
     assert code == 3

@@ -15,6 +15,7 @@ from cellres.complexes import (
     assign_signs,
     reduced_homology,
     restrict,
+    validate_complex,
 )
 from cellres.constructions import (
     all_arcs,
@@ -35,6 +36,7 @@ from cellres.constructions import (
 from cellres.linalg import GF2, RATIONAL
 from cellres.monomials import (
     FamilyError,
+    GuardExceeded,
     LabellingError,
     family,
     labelling,
@@ -56,7 +58,13 @@ from cellres.resolution import (
     multidegree,
     strand_matches_homology,
 )
-from cellres.search import SearchSpace, any_valid_family
+from cellres.search import (
+    SearchSpace,
+    any_valid_family,
+    covering_property_check,
+    enumerate_valid_families,
+    is_maximal,
+)
 from reference_lattice import (
     divisibility_mask,
     reference_check_cellular_resolution,
@@ -277,6 +285,66 @@ def test_projective_plane_is_acyclic_over_q_only():
     full = (1 << 6) - 1
     assert not AcyclicityOracle(P, GF2).is_acyclic(full)
     assert AcyclicityOracle(P, RATIONAL).is_acyclic(full)
+
+
+def test_oracle_refuses_a_disconnected_graph_by_connectivity(monkeypatch):
+    # a 4-cycle plus an isolated vertex has reduced Euler characteristic
+    # 0, so the Euler count passes it and only connectivity refuses it
+    b = ComplexBuilder(5)
+    for i in range(4):
+        b.add_cell(1, (i, (i + 1) % 4),
+                   ((max(i, (i + 1) % 4), 1), (min(i, (i + 1) % 4), -1)))
+    X = b.build()
+    assert validate_complex(X) == []
+    answers = []
+    connected = resolution.is_connected
+    monkeypatch.setattr(resolution, "is_connected",
+                        lambda *a: answers.append(connected(*a)) or answers[-1])
+    for field in (GF2, RATIONAL):
+        assert reduced_homology(X, field).reduced_betti == {0: 1, 1: 1}
+        assert_oracle_matches_homology(AcyclicityOracle(X, field), 0b11111)
+    assert answers == [False, False]
+
+
+def test_oversized_family_is_refused_before_the_cover_bound_scan(
+        monkeypatch):
+    def scan(*args):
+        raise AssertionError("the cover bound was scanned before the guard")
+
+    monkeypatch.setattr(resolution, "cover_unions", scan)
+    X = pyramid(polygon_complex(17))
+    assert X.dim == 3
+    # 17 singletons have 2^17 unions, past the 2^16 the guard allows
+    with pytest.raises(GuardExceeded):
+        check_family_criteria(X, family(18, [{v} for v in range(17)]))
+
+
+def test_a_passed_oracle_must_answer_for_the_complex_and_field():
+    # RP^2 is acyclic over Q only, so a GF(2) oracle would answer a
+    # rational question wrongly
+    P = projective_plane()
+    F = family(6, [{v} for v in range(6)])
+    assert check_family_criteria(P, F, GF2).union_witness == frozenset()
+    assert check_family_criteria(P, F, RATIONAL).union_witness == {0}
+    L = labelling_of(F)
+    calls = [
+        lambda o: check_family_criteria(P, F, RATIONAL, o),
+        lambda o: check_cellular_resolution(P, L, RATIONAL, o),
+        lambda o: check_cm_labelling(P, L, RATIONAL, o),
+        lambda o: enumerate_valid_families(P, None, RATIONAL, o),
+        lambda o: any_valid_family(P, None, RATIONAL, o),
+        lambda o: is_maximal(P, F, RATIONAL, o),
+        lambda o: covering_property_check(P, F, RATIONAL, o),
+    ]
+    for call in calls:
+        for oracle in (AcyclicityOracle(P, GF2),
+                       AcyclicityOracle(pyramid(polygon_complex(5)),
+                                        RATIONAL)):
+            with pytest.raises(ValueError, match="oracle must answer"):
+                call(oracle)
+    # an equal complex built apart is the same complex
+    again = AcyclicityOracle(projective_plane(), RATIONAL)
+    assert check_family_criteria(P, F, RATIONAL, again).union_witness == {0}
 
 
 def test_rational_existence_search_needs_no_exact_elimination(monkeypatch):
