@@ -145,6 +145,8 @@ def validate_complex(X: CellComplex) -> list:
                 diags.append(f"cell {c.id}: boundary cell {b} has dimension {bc.dim}")
             closure |= bc.vertices
             for f, t in bc.boundary if bc.dim else _EMPTY_FACE:
+                if bc.dim and not 0 <= f < ncells:
+                    continue  # reported at bc; no face of c
                 count[f] = count.get(f, 0) + 1
                 total[f] = total.get(f, 0) + s * t
         if closure != c.vertices:

@@ -16,6 +16,7 @@ from .monomials import (
     FamilyError,
     MonomialLabelling,
     VertexFamily,
+    _lcm_exponents,
     family,
     labelling,
 )
@@ -119,13 +120,9 @@ def edges_to_tree(n: int, edges) -> OrientedTree:
 
 
 def _lcm_degree_table(L: MonomialLabelling):
-    n = L.n_vertices
-    deg = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = L.labels[i].exponents, L.labels[j].exponents
-            deg[(i, j)] = sum(max(x, y) for x, y in zip(a, b))
-    return deg
+    """(i, j) -> degree of lcm(m_i, m_j), for i < j."""
+    return {(i, j): sum(_lcm_exponents(L, 1 << i | 1 << j))
+            for i, j in itertools.combinations(range(L.n_vertices), 2)}
 
 
 def tree_resolution_trees(L: MonomialLabelling) -> frozenset:

@@ -16,7 +16,7 @@ partial order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class LabellingError(ValueError):
@@ -68,11 +68,14 @@ class MonomialLabelling:
 
     Invariants enforced on construction: every label has n_variables
     exponents, no label divides another (in particular no duplicates), and
-    every variable occurs in at least one label.
+    every variable occurs in at least one label.  The level masks of the
+    labels (see _level_masks) are kept; every lcm of labels, support of a
+    variable and top exponent is read off them.
     """
 
     n_variables: int
     labels: tuple  # Monomial entries, one per vertex
+    _levels: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for m in self.labels:
@@ -81,6 +84,7 @@ class MonomialLabelling:
                     f"label {m.exponents} does not have {self.n_variables} exponents")
         exps = [m.exponents for m in self.labels]
         levels = _level_masks(exps)
+        object.__setattr__(self, "_levels", levels)
         at_least = [dict(per_var) for per_var in levels]
         everyone = (1 << len(exps)) - 1
         for i, e in enumerate(exps):
@@ -106,7 +110,7 @@ class MonomialLabelling:
         return len(self.labels)
 
     def is_squarefree(self) -> bool:
-        return all(m.is_squarefree() for m in self.labels)
+        return all(per_var[0][0] == 1 for per_var in self._levels)
 
 
 def labelling(n_variables: int, rows) -> MonomialLabelling:
@@ -178,25 +182,20 @@ def set_of(mask: int) -> frozenset:
 def family_of(L: MonomialLabelling) -> VertexFamily:
     """Vertex family of a square-free labelling.
 
-    Variable p maps to the set of vertices whose label it divides; empty
-    sets are dropped.  Raises if the labelling is not square-free or if two
-    variables cut out the same vertex set (such a labelling corresponds to
-    no family).
+    Variable p maps to its support, the set of vertices whose label it
+    divides (never empty: every variable occurs).  Raises if the labelling
+    is not square-free or if two variables cut out the same vertex set
+    (such a labelling corresponds to no family).
     """
     if not L.is_squarefree():
         raise LabellingError("labelling is not square-free")
-    sets = []
     seen = {}
-    for p in range(L.n_variables):
-        s = frozenset(v for v, m in enumerate(L.labels) if m.exponents[p])
-        if not s:
-            continue
-        if s in seen:
+    for p, support in enumerate(_supports(L)):
+        if support in seen:
             raise FamilyError(
-                f"variables {seen[s]} and {p} divide exactly the same vertex labels")
-        seen[s] = p
-        sets.append(s)
-    return VertexFamily(L.n_vertices, tuple(sets))
+                f"variables {seen[support]} and {p} divide exactly the same vertex labels")
+        seen[support] = p
+    return VertexFamily(L.n_vertices, tuple(map(set_of, seen)))
 
 
 def labelling_of(F: VertexFamily) -> MonomialLabelling:
@@ -221,7 +220,7 @@ def polarize(L: MonomialLabelling) -> MonomialLabelling:
     2 * UNION_LIMIT exponents over all rows: the output and its pairwise
     divisibility check grow as labels times variables.
     """
-    maxes = [max(m.exponents[p] for m in L.labels) for p in range(L.n_variables)]
+    maxes = _lcm_exponents(L, (1 << L.n_vertices) - 1)
     total = sum(maxes)
     if total > UNION_LIMIT:
         raise GuardExceeded(
@@ -365,6 +364,25 @@ def _level_masks(exps) -> list:
     return levels
 
 
+def _supports(L: MonomialLabelling) -> list:
+    """Per variable, the mask of the labels it divides: its lowest level."""
+    return [per_var[-1][1] for per_var in L._levels]
+
+
+def _lcm_exponents(L: MonomialLabelling, mask: int) -> tuple:
+    """Exponent vector of the lcm of the labels in a vertex mask: per
+    variable, the highest level the mask meets, or 0."""
+    b = []
+    for per_var in L._levels:
+        for t, a in per_var:
+            if a & mask:
+                b.append(t)
+                break
+        else:
+            b.append(0)
+    return tuple(b)
+
+
 @dataclass(frozen=True)
 class LcmLattice:
     """The lcms of the nonempty sets of labels, each mapped to its support:
@@ -399,21 +417,10 @@ def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
     work does not grow with the exponents, and b_p is the largest level of
     p that M meets.
     """
-    exps = [m.exponents for m in L.labels]
-    full = (1 << len(exps)) - 1
-    levels = _level_masks(exps)
+    full = (1 << L.n_vertices) - 1
     supports = {}
-    for u in subfamily_unions(a for per_var in levels for _, a in per_var):
+    for u in subfamily_unions(a for per_var in L._levels for _, a in per_var):
         support = full & ~u
-        if not support:
-            continue
-        b = []
-        for per_var in levels:
-            for t, a in per_var:
-                if a & support:
-                    b.append(t)
-                    break
-            else:
-                b.append(0)
-        supports[tuple(b)] = support
+        if support:
+            supports[_lcm_exponents(L, support)] = support
     return LcmLattice(L.n_variables, supports)

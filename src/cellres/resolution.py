@@ -36,6 +36,8 @@ from .monomials import (
     Monomial,
     MonomialLabelling,
     VertexFamily,
+    _lcm_exponents,
+    _supports,
     iter_bits,
     lcm_lattice,
     mask_of,
@@ -337,13 +339,7 @@ def check_cellular_resolution(X: CellComplex, L: MonomialLabelling,
 
 def multidegree(L: MonomialLabelling, vertices) -> Monomial:
     """Join of the labels over a set of vertices."""
-    acc = None
-    for v in vertices:
-        m = L.labels[v]
-        acc = m if acc is None else acc.join(m)
-    if acc is None:
-        return Monomial((0,) * L.n_variables)
-    return acc
+    return Monomial(_lcm_exponents(L, mask_of(vertices)))
 
 
 def check_minimal(X: CellComplex, L: MonomialLabelling):
@@ -355,9 +351,7 @@ def check_minimal(X: CellComplex, L: MonomialLabelling):
     rejected the same way (witness (None, vertex cell id)).
     """
     require_labelling_on(X, L)
-    mdeg = {}
-    for c in X.cells:
-        mdeg[c.id] = multidegree(L, c.vertices).exponents
+    mdeg = [_lcm_exponents(L, mask_of(c.vertices)) for c in X.cells]
     for c in X.cells:
         if c.dim == 0:
             if sum(mdeg[c.id]) == 0:
@@ -398,14 +392,7 @@ def _minimum_cover_size(universe: int, masks):
 def codimension(L: MonomialLabelling) -> int:
     """Fewest variables meeting the support of every label."""
     universe = (1 << L.n_vertices) - 1
-    per_var = []
-    for p in range(L.n_variables):
-        m = 0
-        for v, lab in enumerate(L.labels):
-            if lab.exponents[p]:
-                m |= 1 << v
-        per_var.append(m)
-    size = _minimum_cover_size(universe, per_var)
+    size = _minimum_cover_size(universe, _supports(L))
     if size is None:
         raise FamilyError("some label is the unit monomial; nothing covers it")
     return size
@@ -494,7 +481,7 @@ def build_free_complex(X: CellComplex, L: MonomialLabelling) -> CellularFreeComp
     if not X.fully_signed():
         raise SignsMissingError("free complex needs signed incidences")
     zero = (0,) * L.n_variables
-    mdeg = {c.id: multidegree(L, c.vertices).exponents for c in X.cells}
+    mdeg = [_lcm_exponents(L, mask_of(c.vertices)) for c in X.cells]
     cell_ids = [(None,)] + [tuple(c.id for c in X.cells_of_dim(d))
                             for d in range(X.dim + 1)]
     maps = [tuple(((0, 1, mdeg[cid]),) for cid in cell_ids[1])]

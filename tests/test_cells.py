@@ -97,6 +97,24 @@ def test_validation_flags_flipped_sign():
     assert any("boundary of boundary is nonzero" in d for d in diags)
 
 
+def test_out_of_range_ids_are_no_faces_of_the_cell_above():
+    # edge 5 of the pentagon lists a bad id; only edge 5 is blamed for it,
+    # and the 2-cell sees just the vertex that edge no longer reaches
+    X = polygon_complex(5)
+    for bad in (-1, 99):
+        cells = list(X.cells)
+        (_, s), *rest = cells[5].boundary
+        cells[5] = Cell(5, 1, cells[5].vertices, ((bad, s), *rest))
+        assert validate_complex(CellComplex(5, tuple(cells))) == [
+            f"cell 5: boundary id {bad} out of range",
+            "cell 5: vertex set differs from union of boundary vertex sets",
+            "cell 5: face -1 lies under 1 boundary cells, expected 2",
+            "cell 10: face 1 lies under 1 boundary cells, expected 2",
+            "cell 5: boundary of boundary is nonzero at [-1]",
+            "cell 10: boundary of boundary is nonzero at [1]",
+        ]
+
+
 def single_corruptions(X):
     """Every complex one fault away from X: a boundary entry dropped, its
     sign flipped (when X is fully signed), or its id moved out of range or

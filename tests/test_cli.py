@@ -129,7 +129,7 @@ def test_verify_family_positive(capsys, tmp_path):
     paths = [entry["path"] for entry in out["inputs"]]
     assert paths == [cx, fam]
     for entry in out["inputs"]:
-        raw = open(entry["path"], "rb").read()
+        raw = Path(entry["path"]).read_bytes()
         assert entry["sha256"] == hashlib.sha256(raw).hexdigest()
 
 
@@ -608,6 +608,39 @@ def test_malformed_complexes_exit_3_from_every_command(capsys, tmp_path,
     assert code == 3 and out is None
     assert err["error"]["type"] == "SerializationError"
     assert diag in err["error"]["message"]
+
+
+def test_enumerate_with_dihedral_symmetry(capsys, tmp_path):
+    cx = write_doc(tmp_path, "pent.json", complex_to_dict(polygon_complex(5)))
+    code, out, _ = run(capsys, "enumerate", "--complex", cx,
+                       "--symmetry", "dihedral")
+    assert code == 0
+    assert out["result"]["count"] == 1
+    assert out["result"]["families"][0]["sets"] == [
+        [0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--complex", "PENT", "--symmetry", "chord:x"],
+     "--symmetry chord:A needs an integer A"),
+    (["enumerate", "--complex", "PENT", "--symmetry", "bogus"],
+     "unknown symmetry 'bogus'; use none, dihedral, or chord:A"),
+    (["construct", "subdivided-polygon", "--n", "6", "--chords", "1-x"],
+     "--chords entries need integer endpoints: '1-x'"),
+    (["construct", "fixture", "--id", "nope"],
+     "unknown fixture 'nope'; known: elongated-pyramid-triangle, "
+     "hex-squares, hex-squares-alternative, hex-squares-combined, "
+     "hex-squares-polarized, pyramid-pentagon, wheel-bipyramid-a, "
+     "wheel-bipyramid-b, wheel-bipyramid-c, wheel-hexagon"),
+    (["construct", "pyramid"], "construct pyramid needs --complex"),
+    (["homology", "--complex", "PENT", "--vertices", "a"],
+     "--vertices is a comma list of integers"),
+])
+def test_unusable_option_values_are_exit_3(capsys, tmp_path, argv, message):
+    cx = write_doc(tmp_path, "pent.json", complex_to_dict(polygon_complex(5)))
+    code, out, err = run(capsys, *(cx if a == "PENT" else a for a in argv))
+    assert code == 3 and out is None
+    assert err == {"error": {"type": "CliError", "message": message}}
 
 
 def test_no_subcommand_is_exit_3(capsys):

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from cellres.cli import main
-from cellres.constructions import fixture
+from cellres.constructions import fixture, fixture_catalogue, polygon_complex
 from cellres.monomials import family_of
 from cellres.serialize import (
     canonical_json,
@@ -35,13 +35,22 @@ FIELDS = ("gf2", "rational")
 # refinement relations
 SPLITS = ("hex-squares-polarized", "hex-squares-alternative",
           "hex-squares-combined")
+# labelled fixtures whose complexes are built by pyramid and elongated-pyramid
+CONES = ("pyramid-pentagon", "elongated-pyramid-triangle")
+# bare polygons fed to construct pyramid and construct elongated-pyramid
+POLYGONS = {"pentagon": 5, "triangle": 3}
 
 
 def write_inputs(directory):
-    for fid in sorted({*FIXTURES, *SPLITS, "hex-squares"}):
+    for name, n in POLYGONS.items():
+        Path(directory, f"{name}.complex.json").write_text(
+            canonical_json(complex_to_dict(polygon_complex(n))))
+    for fid in sorted({*FIXTURES, *SPLITS, *CONES, "hex-squares"}):
         X, L = fixture(fid)
         docs = {"complex": complex_to_dict(X), "labelling": labelling_to_dict(L)}
-        if L.is_squarefree():
+        # two variables of elongated-pyramid-triangle cut out one vertex
+        # set, so the cones are passed by labelling only
+        if L.is_squarefree() and fid not in CONES:
             docs["family"] = family_to_dict(family_of(L))
         for kind, doc in docs.items():
             Path(directory, f"{fid}.{kind}.json").write_text(canonical_json(doc))
@@ -73,6 +82,19 @@ def commands():
     yield ["polarize", "--labelling", "hex-squares.labelling.json"]
     yield ["construct", "tree-labelling", "--n", "6",
            "--edges", "0-1,1-2,1-3,3-4,3-5"]
+    for fid in fixture_catalogue():
+        yield ["construct", "fixture", "--id", fid]
+    yield ["construct", "bipyramid", "--n", "5"]
+    yield ["construct", "wheel", "--n", "4"]
+    yield ["construct", "pyramid", "--complex", "pentagon.complex.json"]
+    yield ["construct", "elongated-pyramid", "--complex",
+           "triangle.complex.json"]
+    for fid in CONES:
+        cx = ("--complex", f"{fid}.complex.json")
+        lab = ("--labelling", f"{fid}.labelling.json")
+        for field in FIELDS:
+            for argv in (("verify", *cx, *lab), ("betti", *cx, *lab)):
+                yield [*argv, "--field", field]
 
 
 def run_command(argv) -> dict:

@@ -136,6 +136,22 @@ def test_family_of_reads_variable_supports():
     assert sorted(sorted(s) for s in F.sets) == [[0], [0, 1], [1, 2], [2]]
 
 
+def test_family_of_rejects_labellings_that_define_no_family():
+    with pytest.raises(LabellingError, match="^labelling is not square-free$"):
+        family_of(labelling(2, [(2, 0), (0, 1)]))
+    with pytest.raises(FamilyError, match="^variables 0 and 2 divide exactly "
+                                          "the same vertex labels$"):
+        family_of(labelling(3, [(1, 0, 1), (0, 1, 0)]))
+
+
+def test_family_rejects_bad_members():
+    with pytest.raises(FamilyError, match=r"^member \[1, 3\] out of range "
+                                          r"for n=3$"):
+        family(3, [{0}, {1, 3}])
+    with pytest.raises(FamilyError, match=r"^member \[0, 2\] repeated$"):
+        family(3, [{0, 2}, {1}, {2, 0}])
+
+
 def test_labelling_of_family_roundtrip():
     F = family(4, [{0, 1}, {1, 2}, {2, 3}, {0, 3}])
     G = family_of(labelling_of(F))
@@ -275,6 +291,12 @@ def test_refinement_comparisons():
     assert refinement_compare(fine, fine) is Refinement.EQUAL
     other = family(4, [{0, 2}, {1, 3}])
     assert refinement_compare(coarse, other) is Refinement.INCOMPARABLE
+
+
+def test_refines_rejects_families_on_different_vertex_sets():
+    with pytest.raises(FamilyError,
+                       match="^families live on different vertex sets$"):
+        refines(family(3, [{0, 1, 2}]), family(4, [{0, 1, 2, 3}]))
 
 
 def test_refines_requires_every_member_to_split():

@@ -18,6 +18,7 @@ from cellres.complexes import (
     validate_complex,
 )
 from cellres.constructions import (
+    _lcm_degree_table,
     all_arcs,
     bipyramid_complex,
     chord_complex,
@@ -38,11 +39,14 @@ from cellres.monomials import (
     FamilyError,
     GuardExceeded,
     LabellingError,
+    Monomial,
     family,
+    family_of,
     labelling,
     labelling_of,
     lcm_lattice,
     mask_of,
+    polarize,
     set_of,
 )
 from cellres.resolution import (
@@ -68,11 +72,17 @@ from cellres.search import (
 from reference_lattice import (
     divisibility_mask,
     reference_check_cellular_resolution,
+    reference_check_minimal,
+    reference_codimension,
+    reference_family_of,
+    reference_lcm_degree_table,
     reference_lcm_lattice,
+    reference_multidegree,
+    reference_polarize,
 )
 from reference_search import reference_family_criteria
 from test_acceptance import TWELVE_GON_SIXTEEN
-from test_search import polygons_with_chords
+from test_search import chords_of, polygons_with_chords
 
 
 def strand_oracle(X, L, b, field=GF2) -> bool:
@@ -178,6 +188,12 @@ def test_simplex_on_variables_is_minimal_cm():
     assert verdict.is_cm
     assert verdict.codimension == 3
     assert build_free_complex(X, L).ranks() == (1, 3, 3, 1)
+
+
+def test_a_unit_vertex_label_is_not_minimal():
+    # one vertex labelled 1 in no variables: a unit entry in the first map
+    X = tree_complex(edges_to_tree(1, []))
+    assert check_minimal(X, labelling(0, [()])) == (False, (None, 0))
 
 
 def test_multidegree_is_the_label_join():
@@ -532,3 +548,67 @@ def test_mask_lattice_matches_the_reference_closure():
                 list(ref.touched().items())
             verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+# exponent alphabets: square-free, small powers, and powers near 10^9 (past
+# the polarization guard)
+EXPONENTS = ((0, 1), (0, 1, 2, 3), (0, 10 ** 9, 10 ** 9 + 1, 2 * 10 ** 9))
+
+
+@st.composite
+def random_labelled_complexes(draw):
+    """A labelling of 1 to 8 vertices in 1 to 6 variables, and a signed
+    complex on its vertices: a polygon cut by non-crossing chords, or the
+    pyramid over one, or a path below three vertices.
+
+    Of up to 16 nonzero rows drawn, the first 8 that divide no earlier kept
+    row and are divided by none are kept; variables that occur in no kept
+    row are dropped."""
+    values = draw(st.sampled_from(EXPONENTS))
+    nvar = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(values)] * nvar)
+                         .filter(any), min_size=1, max_size=16))
+    kept = []
+    for m in map(Monomial, rows):
+        if len(kept) < 8 and not any(m.divides(k) or k.divides(m)
+                                     for k in kept):
+            kept.append(m)
+    used = [p for p in range(nvar) if any(m.exponents[p] for m in kept)]
+    L = labelling(len(used),
+                  [tuple(m.exponents[p] for p in used) for m in kept])
+    n = L.n_vertices
+    if n < 3:
+        X = tree_complex(edges_to_tree(n, [(v, v + 1) for v in range(n - 1)]))
+    elif n > 3 and draw(st.booleans()):
+        X = pyramid(subdivided_polygon(n - 1, draw(chords_of(n - 1))))
+    else:
+        X = subdivided_polygon(n, draw(chords_of(n)))
+    return X, L
+
+
+def outcome(f, *args):
+    """f's result, or the type and text of the input error it raises."""
+    try:
+        return f(*args)
+    except (LabellingError, FamilyError, GuardExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_labelled_complexes())
+def test_level_mask_lcms_match_the_label_tuple_references(case):
+    X, L = case
+    for mask in range(1 << L.n_vertices):
+        assert (multidegree(L, set_of(mask))
+                == reference_multidegree(L, set_of(mask)))
+    assert check_minimal(X, L) == reference_check_minimal(X, L)
+    for ours, ref in ((codimension, reference_codimension),
+                      (family_of, reference_family_of),
+                      (polarize, reference_polarize),
+                      (_lcm_degree_table, reference_lcm_degree_table)):
+        assert outcome(ours, L) == outcome(ref, L)
+    fc = build_free_complex(X, L)
+    assert fc.multidegrees[0] == ((0,) * L.n_variables,)
+    assert list(fc.multidegrees[1:]) == [
+        tuple(reference_multidegree(L, c.vertices).exponents
+              for c in X.cells_of_dim(d)) for d in range(X.dim + 1)]

@@ -501,17 +501,24 @@ def test_maximal_families_match_the_filtered_valid_ones(case, field):
 
 
 @st.composite
-def polygons_with_chords(draw):
-    """An n-gon, 4 <= n <= 8, and a set of pairwise non-crossing chords."""
-    n = draw(st.integers(4, 8))
+def chords_of(draw, n):
+    """A set of pairwise non-crossing chords of the n-gon."""
     diagonals = [(u, v) for u, v in itertools.combinations(range(n), 2)
                  if v - u not in (1, n - 1)]
     chords = []
-    for u, v in draw(st.lists(st.sampled_from(diagonals), unique=True,
-                              max_size=n - 3)):
-        if not any(a < u < b < v or u < a < v < b for a, b in chords):
-            chords.append((u, v))
-    return n, tuple(chords)
+    if diagonals:  # the triangle has none
+        for u, v in draw(st.lists(st.sampled_from(diagonals), unique=True,
+                                  max_size=n - 3)):
+            if not any(a < u < b < v or u < a < v < b for a, b in chords):
+                chords.append((u, v))
+    return tuple(chords)
+
+
+@st.composite
+def polygons_with_chords(draw):
+    """An n-gon, 4 <= n <= 8, and a set of pairwise non-crossing chords."""
+    n = draw(st.integers(4, 8))
+    return n, draw(chords_of(n))
 
 
 @settings(max_examples=40, deadline=None)
