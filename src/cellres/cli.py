@@ -154,78 +154,33 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-# parse_args leaves the parser unchanged, so one parser serves every call
-# of main in a process; building it costs more than a whole guard refusal
+# parse_args leaves a parser unchanged, so the cache serves every later
+# call in a process.  Building all nine subparsers costs more than a whole
+# guard refusal, so a call naming a subcommand gets a parser with that one
+# alone; any other call (none, unknown, top-level --help) gets all nine.
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser(command: str = None) -> _Parser:
     top = _Parser(prog="cellres", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    def cmd(name, **kw):
-        p = sub.add_parser(name, **kw)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_options, _ = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--field", choices=["gf2", "rational"], default="gf2",
                        help="coefficient field for homology verdicts")
         p.add_argument("--timing", action="store_true",
                        help="include wall_time_ms in the report")
-        return p
-
-    p = cmd("construct", help="emit a complex/family/labelling by name")
-    p.add_argument("kind", nargs="?", choices=list(_CONSTRUCT))
-    p.add_argument("--list", action="store_true",
-                   help="catalogue the named fixtures")
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--chords", help="comma list like 1-5,3-5")
-    p.add_argument("--edges", help="comma list of tree edges like 0-1,1-2")
-    p.add_argument("--id", help="fixture id (see construct --list)")
-    p.add_argument("--complex", dest="complex_file",
-                   help="input complex for pyramid / elongated-pyramid")
-
-    p = cmd("verify", help="Cohen-Macaulay verdict for a labelled complex")
-    p.add_argument("--complex", dest="complex_file", required=True)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--labelling", dest="labelling_file")
-    g.add_argument("--family", dest="family_file")
-
-    p = cmd("enumerate", help="families passing the validity criteria")
-    p.add_argument("--complex", dest="complex_file", required=True)
-    p.add_argument("--maximal", action="store_true",
-                   help="keep only maximal families")
-    p.add_argument("--symmetry", default="none",
-                   help="none | dihedral | chord:A")
-    p.add_argument("--max-candidates", type=nonnegative_int, default=60)
-    # ignored: bench/workloads.py jobs_ops still passes --jobs 2
-    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-
-    p = cmd("maximal-check", help="is the family maximal on the complex?")
-    p.add_argument("--complex", dest="complex_file", required=True)
-    p.add_argument("--family", dest="family_file", required=True)
-
-    p = cmd("homology", help="reduced homology of a (restricted) complex")
-    p.add_argument("--complex", dest="complex_file", required=True)
-    p.add_argument("--vertices", help="comma list restricting the complex")
-
-    p = cmd("betti", help="ranks of the labelled free complex")
-    p.add_argument("--complex", dest="complex_file", required=True)
-    p.add_argument("--labelling", dest="labelling_file", required=True)
-
-    p = cmd("morphism", help="does a variable substitution map one "
-                             "labelling family onto another?")
-    p.add_argument("--from", dest="from_file", required=True)
-    p.add_argument("--to", dest="to_file", required=True)
-
-    p = cmd("polarize", help="square-free the labelling")
-    p.add_argument("--labelling", dest="labelling_file", required=True)
-
-    p = cmd("conjecture", help="evidence tables for the open conjectures")
-    p.add_argument("kind", choices=["variable-count", "selfdual"])
-    p.add_argument("--max-candidates", type=nonnegative_int, default=200)
-
+        add_options(p)
     return top
 
 
+def _input_files(p, *names):
+    """Add a required option --NAME, read into NAME_file, per input file."""
+    for name in names:
+        p.add_argument(f"--{name}", dest=f"{name}_file", required=True)
+
+
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommands: option adders and bodies
 
 
 def _complex(X) -> dict:
@@ -277,6 +232,19 @@ _CONSTRUCT = {
 }
 
 
+def _construct_options(p):
+    p.add_argument("kind", nargs="?", choices=list(_CONSTRUCT))
+    p.add_argument("--list", action="store_true",
+                   help="catalogue the named fixtures")
+    p.add_argument("--n", type=int)
+    p.add_argument("--a", type=int)
+    p.add_argument("--chords", help="comma list like 1-5,3-5")
+    p.add_argument("--edges", help="comma list of tree edges like 0-1,1-2")
+    p.add_argument("--id", help="fixture id (see construct --list)")
+    p.add_argument("--complex", dest="complex_file",
+                   help="input complex for pyramid / elongated-pyramid")
+
+
 def _construct_flag(flag: str, args, run: _Run):
     value = getattr(args, "complex_file" if flag == "--complex" else flag[2:])
     if value is None:
@@ -307,6 +275,13 @@ def _family_criteria(args, run: _Run, X):
     return F, oracle, check_family_criteria(X, F, oracle.field, oracle)
 
 
+def _verify_options(p):
+    _input_files(p, "complex")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--labelling", dest="labelling_file")
+    g.add_argument("--family", dest="family_file")
+
+
 def _run_verify(args, run: _Run):
     X = run.load(args.complex_file, "complex")
     result = run.result = {}
@@ -328,6 +303,17 @@ def _run_verify(args, run: _Run):
     result["cm_verdict"] = report_to_dict(verdict)
     if not verdict.is_cm:
         run.exit_code = EXIT_NEGATIVE
+
+
+def _enumerate_options(p):
+    _input_files(p, "complex")
+    p.add_argument("--maximal", action="store_true",
+                   help="keep only maximal families")
+    p.add_argument("--symmetry", default="none",
+                   help="none | dihedral | chord:A")
+    p.add_argument("--max-candidates", type=nonnegative_int, default=60)
+    # ignored: bench/workloads.py jobs_ops still passes --jobs 2
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
 
 
 def _run_enumerate(args, run: _Run):
@@ -356,6 +342,11 @@ def _run_maximal_check(args, run: _Run):
     run.result["maximality"] = report_to_dict(verdict)
     if not verdict.is_maximal:
         run.exit_code = EXIT_NEGATIVE
+
+
+def _homology_options(p):
+    _input_files(p, "complex")
+    p.add_argument("--vertices", help="comma list restricting the complex")
 
 
 def _run_homology(args, run: _Run):
@@ -400,6 +391,11 @@ def _run_polarize(args, run: _Run):
     }
 
 
+def _conjecture_options(p):
+    p.add_argument("kind", choices=["variable-count", "selfdual"])
+    p.add_argument("--max-candidates", type=nonnegative_int, default=200)
+
+
 def _run_conjecture(args, run: _Run):
     field = _field(args)
     if args.kind == "variable-count":
@@ -410,16 +406,28 @@ def _run_conjecture(args, run: _Run):
     run.result = report_to_dict(rep)
 
 
-_BODIES = {
-    "construct": _run_construct,
-    "verify": _run_verify,
-    "enumerate": _run_enumerate,
-    "maximal-check": _run_maximal_check,
-    "homology": _run_homology,
-    "betti": _run_betti,
-    "morphism": _run_morphism,
-    "polarize": _run_polarize,
-    "conjecture": _run_conjecture,
+# subcommand -> (help, option adder, body), in the order --help lists them
+_COMMANDS = {
+    "construct": ("emit a complex/family/labelling by name",
+                  _construct_options, _run_construct),
+    "verify": ("Cohen-Macaulay verdict for a labelled complex",
+               _verify_options, _run_verify),
+    "enumerate": ("families passing the validity criteria",
+                  _enumerate_options, _run_enumerate),
+    "maximal-check": ("is the family maximal on the complex?",
+                      lambda p: _input_files(p, "complex", "family"),
+                      _run_maximal_check),
+    "homology": ("reduced homology of a (restricted) complex",
+                 _homology_options, _run_homology),
+    "betti": ("ranks of the labelled free complex",
+              lambda p: _input_files(p, "complex", "labelling"), _run_betti),
+    "morphism": ("does a variable substitution map one labelling family "
+                 "onto another?",
+                 lambda p: _input_files(p, "from", "to"), _run_morphism),
+    "polarize": ("square-free the labelling",
+                 lambda p: _input_files(p, "labelling"), _run_polarize),
+    "conjecture": ("evidence tables for the open conjectures",
+                   _conjecture_options, _run_conjecture),
 }
 
 
@@ -430,14 +438,15 @@ def _emit_error(kind: str, message: str):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    named = argv[:1] if argv and argv[0] in _COMMANDS else ()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(*named).parse_args(argv)
         if args.command is None:
             raise CliError("a subcommand is required; see --help")
         run = _Run(args.command, args.field)
         started = time.monotonic()
-        _BODIES[args.command](args, run)
+        _COMMANDS[args.command][2](args, run)
         report = run.report()
         if args.timing:
             report["wall_time_ms"] = int((time.monotonic() - started) * 1000)

@@ -33,6 +33,7 @@ from .complexes import (
 from .linalg import GF2, FieldSpec, gf2_rank
 from .monomials import (
     FamilyError,
+    LabellingError,
     Monomial,
     MonomialLabelling,
     VertexFamily,
@@ -272,6 +273,27 @@ def require_labelling_on(X: CellComplex, L: MonomialLabelling):
         raise FamilyError("labelling size does not match the complex")
 
 
+def _cover_witness(masks, full: int, d: int):
+    """First index tuple, in itertools.combinations order, of min(d, m)
+    masks whose union is full; None when no such tuple exists.
+
+    A cover by fewer than d members is still a cover by d (members may
+    repeat), so the unions of up to d members are closed level by level,
+    as sets, and the ordered scan runs only once full is among them.
+    """
+    k = min(d, len(masks))
+    level = {0}
+    for _ in range(k):
+        level = {u | m for u in level for m in masks}
+        if full in level:
+            break
+    else:
+        return None
+    return next(combo for combo, u in zip(
+        itertools.combinations(range(len(masks)), k),
+        cover_unions(0, masks, k)) if u == full)
+
+
 def check_family_criteria(X: CellComplex, F: VertexFamily,
                           field: FieldSpec = GF2,
                           oracle: AcyclicityOracle = None) -> FamilyCriteriaReport:
@@ -284,18 +306,10 @@ def check_family_criteria(X: CellComplex, F: VertexFamily,
     full = (1 << X.n_vertices) - 1
     oracle = oracle_for(X, field, oracle)
     # closing the unions first refuses an oversized family (GuardExceeded)
-    # before the cover-bound scan over its d-subsets
+    # before the cover-bound closure, whose levels lie inside these unions
     unions = sorted(subfamily_unions(masks))
-
-    # a cover by fewer than d members is still a cover by d (members may
-    # repeat), so families smaller than d are tested as a whole
-    cover_bound, cover_witness = True, None
-    k = min(d, len(masks))
-    for combo, u in zip(itertools.combinations(range(len(masks)), k),
-                        cover_unions(0, masks, k)):
-        if u == full:
-            cover_bound, cover_witness = False, combo
-            break
+    cover_witness = _cover_witness(masks, full, d)
+    cover_bound = cover_witness is None
 
     complements_acyclic, union_witness = True, None
     for u in unions:
@@ -339,6 +353,11 @@ def check_cellular_resolution(X: CellComplex, L: MonomialLabelling,
 
 def multidegree(L: MonomialLabelling, vertices) -> Monomial:
     """Join of the labels over a set of vertices."""
+    vertices = tuple(vertices)
+    bad = next((v for v in vertices if not 0 <= v < L.n_vertices), None)
+    if bad is not None:
+        raise LabellingError(
+            f"vertex {bad} is out of range for {L.n_vertices} labels")
     return Monomial(_lcm_exponents(L, mask_of(vertices)))
 
 

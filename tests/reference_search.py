@@ -27,6 +27,9 @@ their lowest vertex and must return the same list.
 read face separation from `separation_bits`, one test per member and
 covering face pair, and coverage from the union of the members; the
 library reads both from requirement rows and must return the same report.
+`reference_cover_witness` is the cover-bound scan over every
+min(d, m)-subset of the members; the library closes the unions of up to d
+members first and must return the same first covering tuple.
 """
 
 import itertools
@@ -260,20 +263,24 @@ def reference_maximal_families(X, space=None, field=GF2) -> list:
     return [F for F in valid if is_maximal(X, F, field, oracle).is_maximal]
 
 
-def reference_family_criteria(X, F, field=GF2, oracle=None):
-    """`check_family_criteria` with separation read off `separation_bits`."""
-    d = X.dim
-    masks = F.member_masks()
-    full = (1 << X.n_vertices) - 1
-    oracle = oracle or AcyclicityOracle(X, field)
-
-    cover_bound, cover_witness = True, None
+def reference_cover_witness(masks, full, d):
+    """First index tuple of min(d, m) masks whose union is full, or None."""
     k = min(d, len(masks))
     for combo, u in zip(itertools.combinations(range(len(masks)), k),
                         cover_unions(0, masks, k)):
         if u == full:
-            cover_bound, cover_witness = False, combo
-            break
+            return combo
+    return None
+
+
+def reference_family_criteria(X, F, field=GF2, oracle=None):
+    """`check_family_criteria` with separation read off `separation_bits`."""
+    masks = F.member_masks()
+    full = (1 << X.n_vertices) - 1
+    oracle = oracle or AcyclicityOracle(X, field)
+
+    cover_witness = reference_cover_witness(masks, full, X.dim)
+    cover_bound = cover_witness is None
 
     complements_acyclic, union_witness = True, None
     for u in sorted(subfamily_unions(masks)):

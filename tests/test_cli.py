@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cellres import cli
 from cellres.cli import main
 from cellres.complexes import strip_signs
 from cellres.constructions import (
@@ -29,6 +30,9 @@ from cellres.serialize import (
     family_to_dict,
     labelling_to_dict,
 )
+from test_cli_usage import commands as usage_commands
+from test_cli_usage import key as usage_key
+from test_cli_usage import run_command as run_usage
 
 
 def run(capsys, *argv):
@@ -697,3 +701,36 @@ def test_import_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_a_call_builds_the_parser_of_its_subcommand_alone(tmp_path):
+    # a fresh process, so no other test's parser is in the cache
+    cx = write_doc(tmp_path, "pent.json", complex_to_dict(polygon_complex(5)))
+    probe = (
+        "import contextlib, io, sys\n"
+        "from cellres import cli\n"
+        "built, init = [], cli._Parser.__init__\n"
+        "cli._Parser.__init__ = lambda self, *a, **k: ("
+        "built.append(self), init(self, *a, **k))[1]\n"
+        "argv, runs = ['enumerate', '--complex', sys.argv[1]], []\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        runs.append((cli.main(argv), len(built)))\n"
+        "sub, = [a for a in cli._build_parser('enumerate')._actions\n"
+        "        if a.dest == 'command']\n"
+        "print(runs, list(sub.choices), cli._build_parser.cache_info().misses)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe, cx], env=env,
+                          capture_output=True, text=True, check=True)
+    # the top parser and one subparser, built by the first call only
+    assert done.stdout.strip() == "[(0, 2), (0, 2)] ['enumerate'] 1"
+
+
+@pytest.mark.parametrize("argv", list(usage_commands()), ids=usage_key)
+def test_a_subcommand_alone_parses_as_in_the_full_tree(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = run_usage(argv)
+    full = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda *named: full)
+    assert run_usage(argv) == alone

@@ -80,7 +80,7 @@ from reference_lattice import (
     reference_multidegree,
     reference_polarize,
 )
-from reference_search import reference_family_criteria
+from reference_search import reference_cover_witness, reference_family_criteria
 from test_acceptance import TWELVE_GON_SIXTEEN
 from test_search import chords_of, polygons_with_chords
 
@@ -201,6 +201,13 @@ def test_multidegree_is_the_label_join():
     assert multidegree(L, (0, 1)).exponents == (2, 1)
     assert multidegree(L, (0, 1, 2)).exponents == (2, 2)
     assert multidegree(L, ()).exponents == (0, 0)
+
+
+@pytest.mark.parametrize("vertices, bad", [((0, 3, 5), 3), ((1, -1, 9), -1)])
+def test_multidegree_names_the_first_vertex_out_of_range(vertices, bad):
+    with pytest.raises(LabellingError,
+                       match=f"^vertex {bad} is out of range for 3 labels$"):
+        multidegree(squares_labelling(), vertices)
 
 
 def test_codimension_counts_minimal_variable_cover():
@@ -333,6 +340,45 @@ def test_oversized_family_is_refused_before_the_cover_bound_scan(
     # 17 singletons have 2^17 unions, past the 2^16 the guard allows
     with pytest.raises(GuardExceeded):
         check_family_criteria(X, family(18, [{v} for v in range(17)]))
+
+
+@st.composite
+def random_cover_cases(draw):
+    """Up to 12 distinct nonempty vertex masks on 1 to 9 vertices, the full
+    mask, and a dimension d from 1 to 4."""
+    full = (1 << draw(st.integers(1, 9))) - 1
+    masks = draw(st.lists(st.integers(1, full), max_size=12, unique=True))
+    return masks, full, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_cover_cases())
+def test_cover_closure_matches_the_subset_scan(case):
+    # the witness is None exactly when the cover bound holds
+    masks, full, d = case
+    assert (resolution._cover_witness(masks, full, d)
+            == reference_cover_witness(masks, full, d))
+
+
+def test_cover_bound_of_nested_members_is_quick(monkeypatch):
+    # the 150 nested sets {0..k} on the pyramid over the 150-gon have 151
+    # unions and none holds the apex, so no triple is scanned (551,300
+    # triples, about 0.3 s, when each was)
+    X = pyramid(polygon_complex(150))
+    nested = [set(range(k + 1)) for k in range(150)]
+
+    def scan(*args):
+        raise AssertionError("the triples were scanned, yet none covers")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(resolution, "cover_unions", scan)
+        start = time.perf_counter()
+        rep = check_family_criteria(X, family(151, nested))
+        assert time.perf_counter() - start < 0.15
+    assert rep.cover_bound and rep.cover_witness is None
+    # with the apex as a member the first covering triple is reported
+    rep = check_family_criteria(X, family(151, [*nested, {150}]))
+    assert not rep.cover_bound and rep.cover_witness == (0, 149, 150)
 
 
 def test_a_passed_oracle_must_answer_for_the_complex_and_field():
