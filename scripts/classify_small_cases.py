@@ -16,6 +16,7 @@ eight-member single shape.
 import argparse
 import sys
 
+from cellres.cli import EXIT_GUARD, nonnegative_int
 from cellres.constructions import (
     chord_complex,
     edges_to_tree,
@@ -26,6 +27,7 @@ from cellres.constructions import (
 )
 from cellres.monomials import family_of, member_key
 from cellres.search import (
+    GuardExceeded,
     SearchSpace,
     enumerate_maximal_families,
     enumerate_valid_families,
@@ -129,17 +131,21 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-tree-vertices", type=int, default=7)
     ap.add_argument("--max-polygon", type=int, default=7)
-    ap.add_argument("--max-candidates", type=int, default=200)
+    ap.add_argument("--max-candidates", type=nonnegative_int, default=200)
     args = ap.parse_args(argv)
 
     space = SearchSpace(max_candidates=args.max_candidates)
-    tree_table(args.max_tree_vertices, space)
-    print()
-    polygon_table(args.max_polygon, space)
-    print()
-    chord_table(args.max_polygon, space)
-    print()
-    hexagon_catalogue(space)
+    try:
+        tree_table(args.max_tree_vertices, space)
+        print()
+        polygon_table(args.max_polygon, space)
+        print()
+        chord_table(args.max_polygon, space)
+        print()
+        hexagon_catalogue(space)
+    except GuardExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     return 0
 
 

@@ -17,7 +17,8 @@ instances decided by the requirement-driven existence search.
 import argparse
 import sys
 
-from cellres.search import selfdual_report, variable_count_report
+from cellres.cli import EXIT_GUARD, nonnegative_int
+from cellres.search import GuardExceeded, selfdual_report, variable_count_report
 from cellres.serialize import canonical_json, report_to_dict
 
 
@@ -63,7 +64,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--kind", choices=["variable-count", "selfdual", "all"],
                     default="all")
-    ap.add_argument("--max-candidates", type=int, default=200)
+    ap.add_argument("--max-candidates", type=nonnegative_int, default=200)
     ap.add_argument("--json", action="store_true",
                     help="emit the raw reports as canonical JSON")
     args = ap.parse_args(argv)
@@ -71,12 +72,17 @@ def main(argv=None):
     kinds = (["variable-count", "selfdual"] if args.kind == "all"
              else [args.kind])
     reports = []
-    for kind in kinds:
-        if kind == "variable-count":
-            reports.append(variable_count_report(
-                max_candidates=args.max_candidates))
-        else:
-            reports.append(selfdual_report(max_candidates=args.max_candidates))
+    try:
+        for kind in kinds:
+            if kind == "variable-count":
+                reports.append(variable_count_report(
+                    max_candidates=args.max_candidates))
+            else:
+                reports.append(
+                    selfdual_report(max_candidates=args.max_candidates))
+    except GuardExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_GUARD
 
     if args.json:
         sys.stdout.write(canonical_json(

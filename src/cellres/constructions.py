@@ -197,18 +197,21 @@ def tree_unique_morphism(T: OrientedTree, L: MonomialLabelling):
 
 
 def _region_cycles(cycle, chords):
-    if not chords:
-        return [tuple(cycle)]
-    (a, b), rest = chords[0], chords[1:]
-    i, j = cycle.index(a), cycle.index(b)
-    if i > j:
-        i, j = j, i
-    sides = (cycle[i:j + 1], cycle[j:] + cycle[:i + 1])
-    out = []
-    for side in sides:
-        sset = set(side)
-        inside = [c for c in rest if c[0] in sset and c[1] in sset]
-        out.extend(_region_cycles(side, inside))
+    """Vertex cycles of the regions the chords cut the cycle into: the
+    first chord splits it in two, and each side's regions come in turn."""
+    out, stack = [], [(cycle, chords)]
+    while stack:
+        cycle, chords = stack.pop()
+        if not chords:
+            out.append(tuple(cycle))
+            continue
+        (a, b), rest = chords[0], chords[1:]
+        i, j = sorted((cycle.index(a), cycle.index(b)))
+        sides = (cycle[i:j + 1], cycle[j:] + cycle[:i + 1])
+        for side in reversed(sides):
+            sset = set(side)
+            stack.append((side, [c for c in rest
+                                 if c[0] in sset and c[1] in sset]))
     return out
 
 

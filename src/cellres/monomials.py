@@ -242,19 +242,19 @@ def polarize(L: MonomialLabelling) -> MonomialLabelling:
 def _exact_cover_exists(target: int, parts) -> bool:
     """Can `target` be written as a disjoint union of some of `parts`?"""
     usable = [p for p in parts if p and p & ~target == 0]
-
-    # branch on the lowest uncovered bit: exactly one chosen part must
-    # contain it, and any part of the cover may appear anywhere in the list
-    def go(rest):
-        if rest == 0:
+    # exactly one chosen part holds the lowest bit left to cover, and any
+    # part of the cover may appear anywhere in the list
+    stack, seen = [target], {target}
+    while stack:
+        rest = stack.pop()
+        if not rest:
             return True
         low = rest & -rest
         for p in usable:
-            if p & low and p & ~rest == 0 and go(rest ^ p):
-                return True
-        return False
-
-    return go(target)
+            if p & low and p & ~rest == 0 and rest ^ p not in seen:
+                seen.add(rest ^ p)
+                stack.append(rest ^ p)
+    return False
 
 
 def is_disjoint_union_of(target, members) -> bool:

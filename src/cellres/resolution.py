@@ -278,17 +278,12 @@ def _cover_witness(masks, full: int, d: int):
     masks whose union is full; None when no such tuple exists.
 
     A cover by fewer than d members is still a cover by d (members may
-    repeat), so the unions of up to d members are closed level by level,
-    as sets, and the ordered scan runs only once full is among them.
+    repeat), so the ordered scan runs only once a cover by at most d
+    members is known to exist.
     """
-    k = min(d, len(masks))
-    level = {0}
-    for _ in range(k):
-        level = {u | m for u in level for m in masks}
-        if full in level:
-            break
-    else:
+    if _minimum_cover_size(full, masks, d) is None:
         return None
+    k = min(d, len(masks))
     return next(combo for combo, u in zip(
         itertools.combinations(range(len(masks)), k),
         cover_unions(0, masks, k)) if u == full)
@@ -306,7 +301,7 @@ def check_family_criteria(X: CellComplex, F: VertexFamily,
     full = (1 << X.n_vertices) - 1
     oracle = oracle_for(X, field, oracle)
     # closing the unions first refuses an oversized family (GuardExceeded)
-    # before the cover-bound closure, whose levels lie inside these unions
+    # before the cover-bound search, whose partial unions lie among these
     unions = sorted(subfamily_unions(masks))
     cover_witness = _cover_witness(masks, full, d)
     cover_bound = cover_witness is None
@@ -382,30 +377,30 @@ def check_minimal(X: CellComplex, L: MonomialLabelling):
     return True, None
 
 
-def _minimum_cover_size(universe: int, masks):
-    """Smallest number of masks whose union contains `universe`, or None.
+def _minimum_cover_size(universe: int, masks, limit: int = None):
+    """Fewest masks whose union contains `universe`; None when no cover
+    exists or more than `limit` masks are needed.
 
-    Deepens the size bound one step at a time; some mask of a cover holds
-    the lowest uncovered vertex, so each step branches only on those.
+    The partial unions of each size are kept as a set.  Some mask of every
+    cover holds the lowest vertex a partial union leaves uncovered, so a
+    union grows only by those masks.
     """
     reach = 0
     for m in masks:
         reach |= m
     if universe & ~reach:
         return None
-
-    def covers(covered, k):
-        rest = universe & ~covered
-        if not rest:
-            return True
-        low = rest & -rest
-        return k > 0 and any(covers(covered | m, k - 1)
-                             for m in masks if m & low)
-
-    size = 0
-    while not covers(0, size):
-        size += 1
-    return size
+    level, size = {0}, 0
+    while limit is None or size <= limit:
+        grown = set()
+        for u in level:
+            rest = universe & ~u
+            if not rest:
+                return size
+            low = rest & -rest
+            grown.update(u | m for m in masks if m & low)
+        level, size = grown, size + 1
+    return None
 
 
 def codimension(L: MonomialLabelling) -> int:

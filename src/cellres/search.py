@@ -54,6 +54,7 @@ from .monomials import (
 )
 from .resolution import (
     AcyclicityOracle,
+    _minimum_cover_size,
     check_family_criteria,
     cover_unions,
     f_symmetry,
@@ -371,16 +372,13 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
         gone = next(s for s in F.sets if s not in red.as_set())
         return MaximalityReport(False, decomposable=gone)
     masks = F.member_masks()
-    member_set = set(masks)
     unions = sorted(subfamily_unions(masks))
     full = (1 << X.n_vertices) - 1
     d = X.dim
     combos = [0, *cover_unions(0, masks, min(d - 1, len(masks)))]
     for t in connected_vertex_subsets(X):
-        if t in member_set:
-            continue
         if _exact_cover_exists(t, masks):
-            continue
+            continue  # a member, or a disjoint union of members
         if any(t | u == full for u in combos):
             continue  # extension would break the cover bound
         if all(oracle.is_acyclic(full & ~(t | u)) for u in unions):
@@ -434,14 +432,11 @@ def covering_property_check(X: CellComplex, F: VertexFamily,
     full = (1 << X.n_vertices) - 1
     d = X.dim
 
-    def covers_with(base, pool, count):
-        return full in cover_unions(base, pool, min(count, len(pool)))
-
     single, witness = True, None
     for i, T in enumerate(F.sets):
         for t in T:
             pool = [m for m in masks if not (m >> t) & 1]
-            if not covers_with(masks[i], pool, d):
+            if _minimum_cover_size(full & ~masks[i], pool, d) is None:
                 single, witness = False, ("single-vertex", t, T)
                 break
         if not single:
@@ -453,7 +448,8 @@ def covering_property_check(X: CellComplex, F: VertexFamily,
         for i, j in itertools.combinations(range(len(masks)), 2):
             if masks[i] & masks[j]:
                 continue
-            if not covers_with(masks[i] | masks[j], masks, d - 1):
+            rest = full & ~(masks[i] | masks[j])
+            if _minimum_cover_size(rest, masks, d - 1) is None:
                 pair = False
                 if witness is None:
                     witness = ("disjoint-pair", F.sets[i], F.sets[j])

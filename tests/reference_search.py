@@ -28,13 +28,21 @@ read face separation from `separation_bits`, one test per member and
 covering face pair, and coverage from the union of the members; the
 library reads both from requirement rows and must return the same report.
 `reference_cover_witness` is the cover-bound scan over every
-min(d, m)-subset of the members; the library closes the unions of up to d
-members first and must return the same first covering tuple.
+min(d, m)-subset of the members; the library asks the minimum-cover kernel
+first and must return the same first covering tuple.
+`reference_covering_property_check` is `covering_property_check` as it was
+when it scanned every subset of exactly min(count, pool size) members for a
+cover; the library asks the minimum-cover kernel instead and must return
+the same report.
 """
 
 import itertools
 
-from cellres.complexes import is_connected, vertex_adjacency
+from cellres.complexes import (
+    is_connected,
+    is_polytope_complex,
+    vertex_adjacency,
+)
 from cellres.linalg import GF2
 from cellres.monomials import (
     FamilyError,
@@ -54,6 +62,7 @@ from cellres.resolution import (
     cover_unions,
 )
 from cellres.search import (
+    CoveringReport,
     MaximalityReport,
     enumerate_valid_families,
     is_maximal,
@@ -308,3 +317,39 @@ def reference_family_criteria(X, F, field=GF2, oracle=None):
         cover_bound, complements_acyclic, face_separation, covers_vertices,
         field.describe(), cover_witness, union_witness, separation_witness,
         uncovered)
+
+
+def reference_covering_property_check(X, F, field=GF2, oracle=None):
+    """`covering_property_check` by ordered scans over member subsets."""
+    if not is_maximal(X, F, field, oracle).is_maximal:
+        raise FamilyError("covering properties apply to maximal families only")
+    masks = F.member_masks()
+    full = (1 << X.n_vertices) - 1
+    d = X.dim
+
+    def covers_with(base, pool, count):
+        return full in cover_unions(base, pool, min(count, len(pool)))
+
+    single, witness = True, None
+    for i, T in enumerate(F.sets):
+        for t in T:
+            pool = [m for m in masks if not (m >> t) & 1]
+            if not covers_with(masks[i], pool, d):
+                single, witness = False, ("single-vertex", t, T)
+                break
+        if not single:
+            break
+
+    pair = None
+    if is_polytope_complex(X):
+        pair = True
+        for i, j in itertools.combinations(range(len(masks)), 2):
+            if masks[i] & masks[j]:
+                continue
+            if not covers_with(masks[i] | masks[j], masks, d - 1):
+                pair = False
+                if witness is None:
+                    witness = ("disjoint-pair", F.sets[i], F.sets[j])
+                break
+
+    return CoveringReport(single, pair, witness)

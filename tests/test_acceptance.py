@@ -61,6 +61,7 @@ from cellres.search import (
     variable_count_report,
 )
 from cellres.complexes import reduced_homology, restrict
+from reference_search import reference_covering_property_check
 
 SP = SearchSpace(max_candidates=200)
 
@@ -479,3 +480,9 @@ def test_family_verdicts_agree_with_labelling_verdicts(hexagon_two_chords):
 def test_every_maximal_family_has_the_covering_property():
     for name, (X, F) in MAXIMAL.items():
         assert covering_property_check(X, F).ok, name
+
+
+def test_covering_property_matches_the_ordered_scans_everywhere():
+    for name, (X, F) in MAXIMAL.items():
+        assert (covering_property_check(X, F)
+                == reference_covering_property_check(X, F)), name

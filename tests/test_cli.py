@@ -76,6 +76,15 @@ def test_construct_polygon_report_shape(capsys):
     assert [c["dim"] for c in cells].count(2) == 1
 
 
+def test_construct_fan_1100_gon_has_no_recursion_limit(capsys):
+    chords = ",".join(f"0-{k}" for k in range(2, 1099))
+    code, out, err = run(capsys, "construct", "subdivided-polygon",
+                         "--n", "1100", "--chords", chords)
+    assert code == 0 and err is None
+    cells = out["result"]["complex"]["cells"]
+    assert [c["dim"] for c in cells].count(2) == 1098
+
+
 def test_construct_list_names_the_fixture_catalogue(capsys):
     code, out, _ = run(capsys, "construct", "--list")
     assert code == 0
@@ -265,6 +274,19 @@ def test_morphism_exit_codes(capsys, hexagon_files):
                        "--to", hexagon_files["combined"])
     assert code == 1
     assert out["result"]["morphism_exists"] is False
+
+
+def test_morphism_from_1200_singletons_to_their_union(capsys, tmp_path):
+    # the exact cover of the union takes 1,200 parts, one per step
+    n = 1200
+    singletons = write_doc(tmp_path, "singletons.json",
+                           family_to_dict(family(n, [{v} for v in range(n)])))
+    union = write_doc(tmp_path, "union.json",
+                      family_to_dict(family(n, [set(range(n))])))
+    code, out, err = run(capsys, "morphism", "--from", singletons,
+                         "--to", union)
+    assert code == 0 and err is None
+    assert out["result"]["morphism_exists"] is True
 
 
 def test_polarize_matches_the_catalogued_labelling(capsys, hexagon_files,

@@ -10,17 +10,19 @@ After an intended output change, regenerate the file with
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
 from cellres.cli import main
 from cellres.constructions import fixture, fixture_catalogue, polygon_complex
-from cellres.monomials import family_of
+from cellres.monomials import family_of, labelling
 from cellres.serialize import (
     canonical_json,
     complex_to_dict,
@@ -39,6 +41,18 @@ SPLITS = ("hex-squares-polarized", "hex-squares-alternative",
 CONES = ("pyramid-pentagon", "elongated-pyramid-triangle")
 # bare polygons fed to construct pyramid and construct elongated-pyramid
 POLYGONS = {"pentagon": 5, "triangle": 3}
+# dissections of the 9-gon fed to construct subdivided-polygon: the fan
+# from vertex 0 and the zigzag 1-8, 8-2, 2-7, 7-3, 3-6, 6-4
+DISSECTIONS = ("0-2,0-3,0-4,0-5,0-6,0-7", "1-8,2-8,2-7,3-7,3-6,4-6")
+# the 14-gon labelled with one variable per vertex pair: a vertex's label
+# is the product of the variables of the pairs that hold it
+ALL_PAIRS = 14
+
+
+def all_pairs_labelling(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    return labelling(len(pairs), [tuple(int(v in p) for p in pairs)
+                                  for v in range(n)])
 
 
 def write_inputs(directory):
@@ -54,6 +68,10 @@ def write_inputs(directory):
             docs["family"] = family_to_dict(family_of(L))
         for kind, doc in docs.items():
             Path(directory, f"{fid}.{kind}.json").write_text(canonical_json(doc))
+    Path(directory, "all-pairs.complex.json").write_text(
+        canonical_json(complex_to_dict(polygon_complex(ALL_PAIRS))))
+    Path(directory, "all-pairs.labelling.json").write_text(
+        canonical_json(labelling_to_dict(all_pairs_labelling(ALL_PAIRS))))
 
 
 def commands():
@@ -89,6 +107,11 @@ def commands():
     yield ["construct", "pyramid", "--complex", "pentagon.complex.json"]
     yield ["construct", "elongated-pyramid", "--complex",
            "triangle.complex.json"]
+    for chords in DISSECTIONS:
+        yield ["construct", "subdivided-polygon", "--n", "9",
+               "--chords", chords]
+    yield ["verify", "--complex", "all-pairs.complex.json",
+           "--labelling", "all-pairs.labelling.json"]
     for fid in CONES:
         cx = ("--complex", f"{fid}.complex.json")
         lab = ("--labelling", f"{fid}.labelling.json")
@@ -113,6 +136,17 @@ def test_cli_output_matches_the_pinned_bytes(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_inputs(tmp_path)
     assert run_command(argv) == golden()[" ".join(argv)]
+
+
+def test_all_pairs_verify_is_quick(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    argv = ["verify", "--complex", "all-pairs.complex.json",
+            "--labelling", "all-pairs.labelling.json"]
+    start = time.perf_counter()
+    got = run_command(argv)
+    assert time.perf_counter() - start < 2
+    assert got == golden()[" ".join(argv)]
 
 
 def test_golden_file_covers_exactly_these_commands():

@@ -1,6 +1,8 @@
 """Monomial labellings, vertex families, reduction and refinement."""
 
+import functools
 import itertools
+import operator
 import time
 
 import pytest
@@ -13,6 +15,7 @@ from cellres.constructions import fixture, fixture_catalogue, polygon_family
 from cellres.monomials import (
     UNION_LIMIT,
     FamilyError,
+    _exact_cover_exists,
     GuardExceeded,
     LabellingError,
     Refinement,
@@ -242,6 +245,24 @@ def test_exact_cover_uses_parts_in_any_order():
     assert is_disjoint_union_of({0, 1, 4}, [{0}, {4}, {0, 1}])
     assert not is_disjoint_union_of({0, 1, 4}, [{0, 1}, {1, 4}])
     assert not is_disjoint_union_of({0, 2}, [{0, 1}, {2}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+           st.integers(0, (1 << n) - 1),
+           st.lists(st.integers(0, (1 << n) - 1), max_size=9))))
+def test_exact_cover_matches_the_subset_scan(case):
+    target, parts = case
+
+    def disjoint_union_is_target(combo):
+        # the parts are pairwise disjoint when no bit is counted twice
+        union = functools.reduce(operator.or_, combo, 0)
+        return union == target and sum(combo) == union
+
+    want = any(disjoint_union_is_target(combo)
+               for k in range(len(parts) + 1)
+               for combo in itertools.combinations(parts, k))
+    assert _exact_cover_exists(target, parts) == want
 
 
 def test_reduce_family_drops_disjoint_unions():

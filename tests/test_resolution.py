@@ -270,6 +270,35 @@ def test_codimension_of_many_singletons_is_quick():
     assert time.perf_counter() - start < 0.05
 
 
+def test_codimension_of_400_unit_monomials_has_no_recursion_limit():
+    # one variable per vertex: the cover is 400 masks deep
+    n = 400
+    L = labelling(n, [tuple(int(i == v) for i in range(n)) for v in range(n)])
+    assert codimension(L) == n
+
+
+def test_all_pairs_cover_on_14_vertices_is_quick():
+    # one mask per vertex pair; a perfect matching is a least cover
+    n = 14
+    masks = [mask_of(p) for p in itertools.combinations(range(n), 2)]
+    start = time.perf_counter()
+    assert resolution._minimum_cover_size((1 << n) - 1, masks) == n // 2
+    assert time.perf_counter() - start < 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+           st.integers(0, (1 << n) - 1),
+           st.lists(st.integers(1, (1 << n) - 1), max_size=10, unique=True),
+           st.sampled_from([None, 0, 1, 2, 3, 4]))))
+def test_minimum_cover_size_matches_the_subset_scan(case):
+    universe, masks, limit = case
+    want = least_cover_size(universe, masks)
+    if want is not None and limit is not None and want > limit:
+        want = None
+    assert resolution._minimum_cover_size(universe, masks, limit) == want
+
+
 def test_codimension_family_requires_cover():
     with pytest.raises(FamilyError):
         codimension_family(family(3, [{0, 1}]))
@@ -335,6 +364,7 @@ def test_oversized_family_is_refused_before_the_cover_bound_scan(
         raise AssertionError("the cover bound was scanned before the guard")
 
     monkeypatch.setattr(resolution, "cover_unions", scan)
+    monkeypatch.setattr(resolution, "_minimum_cover_size", scan)
     X = pyramid(polygon_complex(17))
     assert X.dim == 3
     # 17 singletons have 2^17 unions, past the 2^16 the guard allows

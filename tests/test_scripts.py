@@ -41,3 +41,26 @@ def test_conjecture_evidence_rejects_the_jobs_flag(capsys):
         script.main(["--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("conjecture_evidence", ["--kind", "variable-count"]),
+    ("classify_small_cases", []),
+])
+def test_scripts_report_a_guard_refusal_in_one_line(name, argv, capsys):
+    script = load_script(name)
+    assert script.main([*argv, "--max-candidates", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("refused: more than 5 candidate sets; "
+                   "raise max_candidates to proceed\n")
+
+
+@pytest.mark.parametrize("name", ["conjecture_evidence",
+                                  "classify_small_cases"])
+def test_scripts_refuse_a_negative_candidate_bound(name, capsys):
+    script = load_script(name)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--max-candidates", "-1"])
+    assert exc.value.code == 2
+    assert ("argument --max-candidates: needs an integer >= 0, got -1"
+            in capsys.readouterr().err)

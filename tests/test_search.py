@@ -52,6 +52,7 @@ from cellres.search import (
 )
 from reference_search import (
     from_scratch_search,
+    reference_covering_property_check,
     reference_family_search,
     reference_connected_vertex_subsets,
     reference_is_maximal,
@@ -643,6 +644,14 @@ def test_covering_property_of_maximal_families(hexagon_two_chords,
     assert rep.disjoint_pair_cover is True
     for F in hexagon_maximal_families:
         assert covering_property_check(hexagon_two_chords, F).ok
+
+
+def test_covering_property_matches_the_ordered_scans(
+        hexagon_two_chords, hexagon_maximal_families):
+    assert len(hexagon_maximal_families) == 6
+    for F in hexagon_maximal_families:
+        assert (covering_property_check(hexagon_two_chords, F)
+                == reference_covering_property_check(hexagon_two_chords, F))
 
 
 def test_covering_property_requires_maximality(hexagon_two_chords):
