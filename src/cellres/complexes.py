@@ -198,42 +198,30 @@ class HomologyReport:
 def chain_ranks(maps, field: FieldSpec) -> list:
     """Ranks over `field` of boundary maps given as sparse columns.
 
-    Each map is a list of columns, each column a list of (row position,
-    sign) pairs.  Over GF(2) a column is packed into a bitmask and the signs
-    are ignored; over Q the map becomes a dense integer matrix.  A map with
-    no entries has rank 0 and needs no elimination.
+    Each map is a list of columns, each column a list of (row, sign) pairs
+    in any row coordinates, each row at most once.  Over Q the columns go
+    to `matrix_rank` as they are; over GF(2) each is packed into a bitmask
+    and the signs are ignored.  A map with no entries has rank 0 and needs
+    no elimination.
     """
     ranks = []
     for cols in maps:
         if not any(cols):
             ranks.append(0)
         elif field.is_rational:
-            mat = [[0] * len(cols)
-                   for _ in range(1 + max(r for col in cols for r, _ in col))]
-            for j, col in enumerate(cols):
-                for r, s in col:
-                    mat[r][j] = s
-            ranks.append(matrix_rank(mat, field))
+            ranks.append(matrix_rank(cols, field))
         else:
-            packed = []
-            for col in cols:
-                bits = 0
-                for r, _ in col:
-                    bits |= 1 << r
-                packed.append(bits)
-            ranks.append(gf2_rank(packed))
+            ranks.append(gf2_rank(sum(1 << r for r, _ in col) for col in cols))
     return ranks
 
 
 def reduced_betti(by_dim, field: FieldSpec) -> dict:
     """Nonzero reduced Betti numbers (dimension -1 included) of the cells
     listed by dimension in `by_dim`, which must hold every boundary cell of
-    every listed cell.  The augmentation C_0 -> C_(-1) has rank 1 whenever
-    there are vertices, so only the higher maps are eliminated."""
-    maps = []
-    for d in range(1, len(by_dim)):
-        pos = {c.id: i for i, c in enumerate(by_dim[d - 1])}
-        maps.append([[(pos[b], s) for b, s in c.boundary] for c in by_dim[d]])
+    every listed cell.  Each boundary map is the cells' boundary tuples, in
+    cell-id coordinates.  The augmentation C_0 -> C_(-1) has rank 1
+    whenever there are vertices, so only the higher maps are eliminated."""
+    maps = [[c.boundary for c in cells] for cells in by_dim[1:]]
     ranks = [1 if by_dim[0] else 0] + chain_ranks(maps, field) + [0]
     betti = {-1: 1} if not ranks[0] else {}
     for d, cells in enumerate(by_dim):

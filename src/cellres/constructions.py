@@ -294,9 +294,10 @@ def polygon_family(n: int) -> VertexFamily:
 def chord_families(n: int, a: int):
     """The two maximal families of the polygon with chord 0..a.
 
-    Both have n+1 members.  The first keeps the short arcs anchored away
-    from the chord; the second is its image under the reflection fixing the
-    chord.
+    Both have n+1 members, and the two differ.  For even n the second is
+    the image of the first under the reflection v -> a - v (mod n), which
+    fixes the chord.  For odd n the first is itself invariant under that
+    reflection, so the second is not its image.
     """
     if not (2 <= a and 2 * a <= n):
         raise FamilyError("chord endpoint must satisfy 2 <= a and 2a <= n")

@@ -1,14 +1,16 @@
 """Exact rank computations over GF(2) and the rationals.
 
-These are the two coefficient fields of the homology engine.  Everything
-here is integer arithmetic: GF(2) ranks use bitset rows, the rational rank
-uses fraction-free (two-step) integer elimination, so there are no floating
-point or precision questions anywhere.
+These are the two coefficient fields of the homology engine.  Both ranks
+reduce sparse rows, one at a time, by the pivot rows found so far, keyed on
+their lowest column: GF(2) rows are int bitmasks, rational rows stay integer
+rows divided by the gcd of their entries.  There is no floating point and
+no precision question anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -37,59 +39,46 @@ RATIONAL = FieldSpec(0)
 def gf2_rank(rows) -> int:
     """Rank over GF(2) of a matrix whose rows are given as int bitmasks."""
     basis = {}
-    rank = 0
     for row in rows:
         while row:
             low = row & -row
             piv = basis.get(low)
             if piv is None:
                 basis[low] = row
-                rank += 1
                 break
             row ^= piv
-    return rank
-
-
-def fraction_free_rank(rows) -> int:
-    """Rank over the rationals by fraction-free integer elimination.
-
-    The two-step (Bareiss) update keeps every intermediate entry an exact
-    minor of the input, so the divisions below are exact integer divisions.
-    """
-    m = [list(row) for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for c in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][c]
-        for i in range(rank + 1, nr):
-            fi = m[i][c]
-            mi = m[i]
-            mr = m[rank]
-            for j in range(c + 1, nc):
-                mi[j] = (pivot * mi[j] - fi * mr[j]) // prev
-            mi[c] = 0
-        prev = pivot
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    return len(basis)
 
 
 def matrix_rank(rows, field: FieldSpec) -> int:
-    """Rank of an integer matrix (list of row lists) over `field`."""
-    if not rows or not rows[0]:
-        return 0
-    if field.is_rational:
-        return fraction_free_rank(rows)
-    return gf2_rank(sum(1 << j for j, x in enumerate(row) if x % 2)
-                    for row in rows)
+    """Rank over `field` of an integer matrix given as sparse rows.
+
+    Each row is an iterable of (column, value) pairs, each column at most
+    once.  Over GF(2) the odd entries are packed into bitmasks.  Over Q a
+    row whose lowest column c already has a pivot row p becomes
+    p[c] * row - row[c] * p, which clears c and stays integral, and is
+    then divided by the gcd of its entries to keep them small.
+    """
+    if not field.is_rational:
+        return gf2_rank(sum(1 << c for c, x in row if x % 2) for row in rows)
+    basis = {}  # lowest column -> pivot row, as a dict column -> value
+    for row in rows:
+        row = {c: x for c, x in row if x}
+        while row:
+            low = min(row)
+            piv = basis.get(low)
+            if piv is None:
+                basis[low] = row
+                break
+            a, b = piv[low], row[low]
+            row = {c: a * x for c, x in row.items()}
+            for c, y in piv.items():
+                x = row.get(c, 0) - b * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+    return len(basis)

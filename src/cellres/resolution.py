@@ -528,9 +528,9 @@ def strand_ranks(fc: CellularFreeComplex, b, field: FieldSpec = GF2) -> tuple:
             for degs in fc.multidegrees]
     maps = []
     for i in range(2, len(kept)):
-        pos = {r: rj for rj, r in enumerate(kept[i - 1])}
+        rows = set(kept[i - 1])
         cols = fc.maps[i - 1]
-        maps.append([[(pos[r], s) for r, s, _ in cols[c] if r in pos]
+        maps.append([[(r, s) for r, s, _ in cols[c] if r in rows]
                      for c in kept[i]])
     # the degree-1 map sends every kept vertex generator onto the ring, so
     # its rank is 1 as soon as one vertex generator is kept

@@ -35,6 +35,7 @@ from cellres.constructions import (
 )
 from cellres.linalg import GF2, RATIONAL, FieldSpec, matrix_rank
 from cellres.resolution import f_symmetry
+from reference_linalg import dense_gf2_rank, fraction_free_rank
 
 
 def cycle_complex(n):
@@ -95,6 +96,21 @@ def test_validation_flags_flipped_sign():
     cells[-1] = Cell(top.id, top.dim, top.vertices, flipped)
     diags = validate_complex(CellComplex(X.n_vertices, tuple(cells)))
     assert any("boundary of boundary is nonzero" in d for d in diags)
+
+
+def test_validation_flags_ids_off_their_index_and_signs_of_two():
+    # the wire format refuses both before a complex is built, so only a
+    # complex built in the library shows them
+    cells = list(polygon_complex(3).cells)
+    edge, top = cells[3], cells[6]
+    cells[3] = Cell(7, edge.dim, edge.vertices, edge.boundary)
+    assert validate_complex(CellComplex(3, tuple(cells))) == [
+        "cell at index 3 has id 7"]
+    cells[3] = edge
+    cells[6] = Cell(6, 2, top.vertices, ((3, 2), *top.boundary[1:]))
+    assert validate_complex(CellComplex(3, tuple(cells))) == [
+        "cell 6: sign 2 on boundary cell 3",
+        "cell 6: boundary of boundary is nonzero at [0, 1]"]
 
 
 def test_out_of_range_ids_are_no_faces_of_the_cell_above():
@@ -280,11 +296,33 @@ def test_f_vector_symmetry():
     assert not f_symmetry(chord_complex(6, 3))
 
 
+SMALL = st.integers(-3, 3)
+# entries near +-10^9, and zeros so that some rows are sparse
+HUGE = st.one_of(st.just(0), st.integers(10 ** 9 - 3, 10 ** 9 + 3),
+                 st.integers(-10 ** 9 - 3, -10 ** 9 + 3))
+
+
+def dense_matrices(entries):
+    return st.integers(0, 8).flatmap(lambda nc: st.lists(
+        st.lists(entries, min_size=nc, max_size=nc), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_matrices(SMALL), dense_matrices(HUGE)), st.booleans())
+def test_matrix_rank_matches_dense_elimination(rows, dependent):
+    if dependent and len(rows) >= 2:
+        # a row in the span of two others, so that huge draws lose rank too
+        rows = rows + [[3 * x - 2 * y for x, y in zip(rows[0], rows[1])]]
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    assert matrix_rank(sparse, RATIONAL) == fraction_free_rank(rows)
+    assert matrix_rank(sparse, GF2) == dense_gf2_rank(rows)
+
+
 def test_field_spec_accepts_only_gf2_and_the_rationals():
     assert FieldSpec(2) == GF2 and FieldSpec(0) == RATIONAL
     with pytest.raises(ValueError):
         FieldSpec(3)
-    rows = [[1, 1, 0], [1, -1, 0], [0, 2, 2]]
+    rows = [[(0, 1), (1, 1)], [(0, 1), (1, -1)], [(1, 2), (2, 2)]]
     assert matrix_rank(rows, RATIONAL) == 3
     assert matrix_rank(rows, GF2) == 1
     assert matrix_rank([], GF2) == matrix_rank([[]], RATIONAL) == 0

@@ -30,6 +30,7 @@ from cellres.serialize import (
     family_to_dict,
     labelling_to_dict,
 )
+from test_cli_golden import fan_polygon
 from test_cli_usage import commands as usage_commands
 from test_cli_usage import key as usage_key
 from test_cli_usage import run_command as run_usage
@@ -250,6 +251,104 @@ def test_homology_with_restriction(capsys, tmp_path):
     assert code == 0
     assert out["result"]["homology"]["acyclic"] is False
     assert out["result"]["homology"]["reduced_betti"] == {"0": 1}
+
+
+def test_rational_homology_of_the_fan_400_gon_is_quick(capsys, tmp_path):
+    cx = write_doc(tmp_path, "fan.json", complex_to_dict(fan_polygon(400)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "homology", "--complex", cx,
+                       "--field", "rational")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out["result"]["homology"] == {
+        "acyclic": True, "field": "rational", "reduced_betti": {}}
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("homology", None, "homology over rational needs signed incidences"),
+    ("verify", "--labelling",
+     "acyclicity over rational needs signed incidences"),
+    ("verify", "--family", "acyclicity over rational needs signed incidences"),
+    ("maximal-check", "--family",
+     "acyclicity over rational needs signed incidences"),
+    ("enumerate", None, "acyclicity over rational needs signed incidences"),
+    ("betti", "--labelling", "free complex needs signed incidences"),
+])
+def test_every_missing_signs_route_exits_3(capsys, tmp_path, command, flag,
+                                           message):
+    F = polygon_family(5)
+    cx = write_doc(tmp_path, "pent.json",
+                   complex_to_dict(strip_signs(polygon_complex(5))))
+    inputs = {"--family": family_to_dict(F),
+              "--labelling": labelling_to_dict(labelling_of(F))}
+    extra = [flag, write_doc(tmp_path, "in.json", inputs[flag])] if flag else []
+    # betti builds the free complex over the integers whatever the field
+    field = [] if command == "betti" else ["--field", "rational"]
+    code, out, err = run(capsys, command, "--complex", cx, *extra, *field)
+    assert code == 3 and out is None
+    assert err == {"error": {"type": "SignsMissingError", "message": message}}
+
+
+def test_homology_over_gf2_needs_no_signs(capsys, tmp_path):
+    cx = write_doc(tmp_path, "pent.json",
+                   complex_to_dict(strip_signs(polygon_complex(5))))
+    code, out, err = run(capsys, "homology", "--complex", cx)
+    assert code == 0 and err is None
+    assert out["result"]["homology"]["acyclic"] is True
+
+
+def _triangle(cell, key, value):
+    """The triangle with one field of one cell replaced."""
+    doc = complex_to_dict(polygon_complex(3))
+    doc["cells"][cell][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, diags", [
+    (_triangle(0, "boundary", [[1, 1]]),
+     ["cell 0: dimension-0 cell with nonempty boundary"]),
+    (_triangle(0, "vertices", [0, 1]),
+     ["cell 0: dimension-0 cell must have one vertex",
+      "cell 5: vertex set differs from union of boundary vertex sets",
+      "vertex 0 has no dimension-0 cell"]),
+    (_triangle(3, "vertices", []),
+     ["cell 3: empty vertex set",
+      "cell 3: vertex set differs from union of boundary vertex sets"]),
+    (_triangle(3, "vertices", [0, 1, 3]),
+     ["cell 3: vertex 3 out of range",
+      "cell 3: vertex set differs from union of boundary vertex sets",
+      "cell 6: vertex set differs from union of boundary vertex sets"]),
+    (_triangle(6, "boundary", [[3, 1], [4, 1], [5, -1], [3, 1]]),
+     ["cell 6: repeated boundary cell",
+      "cell 6: face 1 lies under 3 boundary cells, expected 2",
+      "cell 6: face 0 lies under 3 boundary cells, expected 2",
+      "cell 6: boundary of boundary is nonzero at [0, 1]"]),
+], ids=["vertex-boundary", "two-vertex-vertex", "empty-vertex-set",
+        "vertex-out-of-range", "repeated-boundary-cell"])
+def test_invalid_triangles_list_every_diagnostic(capsys, tmp_path, doc, diags):
+    cx = write_doc(tmp_path, "triangle.json", doc)
+    code, out, err = run(capsys, "homology", "--complex", cx)
+    assert code == 3 and out is None
+    assert err == {"error": {"type": "SerializationError",
+                             "message": "not a valid complex: "
+                             + "; ".join(diags)}}
+
+
+@pytest.mark.parametrize("argv, kind, message", [
+    (["polygon", "--n", "2"], "ComplexError",
+     "polygon needs at least 3 vertices"),
+    (["wheel", "--n", "2"], "ComplexError", "wheel needs n >= 3"),
+    (["bipyramid", "--n", "2"], "ComplexError", "bipyramid needs n >= 3"),
+    (["subdivided-polygon", "--n", "6", "--chords", "0-3,1-4"],
+     "ComplexError", "chords (0,3) and (1,4) cross"),
+    (["subdivided-polygon", "--n", "6", "--chords", "1-2-3"], "CliError",
+     "--chords entries look like 'i-j', got '1-2-3'"),
+    ([], "CliError", "construct needs a kind or --list"),
+])
+def test_construct_errors_exit_3(capsys, argv, kind, message):
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 3 and out is None
+    assert err == {"error": {"type": kind, "message": message}}
 
 
 def test_betti_ranks(capsys, tmp_path):

@@ -21,7 +21,14 @@ from pathlib import Path
 import pytest
 
 from cellres.cli import main
-from cellres.constructions import fixture, fixture_catalogue, polygon_complex
+from cellres.complexes import CellComplex
+from cellres.constructions import (
+    bipyramid_complex,
+    fixture,
+    fixture_catalogue,
+    polygon_complex,
+    subdivided_polygon,
+)
 from cellres.monomials import family_of, labelling
 from cellres.serialize import (
     canonical_json,
@@ -29,6 +36,7 @@ from cellres.serialize import (
     family_to_dict,
     labelling_to_dict,
 )
+from test_resolution import projective_plane
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 FIXTURES = {"hex-squares-combined": "0,2,4", "wheel-hexagon": "1,3,5,7"}
@@ -47,6 +55,22 @@ DISSECTIONS = ("0-2,0-3,0-4,0-5,0-6,0-7", "1-8,2-8,2-7,3-7,3-6,4-6")
 # the 14-gon labelled with one variable per vertex pair: a vertex's label
 # is the product of the variables of the pairs that hold it
 ALL_PAIRS = 14
+# the fan dissection of the 60-gon from vertex 0
+FAN = 60
+
+
+def fan_polygon(n):
+    return subdivided_polygon(n, [(0, k) for k in range(2, n - 1)])
+
+
+def homology_complexes():
+    """Complexes pinned under `homology` over both fields: the projective
+    plane (b1 = b2 = 1 over GF(2), acyclic over Q), the 2-sphere bounding
+    the pentagonal bipyramid (b2 = 1) and the fan 60-gon (acyclic)."""
+    sphere = bipyramid_complex(5)
+    return {"projective-plane": projective_plane(),
+            "sphere": CellComplex(sphere.n_vertices, sphere.cells[:-1]),
+            "fan": fan_polygon(FAN)}
 
 
 def all_pairs_labelling(n):
@@ -72,6 +96,9 @@ def write_inputs(directory):
         canonical_json(complex_to_dict(polygon_complex(ALL_PAIRS))))
     Path(directory, "all-pairs.labelling.json").write_text(
         canonical_json(labelling_to_dict(all_pairs_labelling(ALL_PAIRS))))
+    for name, X in homology_complexes().items():
+        Path(directory, f"{name}.complex.json").write_text(
+            canonical_json(complex_to_dict(X)))
 
 
 def commands():
@@ -118,6 +145,10 @@ def commands():
         for field in FIELDS:
             for argv in (("verify", *cx, *lab), ("betti", *cx, *lab)):
                 yield [*argv, "--field", field]
+    for name in homology_complexes():
+        for field in FIELDS:
+            yield ["homology", "--complex", f"{name}.complex.json",
+                   "--field", field]
 
 
 def run_command(argv) -> dict:

@@ -188,6 +188,18 @@ def test_chord_families_frozen_content():
             assert len(F.sets) == n + 1
 
 
+def test_chord_families_are_reflections_only_for_even_n():
+    for n in range(4, 12):
+        for a in range(2, n // 2 + 1):
+            first, second = (set(F.sets) for F in chord_families(n, a))
+            image = {frozenset((a - v) % n for v in s) for s in first}
+            assert first != second
+            if n % 2:
+                assert image == first
+            else:
+                assert image == second
+
+
 def test_pyramid_shapes():
     P = pyramid(polygon_complex(5))
     assert P.f_vector() == (6, 10, 6, 1)
