@@ -67,11 +67,16 @@ _EMPTY_FACE = ((-1, 1),)  # a vertex's boundary in the augmented complex
 
 
 class ComplexBuilder:
-    """Incremental constructor; add_cell returns the new cell id."""
+    """Incremental constructor; every add_ method returns the new cell id.
+
+    With `add_vertices` the builder starts with one vertex cell per vertex,
+    vertex v being cell v; only then do `add_edge` and `add_polygon` apply.
+    """
 
     def __init__(self, n_vertices: int, add_vertices: bool = True):
         self.n_vertices = n_vertices
         self._cells = []
+        self._edges = {}  # (u, v) and (v, u) -> id of the edge u-v
         if add_vertices:
             for v in range(n_vertices):
                 self.add_cell(0, (v,), ())
@@ -82,6 +87,22 @@ class ComplexBuilder:
         self._cells.append(Cell(cid, dim, frozenset(vertices),
                                 tuple((b, s) for b, s in boundary)))
         return cid
+
+    def add_edge(self, u: int, v: int) -> int:
+        """Append the edge u-v with boundary u, then v, and +1 on the larger
+        vertex id, the orientation `assign_signs` gives an edge."""
+        cid = self.add_cell(1, (u, v), ((u, 1 if u > v else -1),
+                                        (v, 1 if v > u else -1)))
+        self._edges[u, v] = self._edges[v, u] = cid
+        return cid
+
+    def add_polygon(self, cycle) -> int:
+        """Append a 2-cell on a vertex cycle whose consecutive vertices are
+        joined by added edges.  Its boundary lists those edges in walking
+        order, +1 on an edge walked from its smaller to its larger id."""
+        steps = zip(cycle, (*cycle[1:], cycle[0]))
+        return self.add_cell(2, cycle, [(self._edges[a, c], 1 if a < c else -1)
+                                        for a, c in steps])
 
     def build(self) -> CellComplex:
         return CellComplex(self.n_vertices, tuple(self._cells))
@@ -215,14 +236,31 @@ def chain_ranks(maps, field: FieldSpec) -> list:
     return ranks
 
 
+def _find(parent, a: int) -> int:
+    """Root of a in the union-find forest `parent`, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def reduced_betti(by_dim, field: FieldSpec) -> dict:
     """Nonzero reduced Betti numbers (dimension -1 included) of the cells
     listed by dimension in `by_dim`, which must hold every boundary cell of
     every listed cell.  Each boundary map is the cells' boundary tuples, in
     cell-id coordinates.  The augmentation C_0 -> C_(-1) has rank 1
-    whenever there are vertices, so only the higher maps are eliminated."""
-    maps = [[c.boundary for c in cells] for cells in by_dim[1:]]
-    ranks = [1 if by_dim[0] else 0] + chain_ranks(maps, field) + [0]
+    whenever there are vertices.  Every edge must have two endpoints, of
+    opposite signs unless the field is GF(2); then the edge map's rank is
+    the vertex count less the number of components, which a union-find
+    counts, and only the maps from dimension 2 up are eliminated."""
+    parent = {c.id: c.id for c in by_dim[0]}
+    for c in by_dim[1] if len(by_dim) > 1 else ():
+        (u, _), (v, _) = c.boundary
+        parent[_find(parent, u)] = _find(parent, v)
+    components = sum(a == r for a, r in parent.items())
+    maps = [[c.boundary for c in cells] for cells in by_dim[2:]]
+    ranks = [1 if parent else 0, len(parent) - components]
+    ranks += chain_ranks(maps, field) + [0]
     betti = {-1: 1} if not ranks[0] else {}
     for d, cells in enumerate(by_dim):
         b = len(cells) - ranks[d] - ranks[d + 1]

@@ -3,6 +3,10 @@
 Trees with doubled edge variables, subdivided polygons and their string
 families, pyramids and elongated pyramids, wheel polytopes, and a fixture
 catalogue of hand-labelled instances used throughout the tests.
+
+Polygons, wheels and bipyramids are listed as edges and 2-cell vertex
+cycles for `ComplexBuilder.add_edge` and `ComplexBuilder.add_polygon`;
+pyramids and elongated pyramids share one cone kernel.
 """
 
 from __future__ import annotations
@@ -11,7 +15,13 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .complexes import CellComplex, ComplexBuilder, ComplexError, assign_signs
+from .complexes import (
+    CellComplex,
+    ComplexBuilder,
+    ComplexError,
+    _find,
+    assign_signs,
+)
 from .monomials import (
     FamilyError,
     MonomialLabelling,
@@ -24,14 +34,6 @@ from .monomials import (
 
 # ---------------------------------------------------------------------------
 # trees
-
-
-def _find(parent: list, a: int) -> int:
-    """Root of a in the union-find forest `parent`, halving the path."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
 
 
 @dataclass(frozen=True)
@@ -238,20 +240,10 @@ def subdivided_polygon(n: int, chords=()) -> CellComplex:
         if crossing:
             raise ComplexError(f"chords ({u1},{v1}) and ({u2},{v2}) cross")
     b = ComplexBuilder(n)
-    edge_id = {}
-    for i in range(n):
-        u, v = sorted((i, (i + 1) % n))
-        edge_id[(u, v)] = b.add_cell(1, (u, v), ((v, 1), (u, -1)))
-    for (u, v) in chords:
-        edge_id[(u, v)] = b.add_cell(1, (u, v), ((v, 1), (u, -1)))
+    for u, v in [(i, (i + 1) % n) for i in range(n)] + list(chords):
+        b.add_edge(max(u, v), min(u, v))
     for region in _region_cycles(list(range(n)), list(chords)):
-        bnd = []
-        k = len(region)
-        for t in range(k):
-            a, c = region[t], region[(t + 1) % k]
-            sign = 1 if a < c else -1
-            bnd.append((edge_id[(min(a, c), max(a, c))], sign))
-        b.add_cell(2, region, bnd)
+        b.add_polygon(region)
     return b.build()
 
 
@@ -338,31 +330,33 @@ def chord_families(n: int, a: int):
 # pyramids, elongated pyramids, wheels
 
 
+def _cone(b: ComplexBuilder, cells, base, apex_cell: int, shift: int = 0):
+    """Add to b a cone over each of `cells` (listed after their boundary
+    cells) with apex cell `apex_cell`, whose vertex is b's last.  base[id]
+    is the cell of b coned over in place of cell id, and its vertices are
+    the cell's shifted by `shift`.  Signs follow the mapping cone: a cone's
+    boundary is its base minus the cones over the base's boundary (minus
+    the apex, for a vertex).  Returns cell id -> cone id."""
+    apex = b.n_vertices - 1
+    cone = {}
+    for c in cells:
+        bnd = [(base[c.id], 1)]
+        bnd += [(cone[e], -s) for e, s in c.boundary] if c.dim else [(apex_cell, -1)]
+        cone[c.id] = b.add_cell(c.dim + 1, {v + shift for v in c.vertices} | {apex},
+                                bnd)
+    return cone
+
+
 def pyramid(X: CellComplex) -> CellComplex:
     """Cone over the whole complex with a new apex vertex (id n).
 
     Keeps every cell of X, adds the apex, and one cone cell over each cell
-    of X.  Signs follow the mapping cone: the boundary of a cone is the
-    base cell minus the cone over the base's boundary (apex for vertices).
+    of X, with signs from the mapping cone.
     """
-    n = X.n_vertices
-    m = len(X.cells)
-    apex = n
-    b = ComplexBuilder(n + 1, add_vertices=False)
+    b = ComplexBuilder(X.n_vertices + 1, add_vertices=False)
     for c in X.cells:
         b.add_cell(c.dim, c.vertices, c.boundary)
-    apex_cell = b.add_cell(0, (apex,), ())
-    cone_id = {}
-    for c in X.cells:
-        cone_id[c.id] = m + 1 + c.id
-    for c in X.cells:
-        verts = set(c.vertices) | {apex}
-        if c.dim == 0:
-            bnd = [(c.id, 1), (apex_cell, -1)]
-        else:
-            bnd = [(c.id, 1)] + [(cone_id[e], -s) for e, s in c.boundary]
-        got = b.add_cell(c.dim + 1, verts, bnd)
-        assert got == cone_id[c.id]
+    _cone(b, X.cells, range(len(X.cells)), b.add_cell(0, (X.n_vertices,)))
     return b.build()
 
 
@@ -387,40 +381,28 @@ def elongated_pyramid(X: CellComplex) -> CellComplex:
     if len(tops) != 1:
         raise ComplexError("elongated pyramid needs a single top cell")
     n = X.n_vertices
-    apex = 2 * n
     b = ComplexBuilder(2 * n + 1, add_vertices=False)
-    bottom = {}
-    for c in X.cells:
-        bottom[c.id] = b.add_cell(c.dim, c.vertices,
-                                  [(bottom[e], 0) for e, _ in c.boundary])
+    for c in X.cells:  # the bottom copy keeps X's cell ids
+        b.add_cell(c.dim, c.vertices, c.boundary)
     top_dim = X.dim
     proper = [c for c in X.cells if c.dim < top_dim]
     upper = {}
     for c in proper:
         upper[c.id] = b.add_cell(c.dim, {v + n for v in c.vertices},
                                  [(upper[e], 0) for e, _ in c.boundary])
-    apex_cell = b.add_cell(0, (apex,), ())
+    apex_cell = b.add_cell(0, (2 * n,))
     prism = {}
     for c in proper:
         verts = set(c.vertices) | {v + n for v in c.vertices}
-        bnd = [(bottom[c.id], 0), (upper[c.id], 0)]
+        bnd = [(c.id, 0), (upper[c.id], 0)]
         bnd += [(prism[e], 0) for e, _ in c.boundary]
         prism[c.id] = b.add_cell(c.dim + 1, verts, bnd)
-    cone = {}
-    for c in proper:
-        verts = {v + n for v in c.vertices} | {apex}
-        bnd = [(upper[c.id], 0)]
-        if c.dim == 0:
-            bnd.append((apex_cell, 0))
-        else:
-            bnd += [(cone[e], 0) for e, _ in c.boundary]
-        cone[c.id] = b.add_cell(c.dim + 1, verts, bnd)
+    cone = _cone(b, proper, upper, apex_cell, n)
     facets = [c for c in X.cells if c.dim == top_dim - 1]
-    top_bnd = [(bottom[t.id], 0) for t in tops]
+    top_bnd = [(t.id, 0) for t in tops]
     top_bnd += [(prism[f.id], 0) for f in facets]
     top_bnd += [(cone[f.id], 0) for f in facets]
-    all_verts = set(range(2 * n + 1))
-    b.add_cell(top_dim + 1, all_verts, top_bnd)
+    b.add_cell(top_dim + 1, range(2 * n + 1), top_bnd)
     return assign_signs(b.build())
 
 
@@ -448,35 +430,14 @@ def wheel_polytope(n: int) -> CellComplex:
     """
     if n < 3:
         raise ComplexError("wheel needs n >= 3")
-    hub = 2 * n
-    b = ComplexBuilder(2 * n + 1)
-    rim = {}
-    for i in range(2 * n):
-        j = (i + 1) % (2 * n)
-        rim[i] = b.add_cell(1, (i, j), ((i, 0), (j, 0)))
-    spoke = {}
-    for k in range(n):
-        v = 2 * k + 1
-        spoke[v] = b.add_cell(1, (hub, v), ((hub, 0), (v, 0)))
-    outer = {}
-    for k in range(n):
-        u, w = 2 * k, (2 * k + 2) % (2 * n)
-        outer[u] = b.add_cell(1, (u, w), ((u, 0), (w, 0)))
-    two_cells = []
-    for k in range(n):
-        v1, v2, v3 = 2 * k + 1, (2 * k + 2) % (2 * n), (2 * k + 3) % (2 * n)
-        cid = b.add_cell(2, (hub, v1, v2, v3),
-                         ((spoke[v1], 0), (rim[v1], 0), (rim[v2], 0), (spoke[v3], 0)))
-        two_cells.append(cid)
-    for k in range(n):
-        u, v, w = 2 * k, 2 * k + 1, (2 * k + 2) % (2 * n)
-        cid = b.add_cell(2, (u, v, w), ((rim[u], 0), (rim[v], 0), (outer[u], 0)))
-        two_cells.append(cid)
-    evens = tuple(range(0, 2 * n, 2))
-    cid = b.add_cell(2, evens, tuple((outer[u], 0) for u in evens))
-    two_cells.append(cid)
-    b.add_cell(3, range(2 * n + 1), tuple((c, 0) for c in two_cells))
-    return assign_signs(b.build())
+    m = 2 * n  # rim vertices 0..m-1, hub m
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    edges += [(m, v) for v in range(1, m, 2)]
+    edges += [(u, (u + 2) % m) for u in range(0, m, 2)]
+    cycles = [(m, v, (v + 1) % m, (v + 2) % m) for v in range(1, m, 2)]
+    cycles += [(u, u + 1, (u + 2) % m) for u in range(0, m, 2)]
+    cycles.append(tuple(range(0, m, 2)))
+    return _polytope(m + 1, edges, cycles)
 
 
 def wheel_family() -> VertexFamily:
@@ -495,20 +456,20 @@ def bipyramid_complex(n: int) -> CellComplex:
     one 3-cell.  Its f-vector is not symmetric for n != 3."""
     if n < 3:
         raise ComplexError("bipyramid needs n >= 3")
-    top, bot = n, n + 1
-    b = ComplexBuilder(n + 2)
-    ring = {}
-    for i in range(n):
-        j = (i + 1) % n
-        ring[i] = b.add_cell(1, (i, j), ((i, 0), (j, 0)))
-    up = {i: b.add_cell(1, (i, top), ((i, 0), (top, 0))) for i in range(n)}
-    dn = {i: b.add_cell(1, (i, bot), ((i, 0), (bot, 0))) for i in range(n)}
-    faces = []
-    for i in range(n):
-        j = (i + 1) % n
-        faces.append(b.add_cell(2, (i, j, top), ((ring[i], 0), (up[i], 0), (up[j], 0))))
-        faces.append(b.add_cell(2, (i, j, bot), ((ring[i], 0), (dn[i], 0), (dn[j], 0))))
-    b.add_cell(3, range(n + 2), tuple((f, 0) for f in faces))
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, apex) for apex in (n, n + 1) for i in range(n)]
+    cycles = [((i + 1) % n, i, apex) for i in range(n) for apex in (n, n + 1)]
+    return _polytope(n + 2, edges, cycles)
+
+
+def _polytope(n_vertices: int, edges, cycles) -> CellComplex:
+    """3-polytope on vertices 0..n_vertices-1 with these edges, one 2-cell
+    per facet's vertex cycle, and one 3-cell bounded by all of them."""
+    b = ComplexBuilder(n_vertices)
+    for u, v in edges:
+        b.add_edge(u, v)
+    facets = [b.add_polygon(cycle) for cycle in cycles]
+    b.add_cell(3, range(n_vertices), [(f, 0) for f in facets])
     return assign_signs(b.build())
 
 

@@ -498,7 +498,8 @@ def build_free_complex(X: CellComplex, L: MonomialLabelling) -> CellularFreeComp
     mdeg = [_lcm_exponents(L, mask_of(c.vertices)) for c in X.cells]
     cell_ids = [(None,)] + [tuple(c.id for c in X.cells_of_dim(d))
                             for d in range(X.dim + 1)]
-    maps = [tuple(((0, 1, mdeg[cid]),) for cid in cell_ids[1])]
+    # the void complex has no degree-1 generators and so no maps at all
+    maps = [tuple(((0, 1, mdeg[cid]),) for cid in ids) for ids in cell_ids[1:2]]
     for rows, cols in zip(cell_ids[1:], cell_ids[2:]):
         pos = {cid: i for i, cid in enumerate(rows)}
         maps.append(tuple(

@@ -1,6 +1,7 @@
 """Cell complex plumbing: validation, restriction, homology, signs."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from cellres.complexes import (
     validate_complex,
 )
 from cellres.constructions import (
+    _region_cycles,
     bipyramid_complex,
     chord_complex,
     edges_to_tree,
@@ -36,6 +38,8 @@ from cellres.constructions import (
 from cellres.linalg import GF2, RATIONAL, FieldSpec, matrix_rank
 from cellres.resolution import f_symmetry
 from reference_linalg import dense_gf2_rank, fraction_free_rank
+from test_cli_golden import fan_polygon
+from test_search import chords_of
 
 
 def cycle_complex(n):
@@ -231,6 +235,84 @@ def test_homology_fields_agree_on_reference_spaces():
         a = reduced_homology(X, GF2).reduced_betti
         b = reduced_homology(X, RATIONAL).reduced_betti
         assert a == b
+
+
+def eliminated_betti(X, field):
+    """Nonzero reduced Betti numbers from a dense elimination of every
+    boundary map, the augmentation and the edge map included."""
+    if not X.cells:
+        return {}
+    rank = fraction_free_rank if field.is_rational else dense_gf2_rank
+    by_dim = [X.cells_of_dim(d) for d in range(X.dim + 1)]
+    ranks = []
+    for rows, cols in zip([[-1]] + [[c.id for c in cs] for cs in by_dim],
+                          by_dim):
+        columns = [dict(c.boundary or ((-1, 1),)) for c in cols]
+        ranks.append(rank([[col.get(r, 0) for col in columns] for r in rows]))
+    ranks.append(0)
+    betti = {-1: 1 - ranks[0]}
+    for d, cells in enumerate(by_dim):
+        betti[d] = len(cells) - ranks[d] - ranks[d + 1]
+    return {d: b for d, b in betti.items() if b}
+
+
+@st.composite
+def graphs(draw):
+    """A graph on 1-8 vertices, each edge added with either endpoint first;
+    isolated vertices and several components are common."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    b = ComplexBuilder(n)
+    if pairs:  # a single vertex has none
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)):
+            b.add_edge(*((u, v) if draw(st.booleans()) else (v, u)))
+    return b.build()
+
+
+@st.composite
+def restricted_dissections(draw):
+    """A chorded n-gon or its pyramid, 3 <= n <= 9, restricted to a vertex
+    subset, so that several components may carry 2- and 3-cells."""
+    n = draw(st.integers(3, 9))
+    X = subdivided_polygon(n, draw(chords_of(n)))
+    if draw(st.booleans()):
+        X = pyramid(X)
+    return restrict(X, draw(st.sets(st.integers(0, X.n_vertices - 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(), restricted_dissections()))
+def test_component_count_matches_eliminating_every_map(X):
+    for field in (GF2, RATIONAL):
+        assert reduced_homology(X, field).reduced_betti == eliminated_betti(X, field)
+
+
+def test_rational_homology_of_the_fan_2000_gon_is_quick():
+    X = fan_polygon(2000)
+    start = time.perf_counter()
+    report = reduced_homology(X, RATIONAL)
+    assert time.perf_counter() - start < 1
+    assert report.acyclic
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 10).flatmap(lambda n: st.tuples(
+    st.just(n), chords_of(n), st.lists(st.booleans(), min_size=3 * n,
+                                       max_size=3 * n))))
+def test_polygons_over_edges_added_either_way_are_valid(drawn):
+    n, chords, flips = drawn
+    b = ComplexBuilder(n)
+    edges = [(i, (i + 1) % n) for i in range(n)] + list(chords)
+    for (u, v), flip in zip(edges, flips):
+        b.add_edge(*((v, u) if flip else (u, v)))
+    for region, flip in zip(_region_cycles(list(range(n)), list(chords)),
+                            flips[2 * n:]):
+        b.add_polygon(region[::-1] if flip else region)
+    X = b.build()
+    assert X.fully_signed() and validate_complex(X) == []
+    # add_edge orients each edge as assign_signs does
+    assert X.cells[:n + len(chords)] == assign_signs(X).cells[:n + len(chords)]
+    assert reduced_homology(X, RATIONAL).acyclic
 
 
 def test_euler_characteristic_matches_homology():

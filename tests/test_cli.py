@@ -362,6 +362,16 @@ def test_betti_ranks(capsys, tmp_path):
     assert out["result"]["composition_is_zero"] is True
 
 
+@pytest.mark.parametrize("field", ["gf2", "rational"])
+def test_betti_of_the_void_complex_is_the_ring_alone(capsys, tmp_path, field):
+    cx = write_doc(tmp_path, "void.json", {"n_vertices": 0, "cells": []})
+    lab = write_doc(tmp_path, "lab.json", {"n_variables": 0, "labels": []})
+    code, out, err = run(capsys, "betti", "--complex", cx, "--labelling", lab,
+                         "--field", field)
+    assert code == 0 and err is None
+    assert out["result"] == {"ranks": [1], "composition_is_zero": True}
+
+
 def test_morphism_exit_codes(capsys, hexagon_files):
     code, out, _ = run(capsys, "morphism",
                        "--from", hexagon_files["combined"],

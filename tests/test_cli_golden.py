@@ -134,6 +134,16 @@ def commands():
     yield ["construct", "pyramid", "--complex", "pentagon.complex.json"]
     yield ["construct", "elongated-pyramid", "--complex",
            "triangle.complex.json"]
+    # the named complexes at their smallest n and beyond
+    for kind, sizes in (("wheel", "36"), ("bipyramid", "38")):
+        for n in sizes:
+            yield ["construct", kind, "--n", n]
+    yield ["construct", "polygon", "--n", "7"]
+    yield ["construct", "chord", "--n", "8", "--a", "3"]
+    for cx in ("hex-squares", "wheel-hexagon"):
+        yield ["construct", "pyramid", "--complex", f"{cx}.complex.json"]
+    yield ["construct", "elongated-pyramid", "--complex",
+           "pentagon.complex.json"]
     for chords in DISSECTIONS:
         yield ["construct", "subdivided-polygon", "--n", "9",
                "--chords", chords]

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellres.complexes import ComplexError, validate_complex
 from cellres.constructions import (
@@ -34,7 +36,16 @@ from cellres.constructions import (
 )
 from cellres.monomials import LabellingError, family_of, labelling, polarize
 from cellres.resolution import check_cm_labelling
+from cellres.serialize import complex_to_dict
+from reference_constructions import (
+    reference_bipyramid_complex,
+    reference_elongated_pyramid,
+    reference_pyramid,
+    reference_subdivided_polygon,
+    reference_wheel_polytope,
+)
 from reference_trees import reference_tree_resolution_trees
+from test_search import chords_of
 
 
 def test_oriented_tree_validation():
@@ -227,6 +238,58 @@ def test_wheel_and_bipyramid_shapes():
     B = bipyramid_complex(4)
     assert B.f_vector() == (6, 12, 8, 1)
     assert validate_complex(B) == []
+
+
+def same_complex(X, Y):
+    return complex_to_dict(X) == complex_to_dict(Y)
+
+
+def test_named_complexes_match_the_reference_bodies():
+    for n in range(3, 13):
+        assert same_complex(wheel_polytope(n), reference_wheel_polytope(n))
+        assert same_complex(bipyramid_complex(n),
+                            reference_bipyramid_complex(n))
+    bases = [polygon_complex(n) for n in range(3, 11)]
+    bases += [wheel_polytope(4), bipyramid_complex(5), pyramid(bases[1]),
+              tree_complex(edges_to_tree(2, [(0, 1)]))]
+    for X in bases:
+        assert same_complex(pyramid(X), reference_pyramid(X))
+        assert same_complex(elongated_pyramid(X),
+                            reference_elongated_pyramid(X))
+    # cones over a tree and a double pyramid; no single top cell to elongate
+    for X in (tree_complex(edges_to_tree(5, [(0, 1), (1, 2), (1, 3), (3, 4)])),
+              pyramid(pyramid(bases[2]))):
+        assert same_complex(pyramid(X), reference_pyramid(X))
+
+
+@st.composite
+def dissections(draw):
+    """An n-gon, 3 <= n <= 12, and a set of pairwise non-crossing chords."""
+    n = draw(st.integers(3, 12))
+    return n, draw(chords_of(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dissections())
+def test_dissections_and_their_pyramids_match_the_reference(polygon):
+    X = subdivided_polygon(*polygon)
+    assert same_complex(X, reference_subdivided_polygon(*polygon))
+    assert same_complex(pyramid(X), reference_pyramid(X))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)),
+                         max_size=4))))
+def test_bad_chords_are_refused_as_in_the_reference(polygon):
+    try:
+        want = complex_to_dict(reference_subdivided_polygon(*polygon))
+    except ComplexError as exc:
+        with pytest.raises(ComplexError) as got:
+            subdivided_polygon(*polygon)
+        assert got.value.args == exc.args
+    else:
+        assert complex_to_dict(subdivided_polygon(*polygon)) == want
 
 
 def test_fixture_catalogue_is_stable():
