@@ -11,9 +11,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
 import time
+
+# hashlib loads OpenSSL's libcrypto, which costs every call memory and
+# import time; the interpreter's built-in SHA-256 gives the same digest
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import constructions as cons
 from .complexes import ComplexError, reduced_homology, restrict
@@ -91,7 +100,7 @@ class _Run:
             raise CliError(f"cannot read {kind} file {path}: {exc}") from exc
         self.inputs.append({
             "path": path,
-            "sha256": hashlib.sha256(raw).hexdigest(),
+            "sha256": sha256(raw).hexdigest(),
         })
         doc = parse_json(raw.decode("utf-8"))
         loader = {

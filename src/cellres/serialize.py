@@ -36,9 +36,13 @@ def _is_int(value) -> bool:
 
 
 def _int_list(value, what: str, *args) -> list:
-    _require(isinstance(value, list) and all(map(_is_int, value)),
+    """value itself, once it is a list of JSON integers.  type(v) is int
+    passes those without a call; anything else falls back to _is_int."""
+    _require(isinstance(value, list)
+             and (not [v for v in value if type(v) is not int]
+                  or all(map(_is_int, value))),
              what + " must be a list of integers", *args)
-    return list(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +64,9 @@ def complex_to_dict(X: CellComplex) -> dict:
     }
 
 
+_CELL_KEYS = {"id", "dim", "vertices", "boundary"}
+
+
 def complex_from_dict(doc) -> CellComplex:
     _require(isinstance(doc, dict), "complex document must be an object")
     _require(set(doc) == {"n_vertices", "cells"},
@@ -67,29 +74,39 @@ def complex_from_dict(doc) -> CellComplex:
     n = doc["n_vertices"]
     _require(_is_int(n) and n >= 0, "n_vertices must be a count")
     _require(isinstance(doc["cells"], list), "cells must be a list")
+    # every record is checked inline, as _int_list checks its list: a JSON
+    # integer passes type(v) is int, and any other value goes to _is_int
     cells = []
     for i, rec in enumerate(doc["cells"]):
-        _require(isinstance(rec, dict) and
-                 set(rec) == {"id", "dim", "vertices", "boundary"},
-                 "cell #{} needs exactly the keys id, dim, vertices, boundary",
-                 i)
-        _require(_is_int(rec["id"]) and rec["id"] == i,
-                 "cell ids must be dense and ordered; cell #{} has id {}",
-                 i, rec["id"])
-        _require(_is_int(rec["dim"]) and rec["dim"] >= 0,
-                 "cell {}: dim must be a non-negative integer", i)
-        verts = _int_list(rec["vertices"], "cell {}: vertices", i)
-        _require(isinstance(rec["boundary"], list),
-                 "cell {}: boundary must be a list", i)
-        boundary = []
-        for pair in rec["boundary"]:
-            _require(isinstance(pair, list) and len(pair) == 2
-                     and _is_int(pair[0]) and _is_int(pair[1])
-                     and pair[1] in (-1, 0, 1),
-                     "cell {}: boundary entries are [cell_id, sign] "
-                     "with sign in -1/0/+1", i)
-            boundary.append((pair[0], pair[1]))
-        cells.append(Cell(i, rec["dim"], frozenset(verts), tuple(boundary)))
+        if not (isinstance(rec, dict) and rec.keys() == _CELL_KEYS):
+            raise SerializationError(
+                f"cell #{i} needs exactly the keys id, dim, vertices, boundary")
+        cid = rec["id"]
+        if not ((type(cid) is int or _is_int(cid)) and cid == i):
+            raise SerializationError(
+                f"cell ids must be dense and ordered; cell #{i} has id {cid}")
+        dim = rec["dim"]
+        if not ((type(dim) is int or _is_int(dim)) and dim >= 0):
+            raise SerializationError(
+                f"cell {i}: dim must be a non-negative integer")
+        verts = rec["vertices"]
+        if not (isinstance(verts, list)
+                and (not [v for v in verts if type(v) is not int]
+                     or all(map(_is_int, verts)))):
+            raise SerializationError(
+                f"cell {i}: vertices must be a list of integers")
+        pairs = rec["boundary"]
+        if not isinstance(pairs, list):
+            raise SerializationError(f"cell {i}: boundary must be a list")
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and (type(pair[0]) is int or _is_int(pair[0]))
+                    and (type(pair[1]) is int or _is_int(pair[1]))
+                    and pair[1] in (-1, 0, 1)):
+                raise SerializationError(
+                    f"cell {i}: boundary entries are [cell_id, sign] "
+                    "with sign in -1/0/+1")
+        cells.append(Cell(i, dim, frozenset(verts), tuple(map(tuple, pairs))))
     X = CellComplex(n, tuple(cells))
     problems = validate_complex(X)
     if problems:

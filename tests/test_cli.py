@@ -693,8 +693,13 @@ ENTRY_MESSAGE = "cell 2: boundary entries are [cell_id, sign] with sign in -1/0/
     (2, "boundary", [[0, -1, 0], [1, 1]], ENTRY_MESSAGE),
     (2, "boundary", [[0, True], [1, 1]], ENTRY_MESSAGE),
     (2, "boundary", [[0, -1], [1, 2]], ENTRY_MESSAGE),
+    (1, "id", True, "cell ids must be dense and ordered; cell #1 has id True"),
+    (2, "boundary", [[True, -1], [1, 1]], ENTRY_MESSAGE),
+    (2, "boundary", [[0, -1.0], [1, 1]], ENTRY_MESSAGE),
+    (0, "vertices", [0.0], "cell 0: vertices must be a list of integers"),
 ], ids=["keys", "id-order", "bool-dim", "bool-vertex", "boundary-type",
-        "triple", "bool-sign", "sign-2"])
+        "triple", "bool-sign", "sign-2", "bool-id", "bool-boundary-id",
+        "float-sign", "float-vertex"])
 def test_malformed_cells_name_the_cell_and_the_fault(capsys, tmp_path, cell,
                                                      key, value, message):
     path = write_doc(tmp_path, "doc.json", _edge_complex(cell, key, value))
@@ -832,6 +837,47 @@ def test_import_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# a fresh process makes one verify call and prints its exit code, the input
+# digests it reports, and which of hashlib and OpenSSL's _hashlib it loaded;
+# a first argument "blocked" hides both built-in SHA-256 modules first
+DIGEST_PROBE = """\
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from cellres import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["verify", "--complex", sys.argv[2], "--family", sys.argv[3]])
+digests = [i["sha256"] for i in json.loads(out.getvalue())["inputs"]]
+loaded = [m for m in ("hashlib", "_hashlib") if m in sys.modules]
+print(json.dumps([code, digests, loaded]))
+"""
+
+
+def _digest_probe(tmp_path, mode):
+    cx = write_doc(tmp_path, "pent.json", complex_to_dict(polygon_complex(5)))
+    fam = write_doc(tmp_path, "fam.json", family_to_dict(polygon_family(5)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", DIGEST_PROBE, mode, cx, fam],
+                          env=env, capture_output=True, text=True, check=True)
+    code, digests, loaded = json.loads(done.stdout)
+    expected = [hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                for p in (cx, fam)]
+    return code, digests == expected, loaded
+
+
+def test_a_cli_call_loads_no_openssl(tmp_path):
+    # the input digests come from the interpreter's built-in SHA-256, so
+    # a call loads neither hashlib nor OpenSSL's libcrypto
+    assert _digest_probe(tmp_path, "built-in") == (0, True, [])
+
+
+def test_without_a_built_in_sha256_the_digest_comes_from_hashlib(tmp_path):
+    code, same, loaded = _digest_probe(tmp_path, "blocked")
+    assert (code, same) == (0, True) and "hashlib" in loaded
 
 
 def test_a_call_builds_the_parser_of_its_subcommand_alone(tmp_path):
