@@ -65,7 +65,6 @@ from .resolution import (
 from .constructions import (
     OrientedTree,
     all_arcs,
-    all_labelled_trees,
     arc_set,
     bipyramid_complex,
     canonical_resolution_tree,

@@ -30,9 +30,9 @@ from .linalg import GF2, RATIONAL
 from .monomials import (
     FamilyError,
     LabellingError,
+    Refinement,
     family_of,
     labelling_of,
-    morphism_exists,
     polarize,
     refinement_compare,
 )
@@ -382,11 +382,10 @@ def _run_betti(args, run: _Run):
 def _run_morphism(args, run: _Run):
     F = run.load(args.from_file, "family")
     G = run.load(args.to_file, "family")
-    exists = morphism_exists(F, G)
-    run.result = {
-        "morphism_exists": exists,
-        "relation": refinement_compare(F, G).value,
-    }
+    # a morphism F -> G exists exactly when F refines G
+    relation = refinement_compare(F, G)
+    exists = relation in (Refinement.FINER, Refinement.EQUAL)
+    run.result = {"morphism_exists": exists, "relation": relation.value}
     if not exists:
         run.exit_code = EXIT_NEGATIVE
 

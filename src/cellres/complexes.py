@@ -244,6 +244,13 @@ def _find(parent, a: int) -> int:
     return a
 
 
+def _join(parent, a: int, b: int) -> bool:
+    """Merge the classes of a and b in `parent`; False if already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    parent[ra] = rb
+    return ra != rb
+
+
 def reduced_betti(by_dim, field: FieldSpec) -> dict:
     """Nonzero reduced Betti numbers (dimension -1 included) of the cells
     listed by dimension in `by_dim`, which must hold every boundary cell of
@@ -251,15 +258,13 @@ def reduced_betti(by_dim, field: FieldSpec) -> dict:
     cell-id coordinates.  The augmentation C_0 -> C_(-1) has rank 1
     whenever there are vertices.  Every edge must have two endpoints, of
     opposite signs unless the field is GF(2); then the edge map's rank is
-    the vertex count less the number of components, which a union-find
-    counts, and only the maps from dimension 2 up are eliminated."""
+    the vertex count less the number of components, the merges a
+    union-find makes, and only the maps from dimension 2 up are eliminated."""
     parent = {c.id: c.id for c in by_dim[0]}
-    for c in by_dim[1] if len(by_dim) > 1 else ():
-        (u, _), (v, _) = c.boundary
-        parent[_find(parent, u)] = _find(parent, v)
-    components = sum(a == r for a, r in parent.items())
+    merges = sum(_join(parent, c.boundary[0][0], c.boundary[1][0])
+                 for c in (by_dim[1] if len(by_dim) > 1 else ()))
     maps = [[c.boundary for c in cells] for cells in by_dim[2:]]
-    ranks = [1 if parent else 0, len(parent) - components]
+    ranks = [1 if parent else 0, merges]
     ranks += chain_ranks(maps, field) + [0]
     betti = {-1: 1} if not ranks[0] else {}
     for d, cells in enumerate(by_dim):

@@ -11,8 +11,8 @@ pyramids and elongated pyramids share one cone kernel.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .complexes import (
@@ -20,10 +20,13 @@ from .complexes import (
     ComplexBuilder,
     ComplexError,
     _find,
+    _join,
     assign_signs,
 )
 from .monomials import (
+    UNION_LIMIT,
     FamilyError,
+    GuardExceeded,
     MonomialLabelling,
     VertexFamily,
     _lcm_exponents,
@@ -50,17 +53,15 @@ class OrientedTree:
         for s, t in self.edges:
             if not (0 <= s < self.n and 0 <= t < self.n) or s == t:
                 raise ComplexError(f"bad edge ({s}, {t})")
-            rs, rt = _find(parent, s), _find(parent, t)
-            if rs == rt:
+            if not _join(parent, s, t):
                 raise ComplexError("edges contain a cycle")
-            parent[rs] = rt
 
     def side_vertices(self, edge_index: int):
         """(source side, target side) after removing the indexed edge."""
         parent = list(range(self.n))
         for i, (a, b) in enumerate(self.edges):
             if i != edge_index:
-                parent[_find(parent, a)] = _find(parent, b)
+                _join(parent, a, b)
         root = _find(parent, self.edges[edge_index][0])
         src = frozenset(v for v in range(self.n) if _find(parent, v) == root)
         return src, frozenset(range(self.n)) - src
@@ -90,33 +91,6 @@ def tree_maximal_labelling(T: OrientedTree) -> MonomialLabelling:
     return labelling(nvar, [tuple(r) for r in rows])
 
 
-def all_labelled_trees(n: int):
-    """Every tree on vertices 0..n-1, as frozensets of sorted edge pairs."""
-    if n == 1:
-        yield frozenset()
-        return
-    if n == 2:
-        yield frozenset({(0, 1)})
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        deg = [1] * n
-        for v in seq:
-            deg[v] += 1
-        edges = []
-        heap = [v for v in range(n) if deg[v] == 1]
-        heapq.heapify(heap)
-        for v in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((min(leaf, v), max(leaf, v)))
-            deg[v] -= 1
-            if deg[v] == 1:
-                heapq.heappush(heap, v)
-        u = heapq.heappop(heap)
-        w = heapq.heappop(heap)
-        edges.append((min(u, w), max(u, w)))
-        yield frozenset(edges)
-
-
 def edges_to_tree(n: int, edges) -> OrientedTree:
     return OrientedTree(n, tuple(sorted((min(a, b), max(a, b)) for a, b in edges)))
 
@@ -127,37 +101,58 @@ def _lcm_degree_table(L: MonomialLabelling):
             for i, j in itertools.combinations(range(L.n_vertices), 2)}
 
 
+def _degree_classes(L: MonomialLabelling):
+    """Kruskal over the label pairs by lcm-degree class, lightest first and
+    lexicographic within a class.  Per class, yield the pairs joining two
+    components of the lighter pairs, as (pair, root, root), and the pairs
+    Kruskal keeps."""
+    edge_deg = _lcm_degree_table(L)
+    parent = list(range(L.n_vertices))
+    for _, pairs in itertools.groupby(
+            sorted(edge_deg, key=lambda e: (edge_deg[e], e)), edge_deg.get):
+        joining = [(e, _find(parent, e[0]), _find(parent, e[1]))
+                   for e in pairs]
+        joining = [(e, a, b) for e, a, b in joining if a != b]
+        yield joining, [e for e, _, _ in joining if _join(parent, *e)]
+
+
 def tree_resolution_trees(L: MonomialLabelling) -> frozenset:
     """All trees on the label set whose threshold subgraphs are spanning
     forests of the corresponding threshold subgraphs of the complete graph.
 
-    Those are the minimum spanning trees of the complete graph weighted by
-    lcm degree, so each has the weight of the Kruskal tree
-    canonical_resolution_tree.  Exhaustive over labelled trees, so intended
-    for small vertex counts.
+    Those are the minimum spanning trees under lcm degree: the product over
+    the degree classes of the spanning forests, as large as Kruskal's pick
+    there, that a class's pairs form on the components of the lighter
+    pairs.  Refuses (GuardExceeded) before listing when the tries, the
+    product of C(joining pairs, kept pairs) over the classes, exceed
+    UNION_LIMIT.
     """
-    edge_deg = _lcm_degree_table(L)
-    least = sum(edge_deg[e] for e in canonical_resolution_tree(L).edges)
-    return frozenset(edges for edges in all_labelled_trees(L.n_vertices)
-                     if sum(edge_deg[e] for e in edges) == least)
+    classes = list(_degree_classes(L))
+    # the Kruskal tree's checks refuse the empty labelling
+    OrientedTree(L.n_vertices, tuple(e for _, kept in classes for e in kept))
+    tries = math.prod(math.comb(len(j), len(k)) for j, k in classes)
+    if tries > UNION_LIMIT:
+        raise GuardExceeded(
+            f"{tries} candidate resolving trees, more than {UNION_LIMIT}")
+
+    def is_forest(pick):
+        parent = list(range(L.n_vertices))
+        for _, a, b in pick:
+            if not _join(parent, a, b):
+                return False
+        return True
+
+    forests = [list(filter(is_forest, itertools.combinations(j, len(k))))
+               for j, k in classes]
+    return frozenset(frozenset(e for pick in choice for e, _, _ in pick)
+                     for choice in itertools.product(*forests))
 
 
 def canonical_resolution_tree(L: MonomialLabelling) -> OrientedTree:
     """Greedy tree: scan complete-graph edges by (lcm degree, lexicographic)
     and keep those joining distinct components."""
-    n = L.n_vertices
-    edge_deg = _lcm_degree_table(L)
-    order = sorted(edge_deg, key=lambda e: (edge_deg[e], e))
-    parent = list(range(n))
-    chosen = []
-    for (i, j) in order:
-        ri, rj = _find(parent, i), _find(parent, j)
-        if ri != rj:
-            parent[ri] = rj
-            chosen.append((i, j))
-        if len(chosen) == n - 1:
-            break
-    return OrientedTree(n, tuple(sorted(chosen)))
+    kept = [e for _, k in _degree_classes(L) for e in k]
+    return OrientedTree(L.n_vertices, tuple(sorted(kept)))
 
 
 def tree_unique_morphism(T: OrientedTree, L: MonomialLabelling):

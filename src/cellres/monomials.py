@@ -29,8 +29,8 @@ class FamilyError(ValueError):
 
 class GuardExceeded(RuntimeError):
     """Input refused before an exhaustive scan: more candidate sets than
-    the search allows, more unions than UNION_LIMIT to close, or a
-    polarization past its variable or exponent limit."""
+    the search allows, more unions to close or resolving trees to try than
+    UNION_LIMIT, or a polarization past its variable or exponent limit."""
 
 
 @dataclass(frozen=True)

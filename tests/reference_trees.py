@@ -6,13 +6,44 @@ ideal when its threshold subgraphs are spanning forests of the
 corresponding threshold subgraphs of the complete graph, that is, when for
 every degree d the tree's edges of weight at most d join the same vertices
 as all pairs of weight at most d.  `reference_tree_resolution_trees` tests
-that threshold by threshold.  The library keeps the trees of least total
-weight, the minimum spanning trees; both must return the same trees.
+that threshold by threshold over every labelled tree.  The library lists
+the minimum spanning trees as a product over lcm-degree classes; both must
+return the same trees.  `reference_canonical_resolution_tree` is the
+one-pass Kruskal scan the library's class walk must reproduce.
 """
 
+import heapq
 import itertools
 
-from cellres.constructions import all_labelled_trees
+from cellres.constructions import OrientedTree
+
+
+def all_labelled_trees(n: int):
+    """Every tree on vertices 0..n-1, as frozensets of sorted edge pairs,
+    decoded from the n^(n-2) Pruefer sequences."""
+    if n == 1:
+        yield frozenset()
+        return
+    if n == 2:
+        yield frozenset({(0, 1)})
+        return
+    for seq in itertools.product(range(n), repeat=n - 2):
+        deg = [1] * n
+        for v in seq:
+            deg[v] += 1
+        edges = []
+        heap = [v for v in range(n) if deg[v] == 1]
+        heapq.heapify(heap)
+        for v in seq:
+            leaf = heapq.heappop(heap)
+            edges.append((min(leaf, v), max(leaf, v)))
+            deg[v] -= 1
+            if deg[v] == 1:
+                heapq.heappush(heap, v)
+        u = heapq.heappop(heap)
+        w = heapq.heappop(heap)
+        edges.append((min(u, w), max(u, w)))
+        yield frozenset(edges)
 
 
 def _find(parent, a):
@@ -44,3 +75,21 @@ def reference_tree_resolution_trees(L) -> frozenset:
     edge_deg = _lcm_degrees(L)
     return frozenset(edges for edges in all_labelled_trees(n)
                      if passes_thresholds(edges, n, edge_deg))
+
+
+def reference_canonical_resolution_tree(L) -> OrientedTree:
+    """Kruskal in one pass: scan all pairs by (lcm degree, lexicographic)
+    and keep those joining distinct components."""
+    n = L.n_vertices
+    edge_deg = _lcm_degrees(L)
+    order = sorted(edge_deg, key=lambda e: (edge_deg[e], e))
+    parent = list(range(n))
+    chosen = []
+    for (i, j) in order:
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri != rj:
+            parent[ri] = rj
+            chosen.append((i, j))
+        if len(chosen) == n - 1:
+            break
+    return OrientedTree(n, tuple(sorted(chosen)))

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from cellres.constructions import (
-    all_labelled_trees,
     chord_complex,
     chord_families,
     edges_to_tree,
@@ -62,6 +61,7 @@ from cellres.search import (
 )
 from cellres.complexes import reduced_homology, restrict
 from reference_search import reference_covering_property_check
+from reference_trees import all_labelled_trees
 
 SP = SearchSpace(max_candidates=200)
 

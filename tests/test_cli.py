@@ -385,6 +385,21 @@ def test_morphism_exit_codes(capsys, hexagon_files):
     assert out["result"]["morphism_exists"] is False
 
 
+def test_morphism_asks_each_refinement_once(capsys, hexagon_files,
+                                            monkeypatch):
+    from cellres import monomials
+    calls = []
+    refines = monomials.refines
+    monkeypatch.setattr(monomials, "refines",
+                        lambda F, G: calls.append(1) or refines(F, G))
+    for src, dst in (("combined", "polarized"), ("polarized", "combined"),
+                     ("combined", "combined")):
+        calls.clear()
+        run(capsys, "morphism", "--from", hexagon_files[src],
+            "--to", hexagon_files[dst])
+        assert len(calls) == 2
+
+
 def test_morphism_from_1200_singletons_to_their_union(capsys, tmp_path):
     # the exact cover of the union takes 1,200 parts, one per step
     n = 1200

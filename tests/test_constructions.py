@@ -2,16 +2,16 @@
 
 import itertools
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cellres.complexes import ComplexError, validate_complex
 from cellres.constructions import (
     OrientedTree,
     all_arcs,
-    all_labelled_trees,
     arc_set,
     bipyramid_complex,
     canonical_resolution_tree,
@@ -34,7 +34,13 @@ from cellres.constructions import (
     wheel_family,
     wheel_polytope,
 )
-from cellres.monomials import LabellingError, family_of, labelling, polarize
+from cellres.monomials import (
+    GuardExceeded,
+    LabellingError,
+    family_of,
+    labelling,
+    polarize,
+)
 from cellres.resolution import check_cm_labelling
 from cellres.serialize import complex_to_dict
 from reference_constructions import (
@@ -44,8 +50,17 @@ from reference_constructions import (
     reference_subdivided_polygon,
     reference_wheel_polytope,
 )
-from reference_trees import reference_tree_resolution_trees
+from reference_trees import (
+    all_labelled_trees,
+    reference_canonical_resolution_tree,
+    reference_tree_resolution_trees,
+)
 from test_search import chords_of
+
+
+def test_oriented_tree_refuses_a_cycle():
+    with pytest.raises(ComplexError, match="^edges contain a cycle$"):
+        OrientedTree(4, ((0, 1), (1, 2), (0, 2)))
 
 
 def test_oriented_tree_validation():
@@ -128,6 +143,82 @@ def test_canonical_resolution_tree_passes():
     L = labelling(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
     T = canonical_resolution_tree(L)
     assert frozenset(T.edges) in tree_resolution_trees(L)
+
+
+@st.composite
+def small_labellings(draw):
+    """Labellings of 2-6 labels in 2-4 variables with exponents 0-3: the
+    minimal rows of a random list, with unused variables dropped."""
+    k = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * k),
+                         min_size=2, max_size=12, unique=True))
+    keep = [r for r in rows if not any(
+        q != r and all(a <= b for a, b in zip(q, r)) for q in rows)]
+    used = [p for p in range(k) if any(r[p] for r in keep)]
+    assume(2 <= len(keep) <= 6 and len(used) >= 2)
+    return labelling(len(used), [tuple(r[p] for p in used) for r in keep])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_labellings())
+def test_resolution_trees_match_the_threshold_rule_on_random_labellings(L):
+    assert tree_resolution_trees(L) == reference_tree_resolution_trees(L)
+    assert (canonical_resolution_tree(L)
+            == reference_canonical_resolution_tree(L))
+
+
+DEGREE_SIX_ROWS = [r for r in itertools.product(range(7), repeat=4)
+                   if sum(r) == 6]
+
+
+def degree_six_labelling(rng, n):
+    """Seeded labelling of n distinct degree-6 labels in 4 variables; labels
+    of one degree form an antichain, so up to 84 labels can be drawn."""
+    while True:
+        try:
+            return labelling(4, rng.sample(DEGREE_SIX_ROWS, n))
+        except LabellingError:
+            continue
+
+
+def test_canonical_resolution_tree_is_the_one_pass_kruskal_tree():
+    rng = random.Random(20261019)
+    for n in range(1, 13):
+        for _ in range(10):
+            L = degree_six_labelling(rng, n)
+            assert (canonical_resolution_tree(L)
+                    == reference_canonical_resolution_tree(L))
+
+
+def test_eight_labels_answer_without_a_scan_of_every_tree():
+    L = degree_six_labelling(random.Random(1), 8)
+    start = time.perf_counter()
+    trees = tree_resolution_trees(L)
+    assert time.perf_counter() - start < 0.1
+    # the threshold rule over all 8^6 trees gives the same 24 trees
+    assert len(trees) == 24
+    assert frozenset(canonical_resolution_tree(L).edges) in trees
+
+
+def test_tree_listing_refuses_past_the_union_limit():
+    def complement_products(n):
+        return labelling(n, [tuple(int(p != i) for p in range(n))
+                             for i in range(n)])
+
+    # every tree resolves: C(21, 6) = 54,264 tries for 7 labels
+    assert len(tree_resolution_trees(complement_products(7))) == 7 ** 5
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="more than 65536"):
+        tree_resolution_trees(complement_products(8))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_empty_labelling_has_no_tree():
+    L = labelling(0, [])
+    for trees in (tree_resolution_trees, canonical_resolution_tree):
+        with pytest.raises(ComplexError,
+                           match=r"^a tree on 0 vertices has -1 edges$"):
+            trees(L)
 
 
 def test_tree_unique_morphism_substitutes_onto_labels():
