@@ -319,82 +319,77 @@ def is_connected(adj: list, mask: int) -> bool:
 def assign_signs(X: CellComplex) -> CellComplex:
     """Choose boundary signs making the composite boundary vanish.
 
-    Edges are oriented from their smaller to their larger vertex id (+1 on
-    the larger endpoint).  For each higher cell the four incidences around
-    every (d, d-2) diamond must multiply to -1; that constraint is solved
-    by propagation along a spanning tree of the diamond-adjacency graph of
-    the cell's boundary, seeding the smallest boundary id with +1.  Any
-    stored signs are ignored and recomputed, so the output is deterministic
-    for a given cell ordering.  Raises SignConflictError, naming a violating
-    diamond, when no consistent assignment exists.
+    One pass signs the cells in order of dimension, each from the signs
+    already chosen for its boundary cells; any stored signs are ignored.
+    A vertex keeps an empty boundary, and an edge gets +1 on its endpoint
+    with the larger vertex id.  In a higher cell c every face f two
+    dimensions down lies under exactly two boundary cells b and b', and the
+    composite boundary vanishes at f exactly when eps(b) * eps(b') is
+    -sign(b, f) * sign(b', f).  So along any path of such diamonds the sign
+    of the first boundary cell fixes all the others: once the first
+    boundary cell (in boundary order) of each connected set of diamonds is
+    +1, at most one assignment remains, and a walk in any order finds it.
+    Raises ComplexError when a face lies under other than two boundary
+    cells, and SignConflictError, naming a violating pair or diamond, when
+    no consistent assignment exists.
     """
-    new_boundary = {}
-    new_sign = {}  # cell id -> {boundary id: sign}
-    for d in range(0, X.dim + 1):
-        for c in X.cells_of_dim(d):
-            if d == 0:
-                new_boundary[c.id] = ()
-                new_sign[c.id] = {}
-                continue
-            if d == 1:
-                ids = [b for b, _ in c.boundary]
-                if len(ids) != 2:
-                    raise ComplexError(f"edge {c.id} has {len(ids)} boundary cells")
-                vs = {b: max(X.cells[b].vertices) for b in ids}
-                hi = max(ids, key=lambda b: vs[b])
-                entries = tuple((b, 1 if b == hi else -1) for b, _ in c.boundary)
-            else:
-                entries = _solve_cell_signs(X, c, new_sign)
-            new_boundary[c.id] = entries
-            new_sign[c.id] = dict(entries)
-    cells = tuple(
-        Cell(c.id, c.dim, c.vertices, new_boundary[c.id]) for c in X.cells
-    )
-    return CellComplex(X.n_vertices, cells)
+    by_dim = [[] for _ in range(X.dim + 1)]
+    for c in X.cells:
+        by_dim[c.dim].append(c)
+    sign = {}  # cell id -> {boundary id: sign}, in boundary order
+    for c in itertools.chain.from_iterable(by_dim):
+        if c.dim == 0:
+            sign[c.id] = {}
+        elif c.dim == 1:
+            if len(c.boundary) != 2:
+                raise ComplexError(f"edge {c.id} has {len(c.boundary)} boundary cells")
+            hi = max((b for b, _ in c.boundary),
+                     key=lambda b: max(X.cells[b].vertices))
+            sign[c.id] = {b: 1 if b == hi else -1 for b, _ in c.boundary}
+        else:
+            sign[c.id] = _solve_cell_signs(c, sign)
+    return CellComplex(X.n_vertices, tuple(
+        Cell(c.id, c.dim, c.vertices,
+             tuple((b, sign[c.id][b]) for b, _ in c.boundary) if c.dim else ())
+        for c in X.cells))
 
 
-def _solve_cell_signs(X: CellComplex, c: Cell, new_sign: dict) -> tuple:
-    ids = [b for b, _ in c.boundary]
-    index = {b: i for i, b in enumerate(ids)}
-    shared = {}
-    for b in ids:
-        for f in new_sign[b]:
-            shared.setdefault(f, []).append(b)
-    edges = {}  # (i, j) -> (required product, witness face)
-    for f, bs in shared.items():
-        if len(bs) != 2:
+def _solve_cell_signs(c: Cell, sign: dict) -> dict:
+    """The signs of c's boundary cells, keyed in boundary order, from the
+    signs in `sign` of their own boundaries (see assign_signs)."""
+    over = {}  # face -> [(boundary cell, its sign on the face), ...]
+    for b, _ in c.boundary:
+        for f, s in sign[b].items():
+            over.setdefault(f, []).append((b, s))
+    link = {b: {} for b, _ in c.boundary}  # b -> {b': (eps(b) * eps(b'), face)}
+    for f, under in over.items():
+        if len(under) != 2:
             raise ComplexError(
-                f"cell {c.id}: face {f} lies under {len(bs)} boundary cells, expected 2")
-        b1, b2 = bs
-        i, j = sorted((index[b1], index[b2]))
-        req = -new_sign[ids[i]][f] * new_sign[ids[j]][f]
-        prev = edges.get((i, j))
-        if prev is not None and prev[0] != req:
+                f"cell {c.id}: face {f} lies under {len(under)} boundary cells, expected 2")
+        (b, s), (b2, s2) = under
+        prev = link[b].get(b2)
+        if prev is not None and prev[0] != -s * s2:
             raise SignConflictError(
                 f"cell {c.id}: faces {prev[1]} and {f} force opposite relative signs "
-                f"between boundary cells {ids[i]} and {ids[j]}")
-        edges[(i, j)] = (req, f)
-    adj = {i: [] for i in range(len(ids))}
-    for (i, j), (req, f) in edges.items():
-        adj[i].append((j, req, f))
-        adj[j].append((i, req, f))
-    eps = [0] * len(ids)
-    for seed in range(len(ids)):
+                f"between boundary cells {b} and {b2}")
+        link[b][b2] = link[b2][b] = (-s * s2, f)
+    eps = dict.fromkeys(link, 0)
+    for seed in eps:
         if eps[seed]:
             continue
         eps[seed] = 1
-        queue = [seed]
-        while queue:
-            i = queue.pop(0)
-            for j, req, f in sorted(adj[i]):
-                if eps[j] == 0:
-                    eps[j] = req * eps[i]
-                    queue.append(j)
-                elif eps[i] * eps[j] != req:
+        stack = [seed]
+        while stack:
+            b = stack.pop()
+            for b2, (product, f) in link[b].items():
+                if not eps[b2]:
+                    eps[b2] = product * eps[b]
+                    stack.append(b2)
+                elif eps[b] * eps[b2] != product:
                     raise SignConflictError(
-                        f"cell {c.id}: diamond at face {f} (boundary cells {ids[i]}, {ids[j]}) "
+                        f"cell {c.id}: diamond at face {f} (boundary cells {b}, {b2}) "
                         f"admits no consistent signs")
-    return tuple((b, eps[index[b]]) for b in ids)
+    return eps
 
 
 def is_polytope_complex(X: CellComplex) -> bool:

@@ -123,17 +123,18 @@ def tree_resolution_trees(L: MonomialLabelling) -> frozenset:
     Those are the minimum spanning trees under lcm degree: the product over
     the degree classes of the spanning forests, as large as Kruskal's pick
     there, that a class's pairs form on the components of the lighter
-    pairs.  Refuses (GuardExceeded) before listing when the tries, the
-    product of C(joining pairs, kept pairs) over the classes, exceed
-    UNION_LIMIT.
+    pairs.  Refuses (GuardExceeded) before listing the forests when the
+    tries, the sum of C(joining pairs, kept pairs) over the classes, exceed
+    UNION_LIMIT, and before building the product when the trees, the
+    product of the forest counts, exceed it.
     """
     classes = list(_degree_classes(L))
     # the Kruskal tree's checks refuse the empty labelling
     OrientedTree(L.n_vertices, tuple(e for _, kept in classes for e in kept))
-    tries = math.prod(math.comb(len(j), len(k)) for j, k in classes)
+    tries = sum(math.comb(len(j), len(k)) for j, k in classes)
     if tries > UNION_LIMIT:
         raise GuardExceeded(
-            f"{tries} candidate resolving trees, more than {UNION_LIMIT}")
+            f"{tries} candidate forests to try, more than {UNION_LIMIT}")
 
     def is_forest(pick):
         parent = list(range(L.n_vertices))
@@ -144,6 +145,10 @@ def tree_resolution_trees(L: MonomialLabelling) -> frozenset:
 
     forests = [list(filter(is_forest, itertools.combinations(j, len(k))))
                for j, k in classes]
+    trees = math.prod(map(len, forests))
+    if trees > UNION_LIMIT:
+        raise GuardExceeded(
+            f"{trees} resolving trees, more than {UNION_LIMIT}")
     return frozenset(frozenset(e for pick in choice for e, _, _ in pick)
                      for choice in itertools.product(*forests))
 

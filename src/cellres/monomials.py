@@ -29,8 +29,9 @@ class FamilyError(ValueError):
 
 class GuardExceeded(RuntimeError):
     """Input refused before an exhaustive scan: more candidate sets than
-    the search allows, more unions to close or resolving trees to try than
-    UNION_LIMIT, or a polarization past its variable or exponent limit."""
+    the search allows; more than UNION_LIMIT unions to close, exact-cover
+    remainders to hold, candidate forests to try or resolving trees to
+    list; or a polarization past its variable or exponent limit."""
 
 
 @dataclass(frozen=True)
@@ -240,18 +241,29 @@ def polarize(L: MonomialLabelling) -> MonomialLabelling:
 
 
 def _exact_cover_exists(target: int, parts) -> bool:
-    """Can `target` be written as a disjoint union of some of `parts`?"""
-    usable = [p for p in parts if p and p & ~target == 0]
-    # exactly one chosen part holds the lowest bit left to cover, and any
-    # part of the cover may appear anywhere in the list
+    """Can `target` be written as a disjoint union of some of `parts`?
+
+    Exactly one chosen part holds the lowest bit left to cover, and a part
+    inside the remainder that holds that bit has it as its own lowest bit;
+    so the usable parts are bucketed by lowest bit once, and each remainder
+    scans one bucket.  Raises GuardExceeded once more than UNION_LIMIT
+    remainders are held.
+    """
+    by_low = {}
+    for p in parts:
+        if p and p & ~target == 0:
+            by_low.setdefault(p & -p, []).append(p)
     stack, seen = [target], {target}
     while stack:
         rest = stack.pop()
         if not rest:
             return True
-        low = rest & -rest
-        for p in usable:
-            if p & low and p & ~rest == 0 and rest ^ p not in seen:
+        if len(seen) > UNION_LIMIT:
+            raise GuardExceeded(
+                f"more than {UNION_LIMIT} remainders in an exact cover; "
+                "the input is too large to scan exhaustively")
+        for p in by_low.get(rest & -rest, ()):
+            if p & ~rest == 0 and rest ^ p not in seen:
                 seen.add(rest ^ p)
                 stack.append(rest ^ p)
     return False

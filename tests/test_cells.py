@@ -38,7 +38,9 @@ from cellres.constructions import (
 from cellres.linalg import GF2, RATIONAL, FieldSpec, matrix_rank
 from cellres.resolution import f_symmetry
 from reference_linalg import dense_gf2_rank, fraction_free_rank
+from reference_signs import reference_assign_signs
 from test_cli_golden import fan_polygon
+from test_resolution import projective_plane
 from test_search import chords_of
 
 
@@ -355,7 +357,71 @@ def test_sign_assignment_refuses_the_hemicube():
         assign_signs(X)
 
 
+@st.composite
+def complexes_to_sign(draw):
+    """A chorded n-gon, 3 <= n <= 8, or its pyramid or double pyramid, or
+    an elongated pyramid over the bare n-gon or its pyramid; taken as
+    built, with its signs stripped, or with every boundary reordered."""
+    n = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        X = subdivided_polygon(n, draw(chords_of(n)))
+        for _ in range(draw(st.integers(0, 2))):
+            X = pyramid(X)
+    else:  # an elongated pyramid needs a single top cell
+        X = polygon_complex(n)
+        if draw(st.booleans()):
+            X = pyramid(X)
+        X = elongated_pyramid(X)
+    way = draw(st.sampled_from(("built", "stripped", "shuffled")))
+    if way == "stripped":
+        return strip_signs(X)
+    if way == "shuffled":
+        rng = draw(st.randoms(use_true_random=False))
+        return CellComplex(X.n_vertices, tuple(
+            Cell(c.id, c.dim, c.vertices,
+                 tuple(rng.sample(c.boundary, len(c.boundary))))
+            for c in X.cells))
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_to_sign())
+def test_sign_assignment_matches_the_reference_solver(X):
+    assert assign_signs(X) == reference_assign_signs(X)
+
+
+def test_sign_assignment_refuses_an_odd_cycle_of_diamonds():
+    # a 3-cell bounded by the 6-vertex projective plane: no two of its
+    # triangles share two edges, so no pair of faces conflicts, and the
+    # walk meets the conflict on a cycle of diamonds
+    P = projective_plane()
+    top = Cell(len(P.cells), 3, frozenset(range(6)),
+               tuple((c.id, 0) for c in P.cells_of_dim(2)))
+    X = CellComplex(6, P.cells + (top,))
+    assert validate_complex(X) == []
+    for solve in (assign_signs, reference_assign_signs):
+        with pytest.raises(SignConflictError,
+                           match="^cell 31: diamond at face .* admits no "
+                                 "consistent signs$"):
+            solve(X)
+
+
+def test_sign_assignment_refuses_edges_and_faces_off_two_cells():
+    b = ComplexBuilder(2)
+    b.add_cell(1, (0, 1), ((0, 0),))
+    with pytest.raises(ComplexError, match="^edge 2 has 1 boundary cells$"):
+        assign_signs(b.build())
+    # the square without its last side: vertices 0 and 3 lie under one side
+    b = ComplexBuilder(4)
+    sides = [b.add_edge(v, v + 1) for v in range(3)]
+    b.add_cell(2, range(4), [(e, 0) for e in sides])
+    with pytest.raises(ComplexError, match=(
+            "^cell 7: face 0 lies under 1 boundary cells, expected 2$")):
+        assign_signs(b.build())
+
+
 def test_polytope_recognition():
+    assert not is_polytope_complex(CellComplex(0, ()))
     assert is_polytope_complex(polygon_complex(5))
     assert is_polytope_complex(wheel_polytope(4))
     assert is_polytope_complex(bipyramid_complex(3))

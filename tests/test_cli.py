@@ -1,6 +1,7 @@
 """End-to-end CLI runs, in process, checking exit codes and wire formats."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -411,6 +412,30 @@ def test_morphism_from_1200_singletons_to_their_union(capsys, tmp_path):
                          "--to", union)
     assert code == 0 and err is None
     assert out["result"]["morphism_exists"] is True
+
+
+def test_morphism_refuses_an_exact_cover_past_the_union_limit(capsys,
+                                                             tmp_path):
+    def all_pairs_to_the_whole_set(n):
+        pairs = write_doc(tmp_path, "pairs.json", family_to_dict(
+            family(n, itertools.combinations(range(n), 2))))
+        whole = write_doc(tmp_path, "whole.json",
+                          family_to_dict(family(n, [range(n)])))
+        return run(capsys, "morphism", "--from", pairs, "--to", whole)
+
+    # the exact cover behind the answer holds Fib(n + 1) remainders:
+    # 46,368 at n = 23 and 2,178,309 at n = 31
+    code, out, err = all_pairs_to_the_whole_set(23)
+    assert code == 1 and err is None
+    assert out["result"]["morphism_exists"] is False
+    start = time.perf_counter()
+    code, out, err = all_pairs_to_the_whole_set(31)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out is None
+    assert err["error"] == {
+        "type": "guard",
+        "message": "more than 65536 remainders in an exact cover; "
+                   "the input is too large to scan exhaustively"}
 
 
 def test_polarize_matches_the_catalogued_labelling(capsys, hexagon_files,

@@ -140,6 +140,8 @@ def commands():
             yield ["construct", kind, "--n", n]
     yield ["construct", "polygon", "--n", "7"]
     yield ["construct", "chord", "--n", "8", "--a", "3"]
+    yield ["construct", "chord-families", "--n", "8", "--a", "3"]
+    yield ["construct", "wheel-family"]
     for cx in ("hex-squares", "wheel-hexagon"):
         yield ["construct", "pyramid", "--complex", f"{cx}.complex.json"]
     yield ["construct", "elongated-pyramid", "--complex",

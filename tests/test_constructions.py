@@ -35,6 +35,7 @@ from cellres.constructions import (
     wheel_polytope,
 )
 from cellres.monomials import (
+    FamilyError,
     GuardExceeded,
     LabellingError,
     family_of,
@@ -211,6 +212,17 @@ def test_tree_listing_refuses_past_the_union_limit():
     with pytest.raises(GuardExceeded, match="more than 65536"):
         tree_resolution_trees(complement_products(8))
     assert time.perf_counter() - start < 0.1
+    # 12 labels: a product of 85,050 tries, but a sum the limit allows,
+    # and 3,680 trees
+    assert len(tree_resolution_trees(
+        degree_six_labelling(random.Random(3), 12))) == 3680
+    with pytest.raises(GuardExceeded, match=(
+            "^75587 candidate forests to try, more than 65536$")):
+        tree_resolution_trees(degree_six_labelling(random.Random(87), 12))
+    # 6,009 tries, but more trees than the limit
+    with pytest.raises(GuardExceeded, match=(
+            "^73920 resolving trees, more than 65536$")):
+        tree_resolution_trees(degree_six_labelling(random.Random(221), 14))
 
 
 def test_the_empty_labelling_has_no_tree():
@@ -234,6 +246,8 @@ def test_tree_unique_morphism_rejects_non_resolving_tree():
     star = OrientedTree(3, ((0, 1), (0, 2)))
     with pytest.raises(ValueError):
         tree_unique_morphism(star, L)
+    with pytest.raises(FamilyError, match="^labelling size does not match"):
+        tree_unique_morphism(OrientedTree(2, ((0, 1),)), L)
 
 
 def test_polygon_and_chord_f_vectors():
@@ -277,6 +291,17 @@ def test_polygon_family_is_the_arc_family():
         [0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
     with pytest.raises(ValueError):
         polygon_family(6)
+    with pytest.raises(ComplexError,
+                       match="^polygon needs at least 3 vertices$"):
+        polygon_family(2)
+
+
+@pytest.mark.parametrize("n,a", [(6, 1), (6, 4), (3, 2)])
+def test_chords_off_the_allowed_range_are_rejected(n, a):
+    with pytest.raises(ComplexError, match="^chord endpoint must satisfy"):
+        chord_complex(n, a)
+    with pytest.raises(FamilyError, match="^chord endpoint must satisfy"):
+        chord_families(n, a)
 
 
 def test_chord_families_frozen_content():
@@ -319,6 +344,14 @@ def test_elongated_pyramid_shapes():
     assert E5.f_vector() == (11, 20, 11, 1)
     F = ep_family(polygon_family(5))
     assert len(F.sets) == 11
+
+
+def test_elongated_pyramid_needs_one_top_cell_of_positive_dimension():
+    point = tree_complex(OrientedTree(1, ()))
+    with pytest.raises(ComplexError, match="dimension >= 1$"):
+        elongated_pyramid(point)
+    with pytest.raises(ComplexError, match="a single top cell$"):
+        elongated_pyramid(chord_complex(6, 3))
 
 
 def test_wheel_and_bipyramid_shapes():

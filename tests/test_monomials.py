@@ -33,6 +33,7 @@ from cellres.monomials import (
     refines,
     subfamily_unions,
 )
+from reference_cover import reference_exact_cover_exists
 
 
 def test_monomial_basics():
@@ -67,6 +68,12 @@ def test_labelling_rejects_unused_variable():
 def test_labelling_rejects_negative_exponent():
     with pytest.raises(LabellingError):
         labelling(2, [(1, 0), (0, -1)])
+
+
+def test_labelling_rejects_a_label_of_the_wrong_length():
+    with pytest.raises(LabellingError,
+                       match=r"^label \(1, 0, 2\) does not have 2 exponents$"):
+        labelling(2, [(1, 0), (1, 0, 2)])
 
 
 def pairwise_labelling_error(n_variables, rows):
@@ -226,6 +233,7 @@ def test_lcm_lattice_is_join_closed():
             lcms |= {tuple(map(max, p, m.exponents)) for p in lcms}
             lcms.add(m.exponents)
         assert lcm_lattice(L).points == lcms
+        assert len(lcm_lattice(L)) == len(lcms)
 
 
 def test_union_closure_guard():
@@ -263,6 +271,34 @@ def test_exact_cover_matches_the_subset_scan(case):
                for k in range(len(parts) + 1)
                for combo in itertools.combinations(parts, k))
     assert _exact_cover_exists(target, parts) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+           st.integers(0, (1 << n) - 1),
+           st.lists(st.one_of(st.integers(0, (1 << n) - 1),
+                              st.sampled_from([1 << v for v in range(n)])),
+                    max_size=40))))
+def test_exact_cover_matches_the_unbucketed_kernel(case):
+    # a target of at most 16 bits has at most 2^16 = UNION_LIMIT
+    # remainders, so neither kernel is refused
+    target, parts = case
+    assert (_exact_cover_exists(target, parts)
+            == reference_exact_cover_exists(target, parts))
+
+
+def test_exact_cover_refuses_past_the_union_limit():
+    def all_pairs(n):
+        return [1 << u | 1 << v for u, v in itertools.combinations(range(n), 2)]
+
+    # all pairs of an odd n-set against the whole set leave Fib(n + 1)
+    # remainders: 46,368 at n = 23, and 2,178,309 at n = 31
+    assert not _exact_cover_exists((1 << 23) - 1, all_pairs(23))
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match=(
+            f"^more than {UNION_LIMIT} remainders in an exact cover")):
+        _exact_cover_exists((1 << 31) - 1, all_pairs(31))
+    assert time.perf_counter() - start < 1
 
 
 def test_reduce_family_drops_disjoint_unions():

@@ -559,6 +559,25 @@ def test_corrupted_sign_is_caught_at_the_composition_gate():
     assert all(strand_matches_homology(fc, X, b, RATIONAL) for b in points)
 
 
+def test_criteria_need_a_complex_of_positive_dimension():
+    point = tree_complex(edges_to_tree(1, []))
+    with pytest.raises(FamilyError, match="^criteria need a complex"):
+        check_family_criteria(point, family(1, [{0}]))
+
+
+def test_free_complex_refuses_signs_whose_maps_do_not_compose_to_zero():
+    # the triangle with +1 on every side has a nonzero composite boundary;
+    # the free complex checks its maps, not the complex
+    X = polygon_complex(3)
+    top = X.cells[-1]
+    bad = replace(top, boundary=tuple((b, 1) for b, _ in top.boundary))
+    X = replace(X, cells=X.cells[:-1] + (bad,))
+    assert validate_complex(X)
+    with pytest.raises(ValueError,
+                       match="^free complex maps do not compose to zero$"):
+        build_free_complex(X, labelling(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+
+
 def test_free_complex_entries_are_quotient_monomials():
     X, L = path_on_three(), squares_labelling()
     fc = build_free_complex(X, L)

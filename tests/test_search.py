@@ -237,6 +237,17 @@ def test_symmetry_rejects_non_automorphisms():
     with pytest.raises(FamilyError):
         enumerate_valid_families(
             X, SearchSpace(symmetry=(rotation,), max_candidates=200))
+    with pytest.raises(FamilyError, match="is not a permutation"):
+        enumerate_valid_families(
+            X, SearchSpace(symmetry=((0, 0, 1, 2, 3, 4),), max_candidates=200))
+
+
+def test_search_needs_a_complex_of_positive_dimension():
+    point = tree_complex(edges_to_tree(1, []))
+    with pytest.raises(FamilyError, match="^enumeration needs a complex"):
+        enumerate_valid_families(point)
+    with pytest.raises(FamilyError, match="^search needs a complex"):
+        any_valid_family(point)
 
 
 def test_dihedral_group_size():

@@ -9,8 +9,10 @@ same message; `ComplexError` is the one other error either may raise.
 """
 
 import copy
+import dataclasses
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +135,16 @@ def test_loaders_agree_with_the_reference_on_mutated_documents(data):
         doc = _mutate(doc, data)
     new, old = LOADERS[kind]
     assert _outcome(new, doc) == _outcome(old, doc)
+
+
+def test_a_report_value_with_no_json_form_is_refused():
+    @dataclasses.dataclass(frozen=True)
+    class Report:
+        ratio: float
+
+    with pytest.raises(ser.SerializationError,
+                       match=r"^cannot serialize value 0\.5$"):
+        ser.report_to_dict(Report(0.5))
 
 
 def test_a_subclassed_document_loads_as_the_plain_one():
