@@ -102,7 +102,12 @@ class _Run:
             "path": path,
             "sha256": sha256(raw).hexdigest(),
         })
-        doc = parse_json(raw.decode("utf-8"))
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError(
+                f"{kind} file {path} is not UTF-8: {exc}") from exc
+        doc = parse_json(text)
         loader = {
             "complex": complex_from_dict,
             "family": family_from_dict,

@@ -31,7 +31,9 @@ class GuardExceeded(RuntimeError):
     """Input refused before an exhaustive scan: more candidate sets than
     the search allows; more than UNION_LIMIT unions to close, exact-cover
     remainders to hold, candidate forests to try or resolving trees to
-    list; or a polarization past its variable or exponent limit."""
+    list; a family document on more than UNION_LIMIT vertices, whose
+    masks would not fit; or a polarization past its variable or exponent
+    limit."""
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,17 @@ def _candidate_masks(X: CellComplex, space: SearchSpace,
     return tuple(sorted(masks, key=_mask_sort_key))
 
 
+def _maximal_at(cands: tuple, joinable: int, chosen: tuple) -> bool:
+    """Every joinable candidate splits into members; no member into others."""
+    while joinable:
+        low = joinable & -joinable
+        if not _exact_cover_exists(cands[low.bit_length() - 1], chosen):
+            return False
+        joinable ^= low
+    return not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
+                   for i, m in enumerate(chosen))
+
+
 def _search(X: CellComplex, field: FieldSpec, cands: tuple,
             oracle: AcyclicityOracle = None, maximal: bool = False):
     """Yield every valid family over a fixed candidate list, exactly once;
@@ -148,6 +159,12 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
     node is a valid family and the options are the whole live set.  Branch
     i adds option i and bans options 0..i-1, so no family is reached
     twice.
+
+    The walk is one loop over an explicit stack of nodes not yet entered,
+    so memory, not the recursion limit, bounds a family's size.  An entry
+    holds the members chosen above the node, the option entering it and
+    the parent's sets for that option, and is filtered when popped; the
+    highest option is pushed first, so siblings come off in order.
 
     With `maximal`, a node also carries the excluded set of Bron and
     Kerbosch (CACM 16(9), 1973): the banned options that could still join,
@@ -181,39 +198,39 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
     # those that answered yes
     short, tried, passed = {}, {}, {}
     everyone = (1 << len(cands)) - 1
-    chosen = []
-
-    def short_of(u):
-        got = short.get(u)
-        if got is None:
-            # c | u == full when c holds every vertex outside u
-            covers = everyone
-            rest = full & ~u
-            while rest:
-                low = rest & -rest
-                covers &= reqs[low.bit_length() - 1]
-                rest ^= low
-            got = short[u] = everyone & ~covers
-        return got
-
-    def acyclic_among(w, ask):
-        asked = tried.get(w, 0)
-        new = ask & ~asked
-        if new:
-            tried[w] = asked | new
-            passed[w] = passed.get(w, 0) | oracle.acyclic_bits(w, cands, new)
-        return ask & passed.get(w, 0)
-
-    def maximal_at(joinable):
-        while joinable:
-            low = joinable & -joinable
-            if not _exact_cover_exists(cands[low.bit_length() - 1], chosen):
-                return False
-            joinable ^= low
-        return not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
-                       for i, m in enumerate(chosen))
-
-    def descend(live, excl, unions, unmet):
+    root = sum(1 << j for j, m in enumerate(cands)
+               if m != full and oracle.is_acyclic(full & ~m))
+    stack = [((), 0, root, 0, {0}, reqs)]
+    while stack:
+        chosen, low, live, excl, unions, unmet = stack.pop()
+        if low:
+            m = cands[low.bit_length() - 1]
+            fresh = {u | m for u in unions} - unions
+            size = min(d - 1, len(chosen) + 1)
+            nxt = live | excl
+            for u in cover_unions(m, chosen, size - 1) if size else ():
+                short_u = short.get(u)
+                if short_u is None:
+                    # c | u == full when c holds every vertex outside u
+                    covers, rest = everyone, full & ~u
+                    while rest:
+                        bit = rest & -rest
+                        covers &= reqs[bit.bit_length() - 1]
+                        rest ^= bit
+                    short_u = short[u] = everyone & ~covers
+                nxt &= short_u
+            for w in fresh:
+                asked = tried.get(w, 0)
+                new = nxt & ~asked
+                if new:
+                    tried[w] = asked | new
+                    passed[w] = (passed.get(w, 0)
+                                 | oracle.acyclic_bits(w, cands, new))
+                nxt &= passed.get(w, 0)
+            chosen += (m,)
+            live, excl = nxt & live, nxt & ~live
+            unions = unions | fresh
+            unmet = [row for row in unmet if not row & low]
         opts = live
         if unmet:
             fewest = len(cands) + 1
@@ -224,31 +241,14 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
                     opts, fewest = got, count
                     if not count:
                         break
-        elif not maximal or maximal_at(live | excl):
-            yield tuple(chosen)
+        elif not maximal or _maximal_at(cands, live | excl, chosen):
+            yield chosen
         while opts:
-            low = opts & -opts
-            opts ^= low
-            live &= ~low
-            m = cands[low.bit_length() - 1]
-            chosen.append(m)
-            fresh = {u | m for u in unions} - unions
-            size = min(d - 1, len(chosen))
-            nxt = live | excl
-            if size:
-                for u in cover_unions(m, chosen[:-1], size - 1):
-                    nxt &= short_of(u)
-            for w in fresh:
-                nxt = acyclic_among(w, nxt)
-            yield from descend(nxt & live, nxt & ~live, unions | fresh,
-                               [row for row in unmet if not row & low])
-            chosen.pop()
-            if maximal:
-                excl |= low
-
-    root = sum(1 << j for j, m in enumerate(cands)
-               if m != full and oracle.is_acyclic(full & ~m))
-    yield from descend(root, 0, {0}, reqs)
+            top = 1 << (opts.bit_length() - 1)
+            stack.append((chosen, top, live & ~opts,
+                          excl | opts ^ top if maximal else excl,
+                          unions, unmet))
+            opts ^= top
 
 
 def _check_automorphism(X: CellComplex, perm: tuple):

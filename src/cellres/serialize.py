@@ -16,7 +16,13 @@ import dataclasses
 import json
 
 from .complexes import Cell, CellComplex, validate_complex
-from .monomials import Monomial, MonomialLabelling, VertexFamily
+from .monomials import (
+    UNION_LIMIT,
+    GuardExceeded,
+    Monomial,
+    MonomialLabelling,
+    VertexFamily,
+)
 
 
 class SerializationError(ValueError):
@@ -126,6 +132,9 @@ def family_from_dict(doc) -> VertexFamily:
     _require(isinstance(doc, dict) and set(doc) == {"n", "sets"},
              "family document needs exactly the keys n and sets")
     _require(_is_int(doc["n"]), "n must be an integer")
+    if doc["n"] > UNION_LIMIT:
+        raise GuardExceeded(f"a family on {doc['n']} vertices, more than "
+                            f"{UNION_LIMIT}; its vertex masks are too large")
     _require(isinstance(doc["sets"], list), "sets must be a list")
     members = tuple(frozenset(_int_list(s, "family member"))
                     for s in doc["sets"])
@@ -190,7 +199,10 @@ def canonical_json(obj) -> str:
 
 
 def parse_json(text: str):
+    """The document in text.  Malformed JSON, nesting past the recursion
+    limit and integers past the interpreter's digit limit all raise
+    SerializationError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SerializationError(f"invalid JSON: {exc}") from exc

@@ -5,14 +5,35 @@ These are the bodies the library used before its constructions shared
 kernel: every construction keeps its own dict of edge ids and writes each
 2-cell's boundary tuple by hand, and `pyramid` and `elongated_pyramid`
 each run their own cone loop.  The library must build the same cells, in
-the same order, with the same boundaries and signs.
+the same order, with the same boundaries and signs.  The reference
+polygon cuts its regions with its own recursive splitter,
+`reference_regions`, so a fault in the library's splitter shows too.
 """
 
 import itertools
 
 from cellres.complexes import (CellComplex, ComplexBuilder, ComplexError,
                                assign_signs)
-from cellres.constructions import _region_cycles
+
+
+def reference_regions(cycle, chords) -> list:
+    """Vertex cycles of the regions non-crossing chords cut a cycle into.
+
+    The first chord cuts the cycle into the arc running forward from its
+    earlier endpoint to its later one and the arc running on round from
+    the later back to the earlier; each arc keeps the chords with both
+    ends on it and is cut recursively, the forward arc's regions first.
+    """
+    if not chords:
+        return [tuple(cycle)]
+    k = len(cycle)
+    i, j = sorted((cycle.index(chords[0][0]), cycle.index(chords[0][1])))
+    regions = []
+    for start, stop in ((i, j), (j, i + k)):
+        arc = [cycle[t % k] for t in range(start, stop + 1)]
+        regions += reference_regions(
+            arc, [c for c in chords[1:] if c[0] in arc and c[1] in arc])
+    return regions
 
 
 def reference_subdivided_polygon(n: int, chords=()) -> CellComplex:
@@ -44,7 +65,7 @@ def reference_subdivided_polygon(n: int, chords=()) -> CellComplex:
         edge_id[(u, v)] = b.add_cell(1, (u, v), ((v, 1), (u, -1)))
     for (u, v) in chords:
         edge_id[(u, v)] = b.add_cell(1, (u, v), ((v, 1), (u, -1)))
-    for region in _region_cycles(list(range(n)), list(chords)):
+    for region in reference_regions(list(range(n)), list(chords)):
         bnd = []
         k = len(region)
         for t in range(k):

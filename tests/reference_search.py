@@ -20,6 +20,11 @@ it was before it kept its filter answers as candidate bitsets: each child
 asks the cover bound and the oracle about every candidate in turn.  The
 library must yield the same families in the same order and leave the same
 restrictions in the oracle's cache.
+`reference_recursive_search` is the library's search as it was before it
+ran as one loop over an explicit stack: a generator recursing through one
+`yield from` per chosen member onto a shared list of them.  The library
+must yield the same families in the same order and leave the same
+restrictions in the oracle's cache.
 `reference_connected_vertex_subsets` finds those connected sets by
 flood-filling each of the 2^n vertex masks; the library grows them from
 their lowest vertex and must return the same list.
@@ -60,6 +65,8 @@ from cellres.resolution import (
     check_family_criteria,
     covering_face_pairs,
     cover_unions,
+    oracle_for,
+    requirement_rows,
 )
 from cellres.search import (
     CoveringReport,
@@ -150,6 +157,129 @@ def reference_family_search(X, field, cands, oracle=None, maximal=False):
     root = sum(1 << j for j, m in enumerate(cands)
                if m != full and oracle.is_acyclic(full & ~m))
     yield from descend(root, 0, {0}, 0)
+
+
+def reference_recursive_search(X, field, cands, oracle=None, maximal=False):
+    """Yield every valid family over a fixed candidate list, exactly once;
+    with `maximal`, only those that are maximal over that list.
+
+    Families come as tuples of member masks in the order they were chosen;
+    the visit order is not part of the contract.
+
+    A node holds the chosen members, their subfamily unions, the
+    requirement rows they leave unmet, in requirement order, and the live
+    set: the candidates that can still join without breaking the cover
+    bound or the acyclic-complement condition.  Both conditions are closed
+    under subfamilies, so a child filters its parent's live set by what
+    the newest member adds alone: the cover-bound unions that contain it
+    and the member unions it creates; it keeps the unmet rows the new
+    member does not serve.  While a row is unmet, the options are its live
+    candidates for the first unmet row with the fewest of them, and none
+    at all when that row has no live candidate.  Once no row is unmet, the
+    node is a valid family and the options are the whole live set.  Branch
+    i adds option i and bans options 0..i-1, so no family is reached
+    twice.
+
+    With `maximal`, a node also carries the excluded set of Bron and
+    Kerbosch (CACM 16(9), 1973): the banned options that could still join,
+    filtered by the same test as the live set.  Live and excluded together
+    are then every candidate that can join the chosen members.  A valid
+    node is yielded only if each of them is a disjoint union of members
+    and no member is a disjoint union of other members; that is exactly
+    `is_maximal` over these candidates.  Without `maximal` the excluded
+    set stays empty, so the search makes the same oracle calls.
+
+    The filter's answers are candidate bitsets kept per union for the
+    whole search (`short`, `tried` and `passed` below).  A child's live
+    and excluded sets are the parent's ANDed with the mask of each
+    cover-bound union, then narrowed by each fresh member union in turn,
+    so a candidate that fails one union is never asked about the next: the
+    oracle sees the restrictions a candidate-by-candidate test would ask
+    about, and each (union, candidate) question at most once.  The new
+    questions about one union go to the oracle in one `acyclic_bits` call.
+    """
+    oracle = oracle_for(X, field, oracle)
+    full = (1 << X.n_vertices) - 1
+    d = X.dim
+    if not oracle.is_acyclic(full):
+        return
+    # bit j of reqs[k] is set when candidate j meets requirement k: vertex
+    # k for k < n, covering face pair k - n after that
+    reqs = requirement_rows(X, cands)
+    # candidate bitsets, memoized over the whole search: short[u] holds the
+    # candidates c with c | u != full; tried[w] those asked whether the
+    # complement of w | c is acyclic, filled in as nodes ask, and passed[w]
+    # those that answered yes
+    short, tried, passed = {}, {}, {}
+    everyone = (1 << len(cands)) - 1
+    chosen = []
+
+    def short_of(u):
+        got = short.get(u)
+        if got is None:
+            # c | u == full when c holds every vertex outside u
+            covers = everyone
+            rest = full & ~u
+            while rest:
+                low = rest & -rest
+                covers &= reqs[low.bit_length() - 1]
+                rest ^= low
+            got = short[u] = everyone & ~covers
+        return got
+
+    def acyclic_among(w, ask):
+        asked = tried.get(w, 0)
+        new = ask & ~asked
+        if new:
+            tried[w] = asked | new
+            passed[w] = passed.get(w, 0) | oracle.acyclic_bits(w, cands, new)
+        return ask & passed.get(w, 0)
+
+    def maximal_at(joinable):
+        while joinable:
+            low = joinable & -joinable
+            if not _exact_cover_exists(cands[low.bit_length() - 1], chosen):
+                return False
+            joinable ^= low
+        return not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
+                       for i, m in enumerate(chosen))
+
+    def descend(live, excl, unions, unmet):
+        opts = live
+        if unmet:
+            fewest = len(cands) + 1
+            for row in unmet:
+                got = row & live
+                count = got.bit_count()
+                if count < fewest:
+                    opts, fewest = got, count
+                    if not count:
+                        break
+        elif not maximal or maximal_at(live | excl):
+            yield tuple(chosen)
+        while opts:
+            low = opts & -opts
+            opts ^= low
+            live &= ~low
+            m = cands[low.bit_length() - 1]
+            chosen.append(m)
+            fresh = {u | m for u in unions} - unions
+            size = min(d - 1, len(chosen))
+            nxt = live | excl
+            if size:
+                for u in cover_unions(m, chosen[:-1], size - 1):
+                    nxt &= short_of(u)
+            for w in fresh:
+                nxt = acyclic_among(w, nxt)
+            yield from descend(nxt & live, nxt & ~live, unions | fresh,
+                               [row for row in unmet if not row & low])
+            chosen.pop()
+            if maximal:
+                excl |= low
+
+    root = sum(1 << j for j, m in enumerate(cands)
+               if m != full and oracle.is_acyclic(full & ~m))
+    yield from descend(root, 0, {0}, reqs)
 
 
 def reference_search(X, field, cands, oracle=None) -> list:

@@ -23,7 +23,13 @@ from cellres.constructions import (
     tree_complex,
 )
 from cellres.linalg import GF2, RATIONAL
-from cellres.monomials import family, family_of, labelling, labelling_of
+from cellres.monomials import (
+    UNION_LIMIT,
+    family,
+    family_of,
+    labelling,
+    labelling_of,
+)
 from cellres.resolution import AcyclicityOracle, check_family_criteria
 from cellres.serialize import (
     canonical_json,
@@ -672,12 +678,34 @@ def test_size_mismatch_is_a_family_error(capsys, tmp_path, command, flag,
     assert "does not match" in err["error"]["message"]
 
 
-def test_malformed_json_is_exit_3(capsys, tmp_path):
+# a cell id of 5,000 digits: past CPython's digit limit for int parsing
+# where there is one, and not the dense id 0 where there is none
+LONG_ID = json.dumps(complex_to_dict(polygon_complex(3))).replace(
+    '"id": 0', '"id": ' + "9" * 5000, 1).encode()
+
+
+@pytest.mark.parametrize("raw", [
+    b"this is not json",
+    b"\xff\xfe" + canonical_json({"n_vertices": 0, "cells": []}).encode(),
+    b"[" * 100_000 + b"]" * 100_000,
+    LONG_ID,
+], ids=["not-json", "not-utf8", "deep-nesting", "long-integer"])
+def test_malformed_json_is_exit_3(capsys, tmp_path, raw):
     bad = tmp_path / "bad.json"
-    bad.write_text("this is not json")
+    bad.write_bytes(raw)
     code, out, err = run(capsys, "homology", "--complex", str(bad))
     assert code == 3
     assert err["error"]["type"] == "SerializationError"
+
+
+@pytest.mark.parametrize("n,code", [(UNION_LIMIT, 0), (UNION_LIMIT + 1, 2),
+                                    (10 ** 30 + 1, 2)])
+def test_families_past_the_union_limit_are_refused(capsys, tmp_path, n, code):
+    fam = write_doc(tmp_path, "fam.json", {"n": n, "sets": [[n - 1]]})
+    got, out, err = run(capsys, "morphism", "--from", fam, "--to", fam)
+    assert got == code
+    if code == 2:
+        assert out is None and err["error"]["type"] == "guard"
 
 
 def test_missing_file_is_exit_3(capsys, tmp_path):

@@ -1,7 +1,11 @@
 """Family enumeration, maximality, covering checks, conjecture harnesses."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +61,7 @@ from reference_search import (
     reference_connected_vertex_subsets,
     reference_is_maximal,
     reference_maximal_families,
+    reference_recursive_search,
     reference_search,
 )
 
@@ -643,6 +648,93 @@ def test_bitset_filter_matches_the_per_candidate_filter(case, field, maximal):
     assert got == want
     # the same restrictions reach the oracle, so it misses on the same ones
     assert got_oracle.touched() == want_oracle.touched()
+
+
+def assert_same_walk(X, field, maximal):
+    """The loop engine and the recursive one yield the same families in the
+    same order, and ask the oracle about the same restrictions."""
+    cands = search._candidate_masks(X, SearchSpace(max_candidates=300),
+                                    AcyclicityOracle(X, field))
+    got_oracle = AcyclicityOracle(X, field)
+    want_oracle = AcyclicityOracle(X, field)
+    got = list(search._search(X, field, cands, got_oracle, maximal))
+    want = list(reference_recursive_search(X, field, cands, want_oracle,
+                                           maximal))
+    assert got == want
+    assert got_oracle.touched() == want_oracle.touched()
+
+
+LOOP_ENGINE_CASES = {
+    **{f"fan-{n}-gon": (lambda n=n: fan(n)) for n in range(5, 10)},
+    "zigzag-8-gon": lambda: subdivided_polygon(
+        8, ((1, 7), (2, 7), (2, 6), (3, 6), (3, 5))),
+    "hexagon-chords-15-35":
+        lambda: subdivided_polygon(6, ((1, 5), (3, 5))),
+    "twelve-gon-chords-03-06-09":
+        lambda: subdivided_polygon(12, ((0, 3), (0, 6), (0, 9))),
+    **{f"pyramid-{n}-gon": (lambda n=n: pyramid(polygon_complex(n)))
+       for n in range(4, 8)},
+    "pyramid-fan-6-gon": lambda: pyramid(fan(6)),
+    **{f"bipyramid-{n}": (lambda n=n: bipyramid_complex(n))
+       for n in range(3, 6)},
+    "wheel-4": lambda: wheel_polytope(4),
+    "elongated-triangle-pyramid":
+        lambda: elongated_pyramid(polygon_complex(3)),
+}
+
+
+@pytest.mark.parametrize("maximal", [False, True], ids=["valid", "maximal"])
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(LOOP_ENGINE_CASES))
+def test_loop_engine_matches_the_recursive_engine(case, field, maximal):
+    assert_same_walk(LOOP_ENGINE_CASES[case](), field, maximal)
+
+
+@st.composite
+def search_complexes(draw):
+    """A chorded 5- to 9-gon, the pyramid over a chorded 5- to 7-gon, or a
+    tree on 2 to 10 vertices.  Pyramids stop at 7-gons: over a
+    triangulated 9-gon each engine takes about a minute."""
+    kind = draw(st.sampled_from(["polygon", "pyramid", "tree"]))
+    if kind == "tree":
+        n = draw(st.integers(2, 10))
+        return tree_complex(edges_to_tree(
+            n, [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]))
+    n = draw(st.integers(5, 9 if kind == "polygon" else 7))
+    X = subdivided_polygon(n, draw(chords_of(n)))
+    return pyramid(X) if kind == "pyramid" else X
+
+
+@settings(max_examples=30, deadline=None)
+@given(search_complexes())
+def test_loop_engine_matches_the_recursive_engine_on_random_complexes(X):
+    for field in (GF2, RATIONAL):
+        for maximal in (False, True):
+            assert_same_walk(X, field, maximal)
+
+
+# a fresh process searches the 60-vertex path under a recursion limit of
+# 100, then prints the size and verdict of the family it found
+DEEP_PATH_PROBE = """\
+import sys
+from cellres.constructions import edges_to_tree, tree_complex
+from cellres.resolution import check_family_criteria
+from cellres.search import SearchSpace, any_valid_family
+X = tree_complex(edges_to_tree(60, [(i, i + 1) for i in range(59)]))
+sys.setrecursionlimit(100)
+F = any_valid_family(X, SearchSpace(max_candidates=200))
+sys.setrecursionlimit(1000)
+print(len(F.sets), check_family_criteria(X, F).ok)
+"""
+
+
+def test_family_size_is_not_bounded_by_the_recursion_limit():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", DEEP_PATH_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["118", "True"]
 
 
 def test_covering_property_of_maximal_families(hexagon_two_chords,
