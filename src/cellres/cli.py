@@ -83,12 +83,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Run:
-    """Collects input hashes and the result for the final report."""
+    """Collects the inputs read and the result for the final report."""
 
     def __init__(self, command: str, field_name: str):
         self.command = command
         self.field_name = field_name
-        self.inputs = []
+        self.inputs = []  # (path, raw bytes), in the order read
         self.result = None
         self.exit_code = EXIT_OK
 
@@ -98,10 +98,7 @@ class _Run:
                 raw = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read {kind} file {path}: {exc}") from exc
-        self.inputs.append({
-            "path": path,
-            "sha256": sha256(raw).hexdigest(),
-        })
+        self.inputs.append((path, raw))
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -116,10 +113,13 @@ class _Run:
         return loader(doc)
 
     def report(self) -> dict:
+        # only a report shows the digests, so a call that ends in an error
+        # hashes nothing
         return {
             "command": self.command,
             "field": self.field_name,
-            "inputs": self.inputs,
+            "inputs": [{"path": path, "sha256": sha256(raw).hexdigest()}
+                       for path, raw in self.inputs],
             "result": self.result,
         }
 
@@ -170,21 +170,30 @@ def nonnegative_int(text: str) -> int:
 
 # parse_args leaves a parser unchanged, so the cache serves every later
 # call in a process.  Building all nine subparsers costs more than a whole
-# guard refusal, so a call naming a subcommand gets a parser with that one
-# alone; any other call (none, unknown, top-level --help) gets all nine.
+# guard refusal, so a call naming a subcommand gets one parser for that
+# subcommand alone, which parses the arguments after its name just as the
+# subparser of the full tree would; any other call (none, unknown,
+# top-level --help) gets the full tree.
 @functools.cache
 def _build_parser(command: str = None) -> _Parser:
+    if command is not None:
+        p = _Parser(prog=f"cellres {command}")
+        p.set_defaults(command=command)
+        _add_options(p, command)
+        return p
     top = _Parser(prog="cellres", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_options, _ = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--field", choices=["gf2", "rational"], default="gf2",
-                       help="coefficient field for homology verdicts")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall_time_ms in the report")
-        add_options(p)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return top
+
+
+def _add_options(p, command: str):
+    p.add_argument("--field", choices=["gf2", "rational"], default="gf2",
+                   help="coefficient field for homology verdicts")
+    p.add_argument("--timing", action="store_true",
+                   help="include wall_time_ms in the report")
+    _COMMANDS[command][1](p)
 
 
 def _input_files(p, *names):
@@ -452,9 +461,11 @@ def _emit_error(kind: str, message: str):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    named = argv[:1] if argv and argv[0] in _COMMANDS else ()
     try:
-        args = _build_parser(*named).parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _build_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = _build_parser().parse_args(argv)
         if args.command is None:
             raise CliError("a subcommand is required; see --help")
         run = _Run(args.command, args.field)

@@ -198,22 +198,85 @@ def tree_unique_morphism(T: OrientedTree, L: MonomialLabelling):
 # polygons and chords
 
 
-def _region_cycles(cycle, chords):
-    """Vertex cycles of the regions the chords cut the cycle into: the
-    first chord splits it in two, and each side's regions come in turn."""
-    out, stack = [], [(cycle, chords)]
-    while stack:
-        cycle, chords = stack.pop()
-        if not chords:
-            out.append(tuple(cycle))
+def _faces(n: int, chords: tuple):
+    """The regions of the n-gon cut by chords (pairs u < v), as increasing
+    vertex lists, or None when two chords cross.
+
+    One sweep over the vertices keeps the rim path not yet closed off on a
+    stack.  At vertex v the chords ending there, shortest first, each close
+    off the vertices above their lower end u: those, with u and v, bound
+    one region.  A chord finds u closed off exactly when an earlier chord
+    of the sweep crossed it.
+    """
+    ending = [[] for _ in range(n)]
+    for u, v in chords:
+        ending[v].append(u)
+    faces, stack, on_stack = [], [], [False] * n
+    for v in range(n):
+        stack.append(v)
+        on_stack[v] = True
+        for u in sorted(ending[v], reverse=True):
+            if not on_stack[u]:
+                return None
+            k = len(stack) - 2
+            while stack[k] != u:
+                on_stack[stack[k]] = False
+                k -= 1
+            faces.append(stack[k:])
+            del stack[k + 1:-1]
+    return faces + [stack]
+
+
+def _region_cycles(n: int, chords: tuple) -> list:
+    """Vertex cycles of the regions the chords cut the n-gon into, or None
+    when two chords cross.
+
+    The cycles and their order are those of cutting recursively: the
+    first chord cuts the cycle 0, ..., n-1 into the arc running forward
+    from whichever of its ends comes first in the cycle to the other, and
+    the arc running on round from there back; each arc, which starts at
+    that end, keeps the chords with both ends on it and is cut the same
+    way, the first arc's regions first.  An arc holding the chords after c
+    is a union of regions, joined across chords after c, so adding the
+    chords last to first to a union-find over the regions builds the tree
+    of cuts without rescanning any chord.
+    """
+    faces = _faces(n, chords)
+    if faces is None:
+        return None
+    # a region lists its vertices in increasing order, so it lies outside
+    # the chords joining consecutive ones more than one apart, and inside
+    # the chord joining its first and last, if that is one
+    index = {chord: c for c, chord in enumerate(chords)}
+    inner, outer = [0] * len(chords), [0] * len(chords)
+    for f, face in enumerate(faces):
+        for a, b in zip(face, face[1:]):
+            if b - a > 1:
+                outer[index[a, b]] = f
+        if (face[0], face[-1]) in index:
+            inner[index[face[0], face[-1]]] = f
+    leaves = len(faces)
+    root = list(range(leaves))  # union-find over the regions
+    node = list(range(leaves))  # a root's arc: a region, or leaves + chord
+    sides = [None] * len(chords)
+    for c in reversed(range(len(chords))):
+        a, b = _find(root, inner[c]), _find(root, outer[c])
+        sides[c] = (node[a], node[b])
+        root[a] = b
+        node[b] = leaves + c
+    out, todo = [], [(node[_find(root, 0)], 0)]
+    while todo:
+        arc, start = todo.pop()
+        if arc < leaves:
+            face = faces[arc]
+            i = face.index(start)
+            out.append(tuple(face[i:] + face[:i]))
             continue
-        (a, b), rest = chords[0], chords[1:]
-        i, j = sorted((cycle.index(a), cycle.index(b)))
-        sides = (cycle[i:j + 1], cycle[j:] + cycle[:i + 1])
-        for side in reversed(sides):
-            sset = set(side)
-            stack.append((side, [c for c in rest
-                                 if c[0] in sset and c[1] in sset]))
+        (u, v), (inside, beyond) = chords[arc - leaves], sides[arc - leaves]
+        if (u - start) % n < (v - start) % n:
+            todo += [(beyond, v), (inside, u)]
+        else:
+            todo += [(inside, u), (beyond, v)]
     return out
 
 
@@ -235,14 +298,17 @@ def subdivided_polygon(n: int, chords=()) -> CellComplex:
         if (u, v) in seen:
             raise ComplexError(f"chord ({u}, {v}) repeated")
         seen.add((u, v))
-    for (u1, v1), (u2, v2) in itertools.combinations(chords, 2):
-        crossing = (u1 < u2 < v1 < v2) or (u2 < u1 < v2 < v1)
-        if crossing:
-            raise ComplexError(f"chords ({u1},{v1}) and ({u2},{v2}) cross")
+    regions = _region_cycles(n, chords)
+    if regions is None:
+        # name the first crossing pair in input order
+        for (u1, v1), (u2, v2) in itertools.combinations(chords, 2):
+            if u1 < u2 < v1 < v2 or u2 < u1 < v2 < v1:
+                raise ComplexError(
+                    f"chords ({u1},{v1}) and ({u2},{v2}) cross")
     b = ComplexBuilder(n)
     for u, v in [(i, (i + 1) % n) for i in range(n)] + list(chords):
         b.add_edge(max(u, v), min(u, v))
-    for region in _region_cycles(list(range(n)), list(chords)):
+    for region in regions:
         b.add_polygon(region)
     return b.build()
 

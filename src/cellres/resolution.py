@@ -105,10 +105,15 @@ class AcyclicityOracle:
     def touched(self) -> dict:
         return dict(self._verdicts)
 
-    def is_acyclic(self, mask: int) -> bool:
+    def is_acyclic(self, mask: int, outside: int = None) -> bool:
+        """Is the restriction to the vertices in mask acyclic?
+
+        A caller that already holds `outside`, the union of the stars of
+        the vertices not in mask, passes it, and a miss skips building it.
+        """
         got = self._verdicts.get(mask)
         if got is None:
-            got = self._compute(mask & self.full_mask)
+            got = self._compute(mask & self.full_mask, outside)
             self._verdicts[mask] = got
         return got
 
@@ -134,13 +139,14 @@ class AcyclicityOracle:
                 ok |= low
         return ok
 
-    def _compute(self, mask: int) -> bool:
-        outside = 0
-        rest = self.full_mask & ~mask
-        while rest:
-            low = rest & -rest
-            outside |= self._star[low.bit_length() - 1]
-            rest ^= low
+    def _compute(self, mask: int, outside: int = None) -> bool:
+        if outside is None:
+            outside = 0
+            rest = self.full_mask & ~mask
+            while rest:
+                low = rest & -rest
+                outside |= self._star[low.bit_length() - 1]
+                rest ^= low
         inside = self._all & ~outside
         if not inside:
             return True  # void restriction

@@ -80,45 +80,50 @@ class SearchSpace:
     max_candidates: int = 60
 
 
-def _connected_masks(X: CellComplex):
-    """Yield each nonempty mask inducing a connected restriction, once.
+def _connected_masks(adj: list, star: list):
+    """Yield (mask, reach) for each nonempty vertex mask whose induced
+    subgraph of the graph `adj` (one neighbour mask per vertex) is
+    connected, once; reach is the union of star[v] over the vertices v in
+    the mask.
 
     Each set grows from its lowest vertex v (ESU, Wernicke 2006) by one
     extension vertex at a time.  Those lie above v and enter as neighbours
     of the newest member not yet adjacent to the set, whose closed
-    neighbourhood rides along as a mask; so each set has one growth path.
+    neighbourhood rides along as a mask, and so does the reach, at one
+    union per step; so each set has one growth path.
     The stack is explicit, so long paths cannot overflow it, and children
     with the smallest extension come off it first.
     """
-    adj = vertex_adjacency(X)
-    for v in range(X.n_vertices):
+    for v in range(len(adj)):
         above = -2 << v
-        stack = [(1 << v, adj[v] | 1 << v, adj[v] & above)]
+        stack = [(1 << v, star[v], adj[v] | 1 << v, adj[v] & above)]
         while stack:
-            sub, closed, ext = stack.pop()
-            yield sub
+            sub, reach, closed, ext = stack.pop()
+            yield sub, reach
             while ext:
                 u = ext.bit_length() - 1
                 ext ^= 1 << u
-                stack.append((sub | 1 << u, closed | adj[u],
+                stack.append((sub | 1 << u, reach | star[u], closed | adj[u],
                               ext | adj[u] & above & ~closed))
 
 
 def connected_vertex_subsets(X: CellComplex) -> list:
     """Increasing masks of nonempty vertex sets with connected restriction."""
-    return sorted(_connected_masks(X))
+    adj = vertex_adjacency(X)
+    return sorted(m for m, _ in _connected_masks(adj, [0] * len(adj)))
 
 
 def _mask_sort_key(m: int):
     return member_key(set_of(m))
 
 
-def _candidate_masks(X: CellComplex, space: SearchSpace,
-                     oracle: AcyclicityOracle) -> tuple:
-    full = (1 << X.n_vertices) - 1
+def _candidate_masks(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
+    full = oracle.full_mask
     masks = []
-    for m in _connected_masks(X):
-        if oracle.is_acyclic(full & ~m):
+    # the cells meeting a candidate are those its complement's restriction
+    # leaves out, so the walk hands the oracle the union of its stars
+    for m, outside in _connected_masks(oracle._adj, oracle._star):
+        if oracle.is_acyclic(full & ~m, outside):
             masks.append(m)
             if len(masks) > space.max_candidates:
                 raise GuardExceeded(
@@ -289,7 +294,7 @@ def _families(X: CellComplex, space: SearchSpace, field: FieldSpec,
     if X.dim < 1:
         raise FamilyError("enumeration needs a complex of dimension at least 1")
     oracle = oracle_for(X, field, oracle)
-    cands = _candidate_masks(X, space, oracle)
+    cands = _candidate_masks(space, oracle)
     symmetry = ()
     if space.symmetry:
         for perm in space.symmetry:
@@ -328,7 +333,7 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
     if X.dim < 1:
         raise FamilyError("search needs a complex of dimension at least 1")
     oracle = oracle_for(X, field, oracle)
-    cands = _candidate_masks(X, space, oracle)
+    cands = _candidate_masks(space, oracle)
     hit = next(_search(X, field, cands, oracle), None)
     if hit is None:
         return None

@@ -307,8 +307,7 @@ def test_polygons_over_edges_added_either_way_are_valid(drawn):
     edges = [(i, (i + 1) % n) for i in range(n)] + list(chords)
     for (u, v), flip in zip(edges, flips):
         b.add_edge(*((v, u) if flip else (u, v)))
-    for region, flip in zip(_region_cycles(list(range(n)), list(chords)),
-                            flips[2 * n:]):
+    for region, flip in zip(_region_cycles(n, chords), flips[2 * n:]):
         b.add_polygon(region[::-1] if flip else region)
     X = b.build()
     assert X.fully_signed() and validate_complex(X) == []

@@ -618,13 +618,13 @@ def test_verify_family_adds_no_oracle_work_to_the_criteria(capsys, tmp_path,
     is_acyclic = AcyclicityOracle.is_acyclic
     compute = AcyclicityOracle._compute
 
-    def counting_is_acyclic(self, mask):
+    def counting_is_acyclic(self, mask, outside=None):
         asked.append(mask)
-        return is_acyclic(self, mask)
+        return is_acyclic(self, mask, outside)
 
-    def counting_compute(self, mask):
+    def counting_compute(self, mask, outside=None):
         computed.append(mask)
-        return compute(self, mask)
+        return compute(self, mask, outside)
 
     monkeypatch.setattr(AcyclicityOracle, "is_acyclic", counting_is_acyclic)
     monkeypatch.setattr(AcyclicityOracle, "_compute", counting_compute)
@@ -948,6 +948,46 @@ def test_without_a_built_in_sha256_the_digest_comes_from_hashlib(tmp_path):
     assert (code, same) == (0, True) and "hashlib" in loaded
 
 
+@pytest.mark.parametrize("command,flags,code,hashed", [
+    ("verify", ("--complex", "--family"), 0, 2),
+    ("betti", ("--complex", "--labelling"), 0, 2),
+    ("maximal-check", ("--complex", "--family"), 1, 2),
+    ("enumerate", ("--complex",), 2, 0),        # a guard refusal
+    ("homology", ("--complex",), 3, 0),         # a malformed file
+    ("verify", ("--complex", "--family"), 3, 0),  # the second one malformed
+])
+def test_inputs_are_hashed_for_the_report_alone(capsys, tmp_path, monkeypatch,
+                                               command, flags, code, hashed):
+    X, L = fixture("hex-squares-combined")
+    docs = {"--complex": complex_to_dict(X),
+            "--family": family_to_dict(family_of(L)),
+            "--labelling": labelling_to_dict(L)}
+    if code == 2:
+        docs["--complex"] = complex_to_dict(polygon_complex(16))
+    argv = [command]
+    for i, flag in enumerate(flags):
+        path = write_doc(tmp_path, f"{i}.json", docs[flag])
+        if code == 3 and i == len(flags) - 1:
+            Path(path).write_text("this is not json")
+        argv += [flag, path]
+    calls = []
+
+    def counting_sha256(raw):
+        calls.append(raw)
+        return hashlib.sha256(raw)
+
+    monkeypatch.setattr(cli, "sha256", counting_sha256)
+    got, out, err = run(capsys, *argv)
+    assert got == code and len(calls) == hashed
+    if hashed:
+        assert calls == [Path(p).read_bytes() for p in argv[2::2]]
+        assert [i["sha256"] for i in out["inputs"]] == [
+            hashlib.sha256(raw).hexdigest() for raw in calls]
+    else:
+        assert out is None and err["error"]["type"] in ("guard",
+                                                        "SerializationError")
+
+
 def test_a_call_builds_the_parser_of_its_subcommand_alone(tmp_path):
     # a fresh process, so no other test's parser is in the cache
     cx = write_doc(tmp_path, "pent.json", complex_to_dict(polygon_complex(5)))
@@ -961,15 +1001,30 @@ def test_a_call_builds_the_parser_of_its_subcommand_alone(tmp_path):
         "for _ in range(2):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        runs.append((cli.main(argv), len(built)))\n"
-        "sub, = [a for a in cli._build_parser('enumerate')._actions\n"
-        "        if a.dest == 'command']\n"
-        "print(runs, list(sub.choices), cli._build_parser.cache_info().misses)")
+        "print(runs, [p.prog for p in built],\n"
+        "      [a.dest for a in built[0]._actions],\n"
+        "      cli._build_parser.cache_info().misses)")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", probe, cx], env=env,
                           capture_output=True, text=True, check=True)
-    # the top parser and one subparser, built by the first call only
-    assert done.stdout.strip() == "[(0, 2), (0, 2)] ['enumerate'] 1"
+    # one parser, holding the subcommand's options and no subparsers, built
+    # by the first call only
+    assert done.stdout.strip() == (
+        "[(0, 1), (0, 1)] ['cellres enumerate'] "
+        "['help', 'field', 'timing', 'complex_file', 'maximal', 'symmetry', "
+        "'max_candidates', 'jobs'] 1")
+
+
+class _WholeArgv:
+    """Stands in for a parser of one subcommand: hands the full tree the
+    subcommand's name and the arguments after it, the whole argv."""
+
+    def __init__(self, full, named):
+        self.full, self.named = full, list(named)
+
+    def parse_args(self, rest):
+        return self.full.parse_args(self.named + list(rest))
 
 
 @pytest.mark.parametrize("argv", list(usage_commands()), ids=usage_key)
@@ -977,5 +1032,6 @@ def test_a_subcommand_alone_parses_as_in_the_full_tree(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     alone = run_usage(argv)
     full = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda *named: full)
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda *named: _WholeArgv(full, named))
     assert run_usage(argv) == alone

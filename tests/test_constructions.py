@@ -401,11 +401,39 @@ def test_dissections_and_their_pyramids_match_the_reference(polygon):
     assert same_complex(pyramid(X), reference_pyramid(X))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+@st.composite
+def chord_lists(draw):
+    """An n-gon, 4 <= n <= 40, and a list of its diagonals, each written
+    either way round, in any order: some chords of a random triangulation,
+    and sometimes a few more diagonals, which may cross or repeat."""
+    n = draw(st.integers(4, 40))
+    chords, todo = [], [list(range(n))]
+    while todo:
+        cycle = todo.pop()
+        k = len(cycle)
+        if k > 3:
+            i = draw(st.integers(0, k - 1))
+            i, j = sorted((i, (i + draw(st.integers(2, k - 2))) % k))
+            if draw(st.booleans()):
+                chords.append((cycle[i], cycle[j]))
+            todo += [cycle[i:j + 1], cycle[j:] + cycle[:i + 1]]
+    diagonals = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if v - u not in (1, n - 1)]
+    chords += draw(st.lists(st.sampled_from(diagonals), max_size=3))
+    chords = draw(st.permutations(chords))
+    flips = draw(st.lists(st.booleans(), min_size=len(chords),
+                          max_size=len(chords)))
+    return n, [(v, u) if flip else (u, v)
+               for (u, v), flip in zip(chords, flips)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 8).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)),
-                         max_size=4))))
+                         max_size=4))), chord_lists()))
 def test_bad_chords_are_refused_as_in_the_reference(polygon):
+    # the same regions, in the same order, from the same start vertex; a
+    # crossing names the same first pair
     try:
         want = complex_to_dict(reference_subdivided_polygon(*polygon))
     except ComplexError as exc:
