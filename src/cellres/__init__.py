@@ -59,7 +59,6 @@ from .resolution import (
     codimension_family,
     f_symmetry,
     multidegree,
-    strand_matches_homology,
     strand_ranks,
 )
 from .constructions import (
@@ -89,12 +88,10 @@ from .constructions import (
 )
 from .search import (
     ConjectureReport,
-    CoveringReport,
     MaximalityReport,
     SearchSpace,
     chord_symmetry,
     connected_vertex_subsets,
-    covering_property_check,
     dihedral_group,
     enumerate_maximal_families,
     any_valid_family,

@@ -14,7 +14,7 @@ includes dimension -1 and a one-point complex is acyclic.  The void complex
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import GF2, FieldSpec, gf2_rank, matrix_rank
 
@@ -31,16 +31,14 @@ class SignConflictError(ComplexError):
     """No consistent sign assignment exists for the given boundary structure."""
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     id: int
     dim: int
     vertices: frozenset
     boundary: tuple  # ((cell_id, sign), ...)
 
 
-@dataclass(frozen=True)
-class CellComplex:
+class CellComplex(NamedTuple):
     n_vertices: int
     cells: tuple  # Cell entries, indexed by id
 
@@ -209,8 +207,7 @@ def restrict(X: CellComplex, vertices) -> CellComplex:
     return CellComplex(X.n_vertices, new_cells)
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     field: str
     reduced_betti: dict  # dimension -> rank, nonzero entries only (includes -1)
     acyclic: bool

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (
     CellComplex,
@@ -39,22 +39,26 @@ from .monomials import (
 # trees
 
 
-@dataclass(frozen=True)
-class OrientedTree:
-    """Tree on vertices 0..n-1 with directed edges (source, target)."""
-
+class _TreeFields(NamedTuple):
     n: int
     edges: tuple  # (source, target) pairs
 
-    def __post_init__(self):
-        if len(self.edges) != self.n - 1:
-            raise ComplexError(f"a tree on {self.n} vertices has {self.n - 1} edges")
-        parent = list(range(self.n))
-        for s, t in self.edges:
-            if not (0 <= s < self.n and 0 <= t < self.n) or s == t:
+
+class OrientedTree(_TreeFields):
+    """Tree on vertices 0..n-1 with directed edges (source, target)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: tuple):
+        if len(edges) != n - 1:
+            raise ComplexError(f"a tree on {n} vertices has {n - 1} edges")
+        parent = list(range(n))
+        for s, t in edges:
+            if not (0 <= s < n and 0 <= t < n) or s == t:
                 raise ComplexError(f"bad edge ({s}, {t})")
             if not _join(parent, s, t):
                 raise ComplexError("edges contain a cycle")
+        return super().__new__(cls, n, edges)
 
     def side_vertices(self, edge_index: int):
         """(source side, target side) after removing the indexed edge."""

@@ -9,20 +9,24 @@ no precision question anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Coefficient field: characteristic 0 is the rationals, 2 is GF(2)."""
-
+class _FieldSpecFields(NamedTuple):
     characteristic: int = 2
 
-    def __post_init__(self):
-        if self.characteristic not in (0, 2):
+
+class FieldSpec(_FieldSpecFields):
+    """Coefficient field: characteristic 0 is the rationals, 2 is GF(2)."""
+
+    __slots__ = ()
+
+    def __new__(cls, characteristic: int = 2):
+        if characteristic not in (0, 2):
             raise ValueError(
-                f"characteristic must be 0 or 2, got {self.characteristic}")
+                f"characteristic must be 0 or 2, got {characteristic}")
+        return super().__new__(cls, characteristic)
 
     @property
     def is_rational(self) -> bool:

@@ -16,7 +16,7 @@ partial order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class LabellingError(ValueError):
@@ -36,13 +36,17 @@ class GuardExceeded(RuntimeError):
     limit."""
 
 
-@dataclass(frozen=True)
-class Monomial:
+class _MonomialFields(NamedTuple):
     exponents: tuple
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
+
+class Monomial(_MonomialFields):
+    __slots__ = ()
+
+    def __new__(cls, exponents: tuple):
+        if any(e < 0 for e in exponents):
             raise LabellingError("negative exponent")
+        return super().__new__(cls, exponents)
 
     @property
     def degree(self) -> int:
@@ -65,29 +69,29 @@ def monomial(*exponents) -> Monomial:
     return Monomial(tuple(exponents))
 
 
-@dataclass(frozen=True)
-class MonomialLabelling:
+class _LabellingFields(NamedTuple):
+    n_variables: int
+    labels: tuple  # Monomial entries, one per vertex
+
+
+class MonomialLabelling(_LabellingFields):
     """Vertex labels m_0, ..., m_(n-1) in a fixed polynomial ring.
 
     Invariants enforced on construction: every label has n_variables
     exponents, no label divides another (in particular no duplicates), and
     every variable occurs in at least one label.  The level masks of the
-    labels (see _level_masks) are kept; every lcm of labels, support of a
-    variable and top exponent is read off them.
+    labels (see _level_masks) are kept as the attribute _levels, outside
+    equality, hash and repr; every lcm of labels, support of a variable and
+    top exponent is read off them.
     """
 
-    n_variables: int
-    labels: tuple  # Monomial entries, one per vertex
-    _levels: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for m in self.labels:
-            if len(m.exponents) != self.n_variables:
+    def __new__(cls, n_variables: int, labels: tuple):
+        for m in labels:
+            if len(m.exponents) != n_variables:
                 raise LabellingError(
-                    f"label {m.exponents} does not have {self.n_variables} exponents")
-        exps = [m.exponents for m in self.labels]
+                    f"label {m.exponents} does not have {n_variables} exponents")
+        exps = [m.exponents for m in labels]
         levels = _level_masks(exps)
-        object.__setattr__(self, "_levels", levels)
         at_least = [dict(per_var) for per_var in levels]
         everyone = (1 << len(exps)) - 1
         for i, e in enumerate(exps):
@@ -100,13 +104,21 @@ class MonomialLabelling:
                 j = (above & -above).bit_length() - 1
                 raise LabellingError(
                     f"label at vertex {i} divides label at vertex {j}")
-        missing = self.n_variables - sum(1 for per_var in levels if per_var)
+        missing = n_variables - sum(1 for per_var in levels if per_var)
         if missing > 0:
             p = next((p for p, per_var in enumerate(levels) if not per_var),
                      len(levels))
             more = (f", nor do {missing - 1} more variables" if missing > 1
                     else "")
             raise LabellingError(f"variable {p} occurs in no label{more}")
+        self = super().__new__(cls, n_variables, labels)
+        self._levels = levels
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate, and keep the level masks
+        return cls(*iterable)
 
     @property
     def n_vertices(self) -> int:
@@ -125,23 +137,27 @@ def member_key(s) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
-@dataclass(frozen=True)
-class VertexFamily:
-    """Ordered list of distinct nonempty subsets of range(n)."""
-
+class _FamilyFields(NamedTuple):
     n: int
     sets: tuple  # frozenset entries
 
-    def __post_init__(self):
+
+class VertexFamily(_FamilyFields):
+    """Ordered list of distinct nonempty subsets of range(n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, sets: tuple):
         seen = set()
-        for s in self.sets:
+        for s in sets:
             if not s:
                 raise FamilyError("empty member set")
-            if not all(isinstance(v, int) and 0 <= v < self.n for v in s):
-                raise FamilyError(f"member {sorted(s)} out of range for n={self.n}")
+            if not all(isinstance(v, int) and 0 <= v < n for v in s):
+                raise FamilyError(f"member {sorted(s)} out of range for n={n}")
             if s in seen:
                 raise FamilyError(f"member {sorted(s)} repeated")
             seen.add(s)
+        return super().__new__(cls, n, sets)
 
     def as_set(self) -> frozenset:
         return frozenset(self.sets)
@@ -397,15 +413,17 @@ def _lcm_exponents(L: MonomialLabelling, mask: int) -> tuple:
     return tuple(b)
 
 
-@dataclass(frozen=True)
 class LcmLattice:
     """The lcms of the nonempty sets of labels, each mapped to its support:
     the mask of the vertices whose labels divide it.  Points and supports
     are in bijection, since a point is the lcm of its support (see
-    lcm_lattice)."""
+    lcm_lattice).  Not a tuple, so that len() is the number of points."""
 
-    n_variables: int
-    supports: dict  # exponent tuple -> mask of labels dividing it
+    __slots__ = ("n_variables", "supports")
+
+    def __init__(self, n_variables: int, supports: dict):
+        self.n_variables = n_variables
+        self.supports = supports  # exponent tuple -> mask of labels dividing it
 
     @property
     def points(self) -> frozenset:

@@ -18,7 +18,7 @@ each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (
     CellComplex,
@@ -26,8 +26,6 @@ from .complexes import (
     chain_ranks,
     is_connected,
     reduced_betti,
-    reduced_homology,
-    restrict,
     vertex_adjacency,
 )
 from .linalg import GF2, FieldSpec, gf2_rank
@@ -204,8 +202,7 @@ def cover_unions(base: int, masks, k: int):
         yield u
 
 
-@dataclass(frozen=True)
-class FamilyCriteriaReport:
+class FamilyCriteriaReport(NamedTuple):
     """Outcome of the three family criteria plus the covering corollary.
 
     cover_bound: no dim-X-many members cover all vertices.
@@ -427,8 +424,7 @@ def codimension_family(F: VertexFamily) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class CmVerdict:
+class CmVerdict(NamedTuple):
     is_cellular_resolution: bool
     is_minimal: bool
     codimension: int
@@ -458,8 +454,7 @@ def check_cm_labelling(X: CellComplex, L: MonomialLabelling,
     return CmVerdict(res_ok, min_ok, codim, pdim, is_cm, field.describe(), witness)
 
 
-@dataclass(frozen=True)
-class CellularFreeComplex:
+class CellularFreeComplex(NamedTuple):
     """Free complex read off a signed labelled complex.
 
     Homological degree 0 is the ring; degree i >= 1 has one generator per
@@ -546,19 +541,3 @@ def strand_ranks(fc: CellularFreeComplex, b, field: FieldSpec = GF2) -> tuple:
     return tuple(len(kept[i]) - ranks[i] - ranks[i + 1]
                  for i in range(len(kept)))
 
-
-def strand_matches_homology(fc: CellularFreeComplex, X: CellComplex, b,
-                            field: FieldSpec = GF2) -> bool:
-    """Cross-check: strand homology of the free complex against reduced
-    homology of the sublevel restriction, degree i versus dimension i-1."""
-    b = tuple(b)
-    keep = set()
-    for cid, m in zip(fc.cell_ids[1], fc.multidegrees[1]):
-        if all(x <= y for x, y in zip(m, b)):
-            keep |= X.cells[cid].vertices
-    betti = reduced_homology(restrict(X, keep), field).reduced_betti
-    strand = strand_ranks(fc, b, field)
-    for i, h in enumerate(strand):
-        if h != betti.get(i - 1, 0):
-            return False
-    return all(d + 1 < len(strand) for d in betti)

@@ -33,8 +33,7 @@ family and names a witness.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (
     CellComplex,
@@ -54,7 +53,6 @@ from .monomials import (
 )
 from .resolution import (
     AcyclicityOracle,
-    _minimum_cover_size,
     check_family_criteria,
     cover_unions,
     f_symmetry,
@@ -63,8 +61,7 @@ from .resolution import (
 )
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(NamedTuple):
     """Inputs of the family search besides the complex and the field.
 
     The candidate members are always the nonempty vertex sets with
@@ -341,8 +338,7 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
         set_of(m) for m in sorted(hit, key=_mask_sort_key)))
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
+class MaximalityReport(NamedTuple):
     is_maximal: bool
     extension: frozenset = None     # an addable set, when one exists
     decomposable: frozenset = None  # a member that splits into other members
@@ -401,68 +397,6 @@ def enumerate_maximal_families(X: CellComplex, space: SearchSpace = None,
     return _families(X, space, field, None, maximal=True)
 
 
-@dataclass(frozen=True)
-class CoveringReport:
-    """Covering consequences of maximality.
-
-    single_vertex_cover: every vertex t of every member T admits dim-X
-        members avoiding t that, with T, cover the vertex set.
-    disjoint_pair_cover: every disjoint pair of members extends by
-        dim X - 1 members to a cover; proved only for polytopes, so the
-        field is None when the complex is not one.
-    """
-
-    single_vertex_cover: bool
-    disjoint_pair_cover: bool
-    witness: tuple = None
-
-    @property
-    def ok(self) -> bool:
-        return self.single_vertex_cover and self.disjoint_pair_cover is not False
-
-
-def covering_property_check(X: CellComplex, F: VertexFamily,
-                            field: FieldSpec = GF2,
-                            oracle: AcyclicityOracle = None) -> CoveringReport:
-    """Check the covering consequences on a maximal family.
-
-    A failure here indicates a bug (both statements are theorems for the
-    inputs they are checked on), which is exactly why the suite runs it.
-    """
-    oracle = oracle_for(X, field, oracle)
-    verdict = is_maximal(X, F, field, oracle)
-    if not verdict.is_maximal:
-        raise FamilyError("covering properties apply to maximal families only")
-    masks = F.member_masks()
-    full = (1 << X.n_vertices) - 1
-    d = X.dim
-
-    single, witness = True, None
-    for i, T in enumerate(F.sets):
-        for t in T:
-            pool = [m for m in masks if not (m >> t) & 1]
-            if _minimum_cover_size(full & ~masks[i], pool, d) is None:
-                single, witness = False, ("single-vertex", t, T)
-                break
-        if not single:
-            break
-
-    pair = None
-    if is_polytope_complex(X):
-        pair = True
-        for i, j in itertools.combinations(range(len(masks)), 2):
-            if masks[i] & masks[j]:
-                continue
-            rest = full & ~(masks[i] | masks[j])
-            if _minimum_cover_size(rest, masks, d - 1) is None:
-                pair = False
-                if witness is None:
-                    witness = ("disjoint-pair", F.sets[i], F.sets[j])
-                break
-
-    return CoveringReport(single, pair, witness)
-
-
 # ---------------------------------------------------------------------------
 # symmetry groups
 
@@ -485,8 +419,7 @@ def chord_symmetry(n: int, a: int) -> tuple:
 # conjecture harnesses (evidence, not proofs)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     kind: str
     rows: tuple
     counterexamples: tuple

@@ -12,7 +12,6 @@ order, so identical objects always produce identical bytes.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from .complexes import Cell, CellComplex, validate_complex
@@ -169,8 +168,8 @@ def labelling_from_dict(doc) -> MonomialLabelling:
 
 
 def report_to_dict(rep) -> dict:
-    """Every dataclass field and every property of a report, by name."""
-    names = [f.name for f in dataclasses.fields(rep)]
+    """Every field and every property of a report record, by name."""
+    names = list(rep._fields)
     names += [k for k, v in vars(type(rep)).items() if isinstance(v, property)]
     return {k: _plain(getattr(rep, k)) for k in names}
 

@@ -37,15 +37,24 @@ min(d, m)-subset of the members; the library asks the minimum-cover kernel
 first and must return the same first covering tuple.
 `reference_covering_property_check` is `covering_property_check` as it was
 when it scanned every subset of exactly min(count, pool size) members for a
-cover; the library asks the minimum-cover kernel instead and must return
-the same report.
+cover; `covering_property_check` asks the minimum-cover kernel instead and
+must return the same report.
+
+`covering_property_check` and `strand_matches_homology` are cross-checks
+of theorems, not reference bodies: a failure of either on the inputs the
+suite gives them means a bug in the library.  No library code calls them,
+so they live here.
 """
 
 import itertools
 
+from typing import NamedTuple
+
 from cellres.complexes import (
     is_connected,
     is_polytope_complex,
+    reduced_homology,
+    restrict,
     vertex_adjacency,
 )
 from cellres.linalg import GF2
@@ -62,14 +71,15 @@ from cellres.monomials import (
 from cellres.resolution import (
     AcyclicityOracle,
     FamilyCriteriaReport,
+    _minimum_cover_size,
     check_family_criteria,
     covering_face_pairs,
     cover_unions,
     oracle_for,
     requirement_rows,
+    strand_ranks,
 )
 from cellres.search import (
-    CoveringReport,
     MaximalityReport,
     enumerate_valid_families,
     is_maximal,
@@ -483,3 +493,78 @@ def reference_covering_property_check(X, F, field=GF2, oracle=None):
                 break
 
     return CoveringReport(single, pair, witness)
+
+
+class CoveringReport(NamedTuple):
+    """Covering consequences of maximality.
+
+    single_vertex_cover: every vertex t of every member T admits dim-X
+        members avoiding t that, with T, cover the vertex set.
+    disjoint_pair_cover: every disjoint pair of members extends by
+        dim X - 1 members to a cover; proved only for polytopes, so the
+        field is None when the complex is not one.
+    """
+
+    single_vertex_cover: bool
+    disjoint_pair_cover: bool
+    witness: tuple = None
+
+    @property
+    def ok(self) -> bool:
+        return self.single_vertex_cover and self.disjoint_pair_cover is not False
+
+
+def covering_property_check(X, F, field=GF2, oracle=None) -> CoveringReport:
+    """Check the covering consequences on a maximal family.
+
+    A failure here indicates a bug (both statements are theorems for the
+    inputs they are checked on), which is exactly why the suite runs it.
+    """
+    oracle = oracle_for(X, field, oracle)
+    verdict = is_maximal(X, F, field, oracle)
+    if not verdict.is_maximal:
+        raise FamilyError("covering properties apply to maximal families only")
+    masks = F.member_masks()
+    full = (1 << X.n_vertices) - 1
+    d = X.dim
+
+    single, witness = True, None
+    for i, T in enumerate(F.sets):
+        for t in T:
+            pool = [m for m in masks if not (m >> t) & 1]
+            if _minimum_cover_size(full & ~masks[i], pool, d) is None:
+                single, witness = False, ("single-vertex", t, T)
+                break
+        if not single:
+            break
+
+    pair = None
+    if is_polytope_complex(X):
+        pair = True
+        for i, j in itertools.combinations(range(len(masks)), 2):
+            if masks[i] & masks[j]:
+                continue
+            rest = full & ~(masks[i] | masks[j])
+            if _minimum_cover_size(rest, masks, d - 1) is None:
+                pair = False
+                if witness is None:
+                    witness = ("disjoint-pair", F.sets[i], F.sets[j])
+                break
+
+    return CoveringReport(single, pair, witness)
+
+
+def strand_matches_homology(fc, X, b, field=GF2) -> bool:
+    """Strand homology of the free complex fc of X against reduced
+    homology of the sublevel restriction, degree i versus dimension i-1."""
+    b = tuple(b)
+    keep = set()
+    for cid, m in zip(fc.cell_ids[1], fc.multidegrees[1]):
+        if all(x <= y for x, y in zip(m, b)):
+            keep |= X.cells[cid].vertices
+    betti = reduced_homology(restrict(X, keep), field).reduced_betti
+    strand = strand_ranks(fc, b, field)
+    for i, h in enumerate(strand):
+        if h != betti.get(i - 1, 0):
+            return False
+    return all(d + 1 < len(strand) for d in betti)

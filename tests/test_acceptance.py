@@ -48,11 +48,9 @@ from cellres.resolution import (
     check_family_criteria,
     codimension,
     f_symmetry,
-    strand_matches_homology,
 )
 from cellres.search import (
     SearchSpace,
-    covering_property_check,
     enumerate_maximal_families,
     enumerate_valid_families,
     is_maximal,
@@ -60,7 +58,11 @@ from cellres.search import (
     variable_count_report,
 )
 from cellres.complexes import reduced_homology, restrict
-from reference_search import reference_covering_property_check
+from reference_search import (
+    covering_property_check,
+    reference_covering_property_check,
+    strand_matches_homology,
+)
 from reference_trees import all_labelled_trees
 
 SP = SearchSpace(max_candidates=200)

