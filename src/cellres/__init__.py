@@ -15,11 +15,9 @@ from .complexes import (
     SignConflictError,
     SignsMissingError,
     assign_signs,
-    euler_characteristic,
     is_polytope_complex,
     reduced_homology,
     restrict,
-    strip_signs,
     validate_complex,
 )
 from .linalg import GF2, RATIONAL, FieldSpec
@@ -27,19 +25,16 @@ from .monomials import (
     FamilyError,
     GuardExceeded,
     LabellingError,
-    LcmLattice,
     Monomial,
     MonomialLabelling,
     Refinement,
     VertexFamily,
     family,
     family_of,
-    is_disjoint_union_of,
     labelling,
     labelling_of,
     lcm_lattice,
     monomial,
-    morphism_exists,
     polarize,
     reduce_family,
     refinement_compare,
@@ -56,7 +51,6 @@ from .resolution import (
     check_family_criteria,
     check_minimal,
     codimension,
-    codimension_family,
     f_symmetry,
     multidegree,
     strand_ranks,

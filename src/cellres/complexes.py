@@ -409,16 +409,3 @@ def is_polytope_complex(X: CellComplex) -> bool:
                 seen.add(b)
                 stack.append(b)
     return len(seen) == len(X.cells)
-
-
-def euler_characteristic(X: CellComplex) -> int:
-    """Alternating cell count (unreduced)."""
-    return sum((-1) ** c.dim for c in X.cells)
-
-
-def strip_signs(X: CellComplex) -> CellComplex:
-    cells = tuple(
-        Cell(c.id, c.dim, c.vertices, tuple((b, 0) for b, _ in c.boundary))
-        for c in X.cells
-    )
-    return CellComplex(X.n_vertices, cells)

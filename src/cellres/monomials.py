@@ -287,12 +287,6 @@ def _exact_cover_exists(target: int, parts) -> bool:
     return False
 
 
-def is_disjoint_union_of(target, members) -> bool:
-    """True when `target` is a disjoint union of (one or more) `members`."""
-    tmask = mask_of(target)
-    return _exact_cover_exists(tmask, [mask_of(s) for s in members])
-
-
 def reduce_family(F: VertexFamily) -> VertexFamily:
     """Drop members that are disjoint unions of two or more other members.
 
@@ -309,7 +303,9 @@ def reduce_family(F: VertexFamily) -> VertexFamily:
 
 
 def refines(F: VertexFamily, G: VertexFamily) -> bool:
-    """Every member of G is a disjoint union of members of F."""
+    """Every member of G is a disjoint union of members of F: for families
+    of valid labellings of one complex, a morphism from F's labelling to
+    G's exists."""
     if F.n != G.n:
         raise FamilyError("families live on different vertex sets")
     fmasks = F.member_masks()
@@ -340,16 +336,6 @@ def refinement_compare(F: VertexFamily, G: VertexFamily) -> Refinement:
     if gf:
         return Refinement.COARSER
     return Refinement.INCOMPARABLE
-
-
-def morphism_exists(F: VertexFamily, G: VertexFamily) -> bool:
-    """Is there a morphism from the labelling of F to the labelling of G?
-
-    Holds exactly when every member of G is a disjoint union of members
-    of F.  Both families are assumed to come from valid labellings of the
-    same complex; that is not re-verified here.
-    """
-    return refines(F, G)
 
 
 # the most unions `subfamily_unions` builds before it refuses the input;
@@ -413,32 +399,11 @@ def _lcm_exponents(L: MonomialLabelling, mask: int) -> tuple:
     return tuple(b)
 
 
-class LcmLattice:
-    """The lcms of the nonempty sets of labels, each mapped to its support:
-    the mask of the vertices whose labels divide it.  Points and supports
-    are in bijection, since a point is the lcm of its support (see
-    lcm_lattice).  Not a tuple, so that len() is the number of points."""
-
-    __slots__ = ("n_variables", "supports")
-
-    def __init__(self, n_variables: int, supports: dict):
-        self.n_variables = n_variables
-        self.supports = supports  # exponent tuple -> mask of labels dividing it
-
-    @property
-    def points(self) -> frozenset:
-        return frozenset(self.supports)
-
-    def sorted_points(self) -> list:
-        return sorted(self.supports)
-
-    def __len__(self) -> int:
-        return len(self.supports)
-
-
-def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
+def lcm_lattice(L: MonomialLabelling) -> dict:
     """Smallest set of exponent vectors containing the labels and closed
     under componentwise max, found as its supports, the closed vertex sets.
+    Returns {exponent tuple: support}, the support being the mask of the
+    vertices whose labels divide the point; its len() is the point count.
 
     With A(p, t) the vertices whose exponent of p is at least t, the support
     of b is the complement of the union of the A(p, b_p + 1).  Conversely a
@@ -455,4 +420,4 @@ def lcm_lattice(L: MonomialLabelling) -> LcmLattice:
         support = full & ~u
         if support:
             supports[_lcm_exponents(L, support)] = support
-    return LcmLattice(L.n_variables, supports)
+    return supports

@@ -343,8 +343,8 @@ def check_cellular_resolution(X: CellComplex, L: MonomialLabelling,
     require_labelling_on(X, L)
     oracle = oracle_for(X, field, oracle)
     lattice = lcm_lattice(L)
-    for b in lattice.sorted_points():
-        if not oracle.is_acyclic(lattice.supports[b]):
+    for b in sorted(lattice):
+        if not oracle.is_acyclic(lattice[b]):
             return False, b
     return True, None
 
@@ -412,15 +412,6 @@ def codimension(L: MonomialLabelling) -> int:
     size = _minimum_cover_size(universe, _supports(L))
     if size is None:
         raise FamilyError("some label is the unit monomial; nothing covers it")
-    return size
-
-
-def codimension_family(F: VertexFamily) -> int:
-    """Fewest members covering all vertices."""
-    universe = (1 << F.n) - 1
-    size = _minimum_cover_size(universe, F.member_masks())
-    if size is None:
-        raise FamilyError("family does not cover the vertex set")
     return size
 
 

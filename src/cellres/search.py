@@ -439,7 +439,7 @@ VARIABLE_COUNT_INSTANCES = (
 )
 
 
-def variable_count_report(instances=None, field: FieldSpec = GF2,
+def variable_count_report(field: FieldSpec = GF2,
                           max_candidates: int = 200) -> ConjectureReport:
     """Do maximal families on polygons with k chords have n + k members?
 
@@ -450,7 +450,7 @@ def variable_count_report(instances=None, field: FieldSpec = GF2,
     from .constructions import subdivided_polygon
 
     rows, bad = [], []
-    for n, chords in (instances or VARIABLE_COUNT_INSTANCES):
+    for n, chords in VARIABLE_COUNT_INSTANCES:
         X = subdivided_polygon(n, chords)
         space = SearchSpace(max_candidates=max_candidates)
         families = enumerate_maximal_families(X, space, field)
@@ -506,7 +506,7 @@ def _selfdual_corpus():
     return corpus
 
 
-def selfdual_report(corpus=None, field: FieldSpec = GF2,
+def selfdual_report(field: FieldSpec = GF2,
                     max_candidates: int = 200) -> ConjectureReport:
     """Do polytopes admitting a valid family have symmetric f-vectors?
 
@@ -516,7 +516,7 @@ def selfdual_report(corpus=None, field: FieldSpec = GF2,
     symmetry would be a counterexample and is flagged, not raised.
     """
     rows, bad = [], []
-    for name, X, witness in (corpus or _selfdual_corpus()):
+    for name, X, witness in _selfdual_corpus():
         if witness is not None:
             admits = check_family_criteria(X, witness, field).ok
             method = "witness-family"

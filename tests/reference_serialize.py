@@ -3,11 +3,13 @@
 These are the document loaders as they stood before `complex_from_dict`
 checked its cell records inline and `_int_list` stopped copying its list.
 The library loaders must return equal objects on every document, and
-raise `SerializationError` with the same message wherever these do.
+raise `SerializationError` with the same message wherever these do; both
+refuse a family on more than UNION_LIMIT vertices with `GuardExceeded`.
 """
 
 from cellres.complexes import Cell, CellComplex, validate_complex
-from cellres.monomials import Monomial, MonomialLabelling, VertexFamily
+from cellres.monomials import (UNION_LIMIT, GuardExceeded, Monomial,
+                                MonomialLabelling, VertexFamily)
 from cellres.serialize import SerializationError
 
 
@@ -67,6 +69,9 @@ def family_from_dict(doc) -> VertexFamily:
     _require(isinstance(doc, dict) and set(doc) == {"n", "sets"},
              "family document needs exactly the keys n and sets")
     _require(_is_int(doc["n"]), "n must be an integer")
+    if doc["n"] > UNION_LIMIT:
+        raise GuardExceeded(f"a family on {doc['n']} vertices, more than "
+                            f"{UNION_LIMIT}; its vertex masks are too large")
     _require(isinstance(doc["sets"], list), "sets must be a list")
     members = tuple(frozenset(_int_list(s, "family member"))
                     for s in doc["sets"])

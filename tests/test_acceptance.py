@@ -39,8 +39,8 @@ from cellres.monomials import (
     family_of,
     labelling_of,
     lcm_lattice,
-    morphism_exists,
     polarize,
+    refines,
 )
 from cellres.resolution import (
     build_free_complex,
@@ -249,8 +249,8 @@ def test_combined_hexagon_family_refines_both_splits(hexagon_two_chords):
     assert len(F.sets) == 8
     _, P = fixture("hex-squares-polarized")
     _, A = fixture("hex-squares-alternative")
-    assert morphism_exists(F, family_of(P))
-    assert morphism_exists(F, family_of(A))
+    assert refines(F, family_of(P))
+    assert refines(F, family_of(A))
     X, squares = fixture("hex-squares")
     assert polarize(squares) == P
     remember_family("hex-combined", hexagon_two_chords, F, maximal=False)
@@ -278,8 +278,8 @@ def test_combined_hexagon_family_is_maximal(hexagon_two_chords,
         verdict = check_cm_labelling(X, labelling_of(G), fld)
         assert verdict.is_cm and verdict.codimension == 3
         assert is_maximal(X, G, fld).is_maximal
-    assert morphism_exists(G, F)
-    assert not morphism_exists(F, G)
+    assert refines(G, F)
+    assert not refines(F, G)
     assert any(G.same_family(M) for M in hexagon_maximal_families)
     remember_labelling("hex-combined-plus-01", X, labelling_of(G))
     remember_family("hex-combined-plus-01", X, G, maximal=True)
@@ -448,14 +448,14 @@ def test_registries_are_filled():
 def test_strand_ranks_match_restriction_homology_everywhere():
     for name, (X, L) in LABELLED.items():
         fc = build_free_complex(X, L)
-        for point in lcm_lattice(L).sorted_points():
+        for point in sorted(lcm_lattice(L)):
             for fld in (GF2, RATIONAL):
                 assert strand_matches_homology(fc, X, point, fld), (name, point)
 
 
 def test_acyclicity_is_field_independent_on_touched_instances():
     for name, (X, L) in LABELLED.items():
-        for point in lcm_lattice(L).sorted_points():
+        for point in sorted(lcm_lattice(L)):
             R = restrict(X, sublevel_vertices(L, point))
             assert reduced_homology(R, GF2).acyclic == \
                 reduced_homology(R, RATIONAL).acyclic, (name, point)

@@ -13,7 +13,6 @@ import pytest
 
 from cellres import cli
 from cellres.cli import main
-from cellres.complexes import strip_signs
 from cellres.constructions import (
     edges_to_tree,
     fixture,
@@ -37,6 +36,7 @@ from cellres.serialize import (
     family_to_dict,
     labelling_to_dict,
 )
+from test_cells import strip_signs
 from test_cli_golden import fan_polygon
 from test_cli_usage import commands as usage_commands
 from test_cli_usage import key as usage_key
@@ -91,6 +91,16 @@ def test_construct_fan_1100_gon_has_no_recursion_limit(capsys):
     assert code == 0 and err is None
     cells = out["result"]["complex"]["cells"]
     assert [c["dim"] for c in cells].count(2) == 1098
+
+
+def test_construct_skips_empty_chord_entries(capsys):
+    outs = []
+    for chords in ("1-5,,3-5,", "1-5,3-5"):
+        code, out, err = run(capsys, "construct", "subdivided-polygon",
+                             "--n", "6", "--chords", chords)
+        assert code == 0 and err is None
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_construct_list_names_the_fixture_catalogue(capsys):

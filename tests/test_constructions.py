@@ -318,7 +318,9 @@ def test_chord_families_frozen_content():
 def test_chord_families_are_reflections_only_for_even_n():
     for n in range(4, 12):
         for a in range(2, n // 2 + 1):
-            first, second = (set(F.sets) for F in chord_families(n, a))
+            families = chord_families(n, a)
+            assert [len(F.sets) for F in families] == [n + 1, n + 1]
+            first, second = (set(F.sets) for F in families)
             image = {frozenset((a - v) % n for v in s) for s in first}
             assert first != second
             if n % 2:

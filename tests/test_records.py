@@ -124,7 +124,7 @@ def test_a_replaced_labelling_is_validated_and_keeps_its_levels():
 
 def test_the_lattice_length_is_its_point_count():
     lat = lcm_lattice(labelling(2, SQUARES))
-    assert lat.points == {(2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)}
+    assert lat.keys() == {(2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)}
     assert len(lat) == 6
 
 

@@ -36,7 +36,7 @@ from cellres.monomials import (
     FamilyError,
     family,
     family_of,
-    morphism_exists,
+    refines,
     set_of,
 )
 from cellres.resolution import AcyclicityOracle, check_family_criteria
@@ -409,7 +409,7 @@ def test_is_maximal_matches_the_reference_scan(case, field):
 
 def test_no_mutual_morphism_between_distinct_chord_families():
     A, B = chord_families(6, 3)
-    assert not (morphism_exists(A, B) and morphism_exists(B, A))
+    assert not (refines(A, B) and refines(B, A))
 
 
 def test_existence_search_agrees_with_enumeration():
@@ -775,15 +775,16 @@ def test_covering_property_on_three_dimensional_polytopes():
 
 
 def test_variable_count_report_flags_the_hexagon():
-    rep = variable_count_report(
-        instances=((5, ((0, 2),)), (6, ((1, 5), (3, 5)))))
+    rep = variable_count_report()
     assert rep.kind == "variable-count"
     assert not rep.holds
-    by_chords = {tuple(tuple(c) for c in row["chords"]): row
-                 for row in rep.rows}
-    assert by_chords[((0, 2),)]["ok"]
-    assert by_chords[((0, 2),)]["family_sizes"] == [6, 6]
-    hexagon = by_chords[((1, 5), (3, 5))]
+    by_instance = {(row["n"], tuple(tuple(c) for c in row["chords"])): row
+                   for row in rep.rows}
+    assert len(by_instance) == len(VARIABLE_COUNT_INSTANCES)
+    pentagon = by_instance[5, ((0, 2),)]
+    assert pentagon["ok"]
+    assert pentagon["family_sizes"] == [6, 6]
+    hexagon = by_instance[6, ((1, 5), (3, 5))]
     assert not hexagon["ok"]
     assert hexagon["family_sizes"] == [9, 9, 8, 8, 8, 8]
     assert len(rep.counterexamples) == 2
@@ -802,6 +803,16 @@ def test_selfdual_report_holds_on_the_corpus():
             assert row["symmetric"]
     methods = {row["method"] for row in rep.rows}
     assert methods == {"witness-family", "existence-search"}
+
+
+def test_selfdual_report_flags_asymmetric_polytopes(monkeypatch):
+    monkeypatch.setattr(search, "f_symmetry", lambda X: False)
+    rep = selfdual_report()
+    assert not rep.holds
+    flagged = [row for row in rep.rows
+               if row["admits_valid_family"] and row["polytope"]]
+    assert flagged and list(rep.counterexamples) == flagged
+    assert not any(row["symmetric"] for row in rep.rows)
 
 
 def test_selfdual_report_skips_searches_past_the_guard():

@@ -28,6 +28,7 @@ from cellres.constructions import (
     pyramid,
     wheel_family,
 )
+from cellres.monomials import GuardExceeded
 
 LOADERS = {
     "complex": (ser.complex_from_dict, ref.complex_from_dict),
@@ -122,7 +123,7 @@ def _mutate(doc, data):
 def _outcome(load, doc):
     try:
         return load(doc)
-    except (ser.SerializationError, ComplexError) as exc:
+    except (ser.SerializationError, ComplexError, GuardExceeded) as exc:
         return type(exc), str(exc)
 
 
