@@ -165,10 +165,6 @@ class VertexFamily(_FamilyFields):
     def member_masks(self) -> list:
         return [mask_of(s) for s in self.sets]
 
-    def canonical(self) -> "VertexFamily":
-        ordered = sorted(self.sets, key=member_key)
-        return VertexFamily(self.n, tuple(ordered))
-
     def same_family(self, other: "VertexFamily") -> bool:
         return self.n == other.n and self.as_set() == other.as_set()
 

@@ -470,7 +470,7 @@ def variable_count_report(field: FieldSpec = GF2,
                 bad.append({
                     "n": n,
                     "chords": [list(c) for c in chords],
-                    "family": [sorted(s) for s in F.canonical().sets],
+                    "family": [sorted(s) for s in F.sets],
                     "members": len(F.sets),
                     "expected": expected,
                 })

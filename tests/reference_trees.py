@@ -12,21 +12,21 @@ return the same trees.  `reference_canonical_resolution_tree` is the
 one-pass Kruskal scan the library's class walk must reproduce.
 """
 
+import functools
 import heapq
 import itertools
 
 from cellres.constructions import OrientedTree
 
 
-def all_labelled_trees(n: int):
+@functools.cache
+def all_labelled_trees(n: int) -> tuple:
     """Every tree on vertices 0..n-1, as frozensets of sorted edge pairs,
-    decoded from the n^(n-2) Pruefer sequences."""
+    decoded from the n^(n-2) Pruefer sequences.  Cached per n: the
+    threshold tests scan the same listing for many labellings."""
     if n == 1:
-        yield frozenset()
-        return
-    if n == 2:
-        yield frozenset({(0, 1)})
-        return
+        return (frozenset(),)
+    trees = []
     for seq in itertools.product(range(n), repeat=n - 2):
         deg = [1] * n
         for v in seq:
@@ -43,7 +43,8 @@ def all_labelled_trees(n: int):
         u = heapq.heappop(heap)
         w = heapq.heappop(heap)
         edges.append((min(u, w), max(u, w)))
-        yield frozenset(edges)
+        trees.append(frozenset(edges))
+    return tuple(trees)
 
 
 def _find(parent, a):
@@ -58,14 +59,15 @@ def _lcm_degrees(L) -> dict:
             for i, j in itertools.combinations(range(L.n_vertices), 2)}
 
 
-def passes_thresholds(edges, n, edge_deg) -> bool:
-    for d in sorted(set(edge_deg.values())):
+def passes_thresholds(edges, n, edge_deg, levels) -> bool:
+    """levels: each lcm degree d with the pairs of weight at most d."""
+    for d, pairs in levels:
         parent = list(range(n))
         for i, j in edges:
             if edge_deg[(i, j)] <= d:
                 parent[_find(parent, i)] = _find(parent, j)
-        for (i, j), dd in edge_deg.items():
-            if dd <= d and _find(parent, i) != _find(parent, j):
+        for i, j in pairs:
+            if _find(parent, i) != _find(parent, j):
                 return False
     return True
 
@@ -73,8 +75,10 @@ def passes_thresholds(edges, n, edge_deg) -> bool:
 def reference_tree_resolution_trees(L) -> frozenset:
     n = L.n_vertices
     edge_deg = _lcm_degrees(L)
+    levels = [(d, [e for e, dd in edge_deg.items() if dd <= d])
+              for d in sorted(set(edge_deg.values()))]
     return frozenset(edges for edges in all_labelled_trees(n)
-                     if passes_thresholds(edges, n, edge_deg))
+                     if passes_thresholds(edges, n, edge_deg, levels))
 
 
 def reference_canonical_resolution_tree(L) -> OrientedTree:

@@ -263,6 +263,14 @@ def test_codimension_is_the_least_cover():
         else:
             assert codimension(L) == want
     assert largest >= 5
+    # the seeded draws that form labellings have least covers of at most 4;
+    # cycle labellings, label i = x_i x_(i+1 mod n), reach 5 and 6
+    for n, cover in ((9, 5), (10, 5), (11, 6), (12, 6)):
+        rows = [tuple(int(p in (i, (i + 1) % n)) for p in range(n))
+                for i in range(n)]
+        masks = [mask_of(i for i in range(n) if rows[i][p]) for p in range(n)]
+        assert least_cover_size((1 << n) - 1, masks) == cover
+        assert codimension(labelling(n, rows)) == cover
 
 
 def test_codimension_of_many_singletons_is_quick():
