@@ -53,7 +53,6 @@ from .resolution import (
     codimension,
     f_symmetry,
     multidegree,
-    strand_ranks,
 )
 from .constructions import (
     OrientedTree,

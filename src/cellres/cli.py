@@ -386,11 +386,9 @@ def _run_homology(args, run: _Run):
 def _run_betti(args, run: _Run):
     X = run.load(args.complex_file, "complex")
     L = run.load(args.labelling_file, "labelling")
+    # the build raises unless the maps compose to zero
     fc = build_free_complex(X, L)
-    run.result = {
-        "ranks": list(fc.ranks()),
-        "composition_is_zero": fc.composition_is_zero(),
-    }
+    run.result = {"ranks": list(fc.ranks()), "composition_is_zero": True}
 
 
 def _run_morphism(args, run: _Run):

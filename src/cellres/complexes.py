@@ -126,56 +126,56 @@ def validate_complex(X: CellComplex) -> list:
     seen_vertices = {}
     signed = True
     nonzero = []  # composite-boundary faults, reported if fully signed
-    for i, c in enumerate(cells):
-        if c.id != i:
-            diags.append(f"cell at index {i} has id {c.id}")
-        if c.dim == 0:
-            if c.boundary:
-                diags.append(f"cell {c.id}: dimension-0 cell with nonempty boundary")
-            if len(c.vertices) != 1:
-                diags.append(f"cell {c.id}: dimension-0 cell must have one vertex")
+    for i, (cid, dim, vertices, boundary) in enumerate(cells):
+        if cid != i:
+            diags.append(f"cell at index {i} has id {cid}")
+        if dim == 0:
+            if boundary:
+                diags.append(f"cell {cid}: dimension-0 cell with nonempty boundary")
+            if len(vertices) != 1:
+                diags.append(f"cell {cid}: dimension-0 cell must have one vertex")
                 continue
-            (v,) = c.vertices
+            (v,) = vertices
             if v in seen_vertices:
-                diags.append(f"vertex {v} appears in cells {seen_vertices[v]} and {c.id}")
-            seen_vertices[v] = c.id
-        elif not c.vertices:
-            diags.append(f"cell {c.id}: empty vertex set")
-        for v in c.vertices:
+                diags.append(f"vertex {v} appears in cells {seen_vertices[v]} and {cid}")
+            seen_vertices[v] = cid
+        elif not vertices:
+            diags.append(f"cell {cid}: empty vertex set")
+        for v in vertices:
             if not 0 <= v < X.n_vertices:
-                diags.append(f"cell {c.id}: vertex {v} out of range")
-        if c.dim == 0:
+                diags.append(f"cell {cid}: vertex {v} out of range")
+        if dim == 0:
             continue
-        if len(dict(c.boundary)) != len(c.boundary):
-            diags.append(f"cell {c.id}: repeated boundary cell")
+        if len(dict(boundary)) != len(boundary):
+            diags.append(f"cell {cid}: repeated boundary cell")
         closure = set()
         count = {}  # face -> boundary cells above it
         total = {}  # face -> signed sum of their incidences
-        for b, s in c.boundary:
+        for b, s in boundary:
             if not s:
                 signed = False
             elif s not in (-1, 1):
-                diags.append(f"cell {c.id}: sign {s} on boundary cell {b}")
+                diags.append(f"cell {cid}: sign {s} on boundary cell {b}")
             if not 0 <= b < ncells:
-                diags.append(f"cell {c.id}: boundary id {b} out of range")
+                diags.append(f"cell {cid}: boundary id {b} out of range")
                 continue
-            bc = cells[b]
-            if bc.dim != c.dim - 1:
-                diags.append(f"cell {c.id}: boundary cell {b} has dimension {bc.dim}")
-            closure |= bc.vertices
-            for f, t in bc.boundary if bc.dim else _EMPTY_FACE:
-                if bc.dim and not 0 <= f < ncells:
-                    continue  # reported at bc; no face of c
+            _, bdim, bvertices, bboundary = cells[b]
+            if bdim != dim - 1:
+                diags.append(f"cell {cid}: boundary cell {b} has dimension {bdim}")
+            closure |= bvertices
+            for f, t in bboundary if bdim else _EMPTY_FACE:
+                if bdim and not 0 <= f < ncells:
+                    continue  # reported at cell b; no face of this cell
                 count[f] = count.get(f, 0) + 1
                 total[f] = total.get(f, 0) + s * t
-        if closure != c.vertices:
-            diags.append(f"cell {c.id}: vertex set differs from union of boundary vertex sets")
+        if closure != vertices:
+            diags.append(f"cell {cid}: vertex set differs from union of boundary vertex sets")
         for f, k in count.items():
             if k != 2:
-                diags.append(f"cell {c.id}: face {f} lies under {k} boundary cells, expected 2")
+                diags.append(f"cell {cid}: face {f} lies under {k} boundary cells, expected 2")
         if any(total.values()):
             bad = sorted(f for f, v in total.items() if v)
-            nonzero.append(f"cell {c.id}: boundary of boundary is nonzero at {bad}")
+            nonzero.append(f"cell {cid}: boundary of boundary is nonzero at {bad}")
     # one diagnostic names the lowest missing vertex and counts the rest,
     # so its size does not grow with n_vertices
     missing = X.n_vertices - sum(0 <= v < X.n_vertices for v in seen_vertices)

@@ -48,22 +48,6 @@ class Monomial(_MonomialFields):
             raise LabellingError("negative exponent")
         return super().__new__(cls, exponents)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def join(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
-    def support(self) -> frozenset:
-        return frozenset(p for p, e in enumerate(self.exponents) if e)
-
 
 def monomial(*exponents) -> Monomial:
     return Monomial(tuple(exponents))
@@ -137,6 +121,11 @@ def member_key(s) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
+def _mask_key(m: int) -> tuple:
+    """member_key(set_of(m)), read off the mask."""
+    return (m.bit_count(), tuple(iter_bits(m)))
+
+
 class _FamilyFields(NamedTuple):
     n: int
     sets: tuple  # frozenset entries
@@ -159,14 +148,11 @@ class VertexFamily(_FamilyFields):
             seen.add(s)
         return super().__new__(cls, n, sets)
 
-    def as_set(self) -> frozenset:
-        return frozenset(self.sets)
-
     def member_masks(self) -> list:
         return [mask_of(s) for s in self.sets]
 
     def same_family(self, other: "VertexFamily") -> bool:
-        return self.n == other.n and self.as_set() == other.as_set()
+        return self.n == other.n and set(self.sets) == set(other.sets)
 
 
 def family(n: int, sets) -> VertexFamily:
@@ -283,19 +269,23 @@ def _exact_cover_exists(target: int, parts) -> bool:
     return False
 
 
+def _decomposable(masks):
+    """Yield, in order, the members of `masks` that are disjoint unions of
+    other members, by exhaustive exact cover."""
+    for i, m in enumerate(masks):
+        if _exact_cover_exists(m, masks[:i] + masks[i + 1:]):
+            yield m
+
+
 def reduce_family(F: VertexFamily) -> VertexFamily:
     """Drop members that are disjoint unions of two or more other members.
 
-    The emptied member test is exhaustive exact cover, so the result is
-    exact; reduction is idempotent.
+    The test is exact (see `_decomposable`); reduction is idempotent.
     """
     masks = F.member_masks()
-    keep = []
-    for i, s in enumerate(F.sets):
-        others = [m for j, m in enumerate(masks) if j != i]
-        if not _exact_cover_exists(masks[i], others):
-            keep.append(s)
-    return VertexFamily(F.n, tuple(keep))
+    gone = set(_decomposable(masks))
+    return VertexFamily(F.n, tuple(
+        s for s, m in zip(F.sets, masks) if m not in gone))
 
 
 def refines(F: VertexFamily, G: VertexFamily) -> bool:

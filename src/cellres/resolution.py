@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .complexes import (
     CellComplex,
     SignsMissingError,
-    chain_ranks,
     is_connected,
     reduced_betti,
     vertex_adjacency,
@@ -86,17 +85,20 @@ class AcyclicityOracle:
         self.X = X
         self.field = field
         self.full_mask = (1 << X.n_vertices) - 1
-        self._star = [0] * X.n_vertices
-        self._dims = [0] * (X.dim + 1)
-        for c in X.cells:
-            for v in c.vertices:
-                self._star[v] |= 1 << c.id
-            self._dims[c.dim] |= 1 << c.id
+        # stars, dimensions and boundaries in one pass
+        self._star = star = [0] * X.n_vertices
+        self._dims = dims = [0] * (X.dim + 1)
+        self._boundary = []
+        for cid, dim, vertices, boundary in X.cells:
+            bit = 1 << cid
+            for v in vertices:
+                star[v] |= bit
+            dims[dim] |= bit
+            self._boundary.append(mask_of(b for b, _ in boundary))
         # the bitsets of distinct dimensions are disjoint: sum is union
-        self._all = sum(self._dims)
-        self._even = sum(self._dims[0::2])
-        self._upper = sum(self._dims[2:])
-        self._boundary = [mask_of(b for b, _ in c.boundary) for c in X.cells]
+        self._all = sum(dims)
+        self._even = sum(dims[0::2])
+        self._upper = sum(dims[2:])
         self._adj = vertex_adjacency(X)
         self._verdicts = {}
 
@@ -508,27 +510,4 @@ def build_free_complex(X: CellComplex, L: MonomialLabelling) -> CellularFreeComp
     if not fc.composition_is_zero():
         raise ValueError("free complex maps do not compose to zero")
     return fc
-
-
-def strand_ranks(fc: CellularFreeComplex, b, field: FieldSpec = GF2) -> tuple:
-    """Homology ranks of the degree-b strand of the free complex.
-
-    The strand keeps the generators whose multidegree divides b; each kept
-    entry contributes only its sign.
-    """
-    b = tuple(b)
-    kept = [[i for i, m in enumerate(degs) if all(x <= y for x, y in zip(m, b))]
-            for degs in fc.multidegrees]
-    maps = []
-    for i in range(2, len(kept)):
-        rows = set(kept[i - 1])
-        cols = fc.maps[i - 1]
-        maps.append([[(r, s) for r, s, _ in cols[c] if r in rows]
-                     for c in kept[i]])
-    # the degree-1 map sends every kept vertex generator onto the ring, so
-    # its rank is 1 as soon as one vertex generator is kept
-    augmentation = [min(1, len(k)) for k in kept[1:2]]
-    ranks = [0] + augmentation + chain_ranks(maps, field) + [0]
-    return tuple(len(kept[i]) - ranks[i] - ranks[i + 1]
-                 for i in range(len(kept)))
 

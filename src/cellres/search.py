@@ -45,9 +45,10 @@ from .monomials import (
     FamilyError,
     GuardExceeded,
     VertexFamily,
+    _decomposable,
     _exact_cover_exists,
+    _mask_key,
     member_key,
-    reduce_family,
     set_of,
     subfamily_unions,
 )
@@ -110,10 +111,6 @@ def connected_vertex_subsets(X: CellComplex) -> list:
     return sorted(m for m, _ in _connected_masks(adj, [0] * len(adj)))
 
 
-def _mask_sort_key(m: int):
-    return member_key(set_of(m))
-
-
 def _candidate_masks(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
     full = oracle.full_mask
     masks = []
@@ -126,7 +123,7 @@ def _candidate_masks(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
                 raise GuardExceeded(
                     f"more than {space.max_candidates} candidate sets; "
                     "raise max_candidates to proceed")
-    return tuple(sorted(masks, key=_mask_sort_key))
+    return tuple(sorted(masks, key=_mask_key))
 
 
 def _maximal_at(cands: tuple, joinable: int, chosen: tuple) -> bool:
@@ -136,8 +133,7 @@ def _maximal_at(cands: tuple, joinable: int, chosen: tuple) -> bool:
         if not _exact_cover_exists(cands[low.bit_length() - 1], chosen):
             return False
         joinable ^= low
-    return not any(_exact_cover_exists(m, chosen[:i] + chosen[i + 1:])
-                   for i, m in enumerate(chosen))
+    return not any(_decomposable(chosen))
 
 
 def _search(X: CellComplex, field: FieldSpec, cands: tuple,
@@ -335,7 +331,7 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
     if hit is None:
         return None
     return VertexFamily(X.n_vertices, tuple(
-        set_of(m) for m in sorted(hit, key=_mask_sort_key)))
+        set_of(m) for m in sorted(hit, key=_mask_key)))
 
 
 class MaximalityReport(NamedTuple):
@@ -362,26 +358,30 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     dropping the other pieces.  That piece's mask is at most T's, so the
     scan over connected sets in increasing mask order returns the same
     `extension` as a scan over every vertex subset would.
+
+    Each set meets the cheap questions first: the cover bound, then the
+    exact cover, and only then the oracle, about the complement of its
+    union with each union of members.  A set that is a disjoint union of
+    members would pass every one of those oracle questions.
     """
     oracle = oracle_for(X, field, oracle)
     rep = check_family_criteria(X, F, field, oracle)
     if not rep.ok:
         raise FamilyError("maximality is defined for families passing "
                           "the validity criteria")
-    red = reduce_family(F)
-    if len(red.sets) != len(F.sets):
-        gone = next(s for s in F.sets if s not in red.as_set())
-        return MaximalityReport(False, decomposable=gone)
     masks = F.member_masks()
+    gone = next(_decomposable(masks), None)
+    if gone is not None:
+        return MaximalityReport(False, decomposable=set_of(gone))
     unions = sorted(subfamily_unions(masks))
     full = (1 << X.n_vertices) - 1
     d = X.dim
     combos = [0, *cover_unions(0, masks, min(d - 1, len(masks)))]
     for t in connected_vertex_subsets(X):
-        if _exact_cover_exists(t, masks):
-            continue  # a member, or a disjoint union of members
         if any(t | u == full for u in combos):
             continue  # extension would break the cover bound
+        if _exact_cover_exists(t, masks):
+            continue  # a member, or a disjoint union of members
         if all(oracle.is_acyclic(full & ~(t | u)) for u in unions):
             return MaximalityReport(False, extension=set_of(t))
     return MaximalityReport(True)

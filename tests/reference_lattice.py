@@ -10,9 +10,10 @@ verdicts and witnesses, and ask the oracle the same masks in the same order.
 
 The rest are the label-tuple routes the library replaced by reading lcms,
 supports and top exponents off a labelling's level masks: multidegrees as
-folds of `Monomial.join`, minimality on those multidegrees, per-variable
-supports and maxima by scanning every label, and pairwise lcm degrees as
-sums of componentwise maxima.
+folds of componentwise maxima, minimality on those multidegrees,
+per-variable supports and maxima by scanning every label, and pairwise lcm
+degrees as sums of componentwise maxima.  `divides` compares two labels
+exponent by exponent.
 """
 
 from cellres.linalg import GF2
@@ -43,6 +44,11 @@ def reference_lcm_lattice(L) -> frozenset:
     return frozenset(points)
 
 
+def divides(m, k) -> bool:
+    """Does label m divide label k?"""
+    return all(x <= y for x, y in zip(m.exponents, k.exponents))
+
+
 def divisibility_mask(L, b) -> int:
     """Mask of the vertices whose labels divide the exponent vector b."""
     mask = 0
@@ -66,7 +72,8 @@ def reference_multidegree(L, vertices) -> Monomial:
     acc = None
     for v in vertices:
         m = L.labels[v]
-        acc = m if acc is None else acc.join(m)
+        acc = m if acc is None else Monomial(
+            tuple(map(max, acc.exponents, m.exponents)))
     if acc is None:
         return Monomial((0,) * L.n_variables)
     return acc
@@ -107,7 +114,7 @@ def reference_codimension(L) -> int:
 
 def reference_family_of(L) -> VertexFamily:
     """Vertex family of a square-free labelling, one variable at a time."""
-    if not all(m.is_squarefree() for m in L.labels):
+    if any(e > 1 for m in L.labels for e in m.exponents):
         raise LabellingError("labelling is not square-free")
     sets = []
     seen = {}

@@ -43,7 +43,9 @@ must return the same report.
 `covering_property_check` and `strand_matches_homology` are cross-checks
 of theorems, not reference bodies: a failure of either on the inputs the
 suite gives them means a bug in the library.  No library code calls them,
-so they live here.
+so they live here, and so does `strand_ranks`, the strand homology of a
+free complex that `strand_matches_homology` reads: the verdict reads the
+lcm lattice and the oracle, and no command reaches the strands.
 """
 
 import itertools
@@ -51,6 +53,7 @@ import itertools
 from typing import NamedTuple
 
 from cellres.complexes import (
+    chain_ranks,
     is_connected,
     is_polytope_complex,
     reduced_homology,
@@ -77,7 +80,6 @@ from cellres.resolution import (
     cover_unions,
     oracle_for,
     requirement_rows,
-    strand_ranks,
 )
 from cellres.search import (
     MaximalityReport,
@@ -385,7 +387,7 @@ def reference_is_maximal(X, F, field, oracle=None) -> MaximalityReport:
                           "the validity criteria")
     red = reduce_family(F)
     if len(red.sets) != len(F.sets):
-        gone = next(s for s in F.sets if s not in red.as_set())
+        gone = next(s for s in F.sets if s not in red.sets)
         return MaximalityReport(False, decomposable=gone)
     masks = F.member_masks()
     member_set = set(masks)
@@ -552,6 +554,29 @@ def covering_property_check(X, F, field=GF2, oracle=None) -> CoveringReport:
                 break
 
     return CoveringReport(single, pair, witness)
+
+
+def strand_ranks(fc, b, field=GF2) -> tuple:
+    """Homology ranks of the degree-b strand of the free complex fc.
+
+    The strand keeps the generators whose multidegree divides b; each kept
+    entry contributes only its sign.
+    """
+    b = tuple(b)
+    kept = [[i for i, m in enumerate(degs) if all(x <= y for x, y in zip(m, b))]
+            for degs in fc.multidegrees]
+    maps = []
+    for i in range(2, len(kept)):
+        rows = set(kept[i - 1])
+        cols = fc.maps[i - 1]
+        maps.append([[(r, s) for r, s, _ in cols[c] if r in rows]
+                     for c in kept[i]])
+    # the degree-1 map sends every kept vertex generator onto the ring, so
+    # its rank is 1 as soon as one vertex generator is kept
+    augmentation = [min(1, len(k)) for k in kept[1:2]]
+    ranks = [0] + augmentation + chain_ranks(maps, field) + [0]
+    return tuple(len(kept[i]) - ranks[i] - ranks[i + 1]
+                 for i in range(len(kept)))
 
 
 def strand_matches_homology(fc, X, b, field=GF2) -> bool:

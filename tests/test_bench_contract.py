@@ -17,6 +17,7 @@ import cellres.complexes as complexes
 import cellres.resolution as resolution
 from cellres.constructions import fixture, polygon_complex, pyramid
 from cellres.linalg import GF2, RATIONAL
+from reference_search import strand_ranks
 from test_resolution import projective_plane
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -76,7 +77,7 @@ def test_tracer_counts_rank_calls_on_every_route_and_uninstalls():
                 {RATIONAL: {"rank_gf2", "rank_q"}}),
             "reduced_homology": (lambda field: complexes.reduced_homology(
                 X, field).acyclic, plain),
-            "strand_ranks": (lambda field: resolution.strand_ranks(
+            "strand_ranks": (lambda field: strand_ranks(
                 fc, top, field) == (0,) * len(fc.multidegrees), plain),
         }
         for route, (call, raises) in routes.items():

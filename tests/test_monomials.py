@@ -16,32 +16,36 @@ from cellres.monomials import (
     UNION_LIMIT,
     FamilyError,
     _exact_cover_exists,
+    _mask_key,
     GuardExceeded,
     LabellingError,
+    Monomial,
     Refinement,
     family,
     family_of,
     labelling,
     labelling_of,
     lcm_lattice,
+    member_key,
     monomial,
     polarize,
     reduce_family,
     refinement_compare,
     refines,
+    set_of,
     subfamily_unions,
 )
 from reference_cover import reference_exact_cover_exists
+from reference_lattice import divides
 
 
 def test_monomial_basics():
+    # a label is its exponent tuple; lcms, supports and square-freeness
+    # are read off a labelling's level masks
     m = monomial(2, 0, 1)
-    assert m.degree == 3
-    assert m.support() == {0, 2}
-    assert not m.is_squarefree()
-    assert m.divides(monomial(2, 1, 1))
-    assert not m.divides(monomial(1, 3, 3))
-    assert m.join(monomial(0, 2, 1)).exponents == (2, 2, 1)
+    assert m.exponents == (2, 0, 1) and m == Monomial((2, 0, 1))
+    assert divides(m, monomial(2, 1, 1))
+    assert not divides(m, monomial(1, 3, 3))
 
 
 def test_labelling_rejects_divisibility():
@@ -80,11 +84,11 @@ def pairwise_labelling_error(n_variables, rows):
     labels = [monomial(*r) for r in rows]
     for i, a in enumerate(labels):
         for j, b in enumerate(labels):
-            if i != j and a.divides(b):
+            if i != j and divides(a, b):
                 return f"label at vertex {i} divides label at vertex {j}"
     used = set()
     for m in labels:
-        used |= m.support()
+        used |= {p for p, e in enumerate(m.exponents) if e}
     missing = n_variables - len(used)
     if missing > 0:
         p = next(p for p in itertools.count() if p not in used)
@@ -158,6 +162,13 @@ def test_family_rejects_bad_members():
         family(3, [{0}, {1, 3}])
     with pytest.raises(FamilyError, match=r"^member \[0, 2\] repeated$"):
         family(3, [{0, 2}, {1}, {2, 0}])
+
+
+def test_mask_key_is_the_member_key_of_the_mask_set():
+    # the search orders candidate masks by _mask_key and families by
+    # member_key; the two orders must agree
+    for m in range(1, 1 << 9):
+        assert _mask_key(m) == member_key(set_of(m))
 
 
 def test_labelling_of_family_roundtrip():

@@ -28,15 +28,17 @@ EXPORTS = [
     "monomial", "multidegree", "polarize", "polygon_complex",
     "polygon_family", "pyramid", "pyramid_family", "reduce_family",
     "reduced_homology", "refinement_compare", "refines", "restrict",
-    "selfdual_report", "strand_ranks", "subdivided_polygon", "tree_complex",
+    "selfdual_report", "subdivided_polygon", "tree_complex",
     "tree_maximal_labelling", "tree_resolution_trees",
     "tree_unique_morphism", "validate_complex", "variable_count_report",
     "wheel_family", "wheel_polytope",
 ]
 
-# wrappers and aliases whose kernels the callers use instead
+# wrappers and aliases whose kernels the callers use instead, and
+# strand_ranks, a cross-check that moved to tests/reference_search.py
 REMOVED = ["LcmLattice", "codimension_family", "euler_characteristic",
-           "is_disjoint_union_of", "morphism_exists", "strip_signs"]
+           "is_disjoint_union_of", "morphism_exists", "strip_signs",
+           "strand_ranks"]
 
 # exports that neither cli.py nor scripts/ nor bench/ names, and why each
 # stays public
@@ -63,7 +65,6 @@ KEEP = {
     "tree_unique_morphism": "the paper's morphism onto a tree labelling",
     # the paper's other objects
     "multidegree": "the multidegree of a set of cells, the paper's grading",
-    "strand_ranks": "the strand homology route to the verdict",
     "monomial": "the short way to write one label",
     # reached by the CLI through another library function
     "ComplexBuilder": "builds every constructed complex",
@@ -76,7 +77,7 @@ KEEP = {
     "pyramid_family": "a witness family of conjecture selfdual",
     "f_symmetry": "a column of conjecture selfdual",
     "is_polytope_complex": "a column of conjecture selfdual",
-    "reduce_family": "is_maximal reduces its family first (maximal-check)",
+    "reduce_family": "the paper's reduction; only tests call it (ROADMAP item 15)",
     "validate_complex": "complex_from_dict checks every input complex",
 }
 

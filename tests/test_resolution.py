@@ -66,6 +66,7 @@ from cellres.search import (
     is_maximal,
 )
 from reference_lattice import (
+    divides,
     divisibility_mask,
     reference_check_cellular_resolution,
     reference_check_minimal,
@@ -675,7 +676,7 @@ def random_labelled_complexes(draw):
                          .filter(any), min_size=1, max_size=16))
     kept = []
     for m in map(Monomial, rows):
-        if len(kept) < 8 and not any(m.divides(k) or k.divides(m)
+        if len(kept) < 8 and not any(divides(m, k) or divides(k, m)
                                      for k in kept):
             kept.append(m)
     used = [p for p in range(nvar) if any(m.exponents[p] for m in kept)]

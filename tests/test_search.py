@@ -34,6 +34,7 @@ from cellres.constructions import (
 from cellres.linalg import GF2, RATIONAL
 from cellres.monomials import (
     FamilyError,
+    _mask_key,
     family,
     family_of,
     refines,
@@ -42,6 +43,7 @@ from cellres.monomials import (
 from cellres.resolution import AcyclicityOracle, check_family_criteria
 from cellres.search import (
     GuardExceeded,
+    MaximalityReport,
     SearchSpace,
     VARIABLE_COUNT_INSTANCES,
     any_valid_family,
@@ -91,7 +93,7 @@ def family_key(masks):
 
 def every_subset(n):
     """Every nonempty vertex subset, as a candidate list of masks."""
-    return tuple(sorted(range(1, 1 << n), key=search._mask_sort_key))
+    return tuple(sorted(range(1, 1 << n), key=_mask_key))
 
 
 def default_candidates(X, field=GF2):
@@ -182,7 +184,7 @@ def _pyramid_over_pentagon_short_list(field):
     X = pyramid(polygon_complex(5))
     masks = set(default_candidates(X)[:20])
     masks |= set(any_valid_family(X, SP).member_masks())
-    return X, tuple(sorted(masks, key=search._mask_sort_key))
+    return X, tuple(sorted(masks, key=_mask_key))
 
 
 def _with_default_candidates(X):
@@ -348,13 +350,14 @@ def test_is_maximal_rejects_invalid_families(hexagon_two_chords):
 
 
 def test_is_maximal_reports_decomposable_members():
-    X = polygon_complex(5)
-    F = family(5, list(polygon_family(5).sets) + [{0, 1, 2}])
-    rep_ok = check_family_criteria(X, F)
-    if rep_ok.ok:
-        rep = is_maximal(X, F)
-        assert not rep.is_maximal
-        assert rep.decomposable is not None
+    # a valid family on the 7-gon with chord (0, 2); its last member is
+    # the disjoint union of {1} and {3, 4}
+    X = subdivided_polygon(7, ((0, 2),))
+    F = family(7, [{1}, {3, 4}, {4, 5}, {5, 6}, {0, 5, 6}, {2, 3, 4},
+                   {0, 1, 2, 3}, {0, 1, 2, 6}, {1, 3, 4}])
+    assert check_family_criteria(X, F).ok
+    assert is_maximal(X, F) == MaximalityReport(
+        False, decomposable=frozenset({1, 3, 4}))
 
 
 def test_pentagon_family_is_maximal():
@@ -377,6 +380,22 @@ def _searched(X):
     return pairs
 
 
+def _with_a_union(X):
+    """Every valid family on X with the union of two disjoint members
+    added, where that family is valid too: its added member decomposes."""
+    def pairs(field):
+        out = []
+        for F in enumerate_valid_families(X, SP, field):
+            for s, t in itertools.combinations(F.sets, 2):
+                if s & t or s | t in F.sets:
+                    continue
+                G = family(X.n_vertices, F.sets + (s | t,))
+                if check_family_criteria(X, G, field).ok:
+                    out.append((X, G))
+        return out
+    return pairs
+
+
 def _arc_family(n):
     return lambda field: [(polygon_complex(n), polygon_family(n))]
 
@@ -392,8 +411,13 @@ MAXIMALITY_CASES = {
        _searched(subdivided_polygon(n, chords))
        for n, chords in VARIABLE_COUNT_INSTANCES},
     "pyramid-5-gon": _searched(pyramid(polygon_complex(5))),
+    "7-gon-chords-02-with-a-union":
+        _with_a_union(subdivided_polygon(7, ((0, 2),))),
+    "6-gon-chords-15-35-with-a-union":
+        _with_a_union(subdivided_polygon(6, ((1, 5), (3, 5)))),
     "11-gon-arcs": _arc_family(11),
     "13-gon-arcs": _arc_family(13),
+    "15-gon-arcs": _arc_family(15),
     "hex-squares-combined": _hexagon_combined,
 }
 
