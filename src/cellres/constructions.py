@@ -521,7 +521,8 @@ def wheel_family() -> VertexFamily:
 
 def bipyramid_complex(n: int) -> CellComplex:
     """Double cone over the n-gon ring: two apexes n and n+1, 2n triangles,
-    one 3-cell.  Its f-vector is not symmetric for n != 3."""
+    one 3-cell.  Its f-vector (n + 2, 3n, 2n, 1) is symmetric only at
+    n = 2, which is refused."""
     if n < 3:
         raise ComplexError("bipyramid needs n >= 3")
     edges = [(i, (i + 1) % n) for i in range(n)]

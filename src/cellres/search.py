@@ -17,6 +17,11 @@ holds the candidates meeting requirement k, and each node keeps the rows
 its members leave unmet.  The cover bound comes from the shared
 `cover_unions`.
 
+Before the engine runs, Gorenstein duality answers "no family" on a
+complex with one top cell whose f-vector is not palindromic (see
+`_gorenstein_excluded`).  The candidate guard and the symmetry check come
+first, so the f-vector never stands in for one of their refusals.
+
 The candidates are the vertex sets that can be members at all: nonempty,
 connected, with acyclic complement.  They are grown from their lowest
 vertex and tested as they arrive, so the guard refuses as soon as the
@@ -124,6 +129,20 @@ def _candidate_masks(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
                     f"more than {space.max_candidates} candidate sets; "
                     "raise max_candidates to proceed")
     return tuple(sorted(masks, key=_mask_key))
+
+
+def _gorenstein_excluded(X: CellComplex) -> bool:
+    """X has one top cell and a non-palindromic f-vector, so no valid family.
+
+    A valid family on a d-dimensional X with a single d-cell gives a
+    Cohen-Macaulay minimal cellular resolution supported on X: it has
+    length d + 1, and the cover bound forces codimension d + 1.  Its last
+    module has rank f_d = 1, so the quotient is Gorenstein, its minimal
+    resolution is self-dual (Bruns and Herzog, *Cohen-Macaulay Rings*,
+    ch. 3), and the ranks (1, f_0, ..., f_(d-1), 1) read the same both
+    ways, which is exactly `f_symmetry`.
+    """
+    return X.f_vector()[-1] == 1 and not f_symmetry(X)
 
 
 def _maximal_at(cands: tuple, joinable: int, chosen: tuple) -> bool:
@@ -294,6 +313,8 @@ def _families(X: CellComplex, space: SearchSpace, field: FieldSpec,
             _check_automorphism(X, tuple(perm))
         symmetry = tuple({tuple(p) for p in space.symmetry}
                          | {tuple(range(X.n_vertices))})
+    if _gorenstein_excluded(X):
+        return []
     return _materialize(X.n_vertices,
                         _search(X, field, cands, oracle, maximal), symmetry)
 
@@ -320,13 +341,17 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
     requirement branches and stops there.  Searching only connected
     candidates with acyclic complement decides existence outright:
     splitting a disconnected member of a valid family into its pieces
-    preserves validity.
+    preserves validity.  A complex with one top cell and a
+    non-palindromic f-vector is answered without the search: it admits no
+    valid family (see `_gorenstein_excluded`).
     """
     space = space or SearchSpace()
     if X.dim < 1:
         raise FamilyError("search needs a complex of dimension at least 1")
     oracle = oracle_for(X, field, oracle)
     cands = _candidate_masks(space, oracle)
+    if _gorenstein_excluded(X):
+        return None
     hit = next(_search(X, field, cands, oracle), None)
     if hit is None:
         return None
@@ -514,6 +539,11 @@ def selfdual_report(field: FieldSpec = GF2,
     witness family or by the requirement-driven existence search), and the
     f-vector symmetry verdict.  A polytope admitting a family without the
     symmetry would be a counterexample and is flagged, not raised.
+
+    The existence rows of the asymmetric polytopes restate a theorem
+    rather than add evidence: `any_valid_family` answers a complex with
+    one top cell and a non-palindromic f-vector from the f-vector alone
+    (see `_gorenstein_excluded`), so the engine never searches them.
     """
     rows, bad = [], []
     for name, X, witness in _selfdual_corpus():

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellres.search as search
-from cellres.complexes import (ComplexBuilder, reduced_homology, restrict,
+from cellres.complexes import (ComplexBuilder, is_polytope_complex,
+                               reduced_homology, restrict, validate_complex,
                                vertex_adjacency)
 from cellres.constructions import (
+    _polytope,
     bipyramid_complex,
     chord_complex,
     chord_families,
@@ -40,7 +42,8 @@ from cellres.monomials import (
     refines,
     set_of,
 )
-from cellres.resolution import AcyclicityOracle, check_family_criteria
+from cellres.resolution import (AcyclicityOracle, check_family_criteria,
+                                f_symmetry)
 from cellres.search import (
     GuardExceeded,
     MaximalityReport,
@@ -437,6 +440,8 @@ def test_no_mutual_morphism_between_distinct_chord_families():
 
 
 def test_existence_search_agrees_with_enumeration():
+    # bipyramid_complex(4) is answered by the f-vector on both sides; the
+    # engine's own answer there is tested with the non-palindromic corpus
     for X in (polygon_complex(4), polygon_complex(5), polygon_complex(6),
               chord_complex(5, 2), chord_complex(6, 3), bipyramid_complex(4),
               pyramid(polygon_complex(6)),
@@ -637,11 +642,116 @@ def test_valid_and_existence_searches_make_the_same_oracle_calls(
 ], ids=["bipyramid-5", "pyramid-8-gon"])
 def test_existence_search_asks_the_oracle_a_fixed_set_of_questions(X, calls,
                                                                    field):
-    # the (queries, misses) of the search that kept candidate bitsets; a
-    # faster engine must ask exactly these questions and miss on these masks
+    # the (queries, misses) of the candidate walk and then the engine, as
+    # measured once the engine kept candidate bitsets; a faster engine must
+    # ask exactly these questions and miss on these masks
+    oracle = CountingOracle(X, field)
+    cands = search._candidate_masks(SP, oracle)
+    assert next(search._search(X, field, cands, oracle), None) is None
+    assert (oracle.queries, oracle.misses) == calls
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+def test_existence_on_an_asymmetric_bipyramid_asks_only_the_candidate_walk(
+        field):
+    X = bipyramid_complex(5)
+    walk = CountingOracle(X, field)
+    search._candidate_masks(SP, walk)
     oracle = CountingOracle(X, field)
     assert any_valid_family(X, SP, field, oracle) is None
-    assert (oracle.queries, oracle.misses) == calls
+    assert (oracle.queries, oracle.misses) == (walk.queries, walk.misses)
+    assert (oracle.queries, oracle.misses) == (116, 116)
+
+
+def prism(n):
+    """The prism over the n-gon: rings 0..n-1 and n..2n-1, rung i to n+i."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    edges = ring + [(n + u, n + v) for u, v in ring]
+    edges += [(i, n + i) for i in range(n)]
+    cycles = [tuple(range(n)), tuple(range(n, 2 * n))]
+    cycles += [(u, v, n + v, n + u) for u, v in ring]
+    return _polytope(2 * n, edges, cycles)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_prisms_are_polytopes_with_the_prism_f_vector(n):
+    X = prism(n)
+    assert validate_complex(X) == []
+    assert is_polytope_complex(X)
+    assert X.f_vector() == (2 * n, 3 * n, n + 2, 1)
+
+
+# one top cell each; the f-vectors (n + 2, 3n, 2n, 1) and (2n, 3n, n + 2, 1)
+# are not palindromic for n >= 3
+NON_PALINDROMIC_CASES = {
+    **{f"bipyramid-{n}": (lambda n=n: bipyramid_complex(n))
+       for n in range(3, 8)},
+    **{f"prism-{n}-gon": (lambda n=n: prism(n)) for n in range(3, 7)},
+}
+
+# one top cell each, with a palindromic f-vector
+PALINDROMIC_CASES = {
+    **{f"pyramid-{n}-gon": (lambda n=n: pyramid(polygon_complex(n)))
+       for n in range(4, 9)},
+    "wheel-4": lambda: wheel_polytope(4),
+    **{f"elongated-{n}-gon-pyramid":
+       (lambda n=n: elongated_pyramid(polygon_complex(n))) for n in (3, 4)},
+}
+
+# the sixth prism has 633 candidates
+WIDE = SearchSpace(max_candidates=1000)
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(NON_PALINDROMIC_CASES))
+def test_engine_finds_no_family_where_the_f_vector_excludes_one(case, field):
+    X = NON_PALINDROMIC_CASES[case]()
+    assert len(X.cells_of_dim(X.dim)) == 1 and not f_symmetry(X)
+    assert search._gorenstein_excluded(X)
+    oracle = AcyclicityOracle(X, field)
+    cands = search._candidate_masks(WIDE, oracle)
+    assert next(search._search(X, field, cands, oracle), None) is None
+    assert any_valid_family(X, WIDE, field) is None
+    assert enumerate_valid_families(X, WIDE, field) == []
+    assert enumerate_maximal_families(X, WIDE, field) == []
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(PALINDROMIC_CASES))
+def test_existence_reaches_the_engine_on_palindromic_f_vectors(case, field):
+    X = PALINDROMIC_CASES[case]()
+    assert len(X.cells_of_dim(X.dim)) == 1 and f_symmetry(X)
+    assert not search._gorenstein_excluded(X)
+    engine = CountingOracle(X, field)
+    cands = search._candidate_masks(WIDE, engine)
+    want = next(search._search(X, field, cands, engine), None)
+    oracle = CountingOracle(X, field)
+    got = any_valid_family(X, WIDE, field, oracle)
+    if want is None:
+        assert got is None
+    else:
+        assert as_sorted_sets(got) == sorted(sorted(set_of(m)) for m in want)
+    assert (oracle.queries, oracle.misses) == (engine.queries, engine.misses)
+
+
+def test_the_guard_and_the_symmetry_check_come_before_the_f_vector():
+    X = bipyramid_complex(5)
+    assert search._gorenstein_excluded(X)
+    # 105 candidates, past the default limit of 60
+    with pytest.raises(GuardExceeded):
+        any_valid_family(X)
+    for enumerate_families in (enumerate_valid_families,
+                               enumerate_maximal_families):
+        with pytest.raises(GuardExceeded):
+            enumerate_families(X)
+        # swapping ring neighbours 0 and 1 moves the edge (4, 0) off the ring
+        swap = (1, 0, 2, 3, 4, 5, 6)
+        with pytest.raises(FamilyError, match="does not preserve"):
+            enumerate_families(X, SearchSpace(symmetry=(swap,),
+                                              max_candidates=200))
+        with pytest.raises(FamilyError, match="is not a permutation"):
+            enumerate_families(X, SearchSpace(symmetry=((0,) * 7,),
+                                              max_candidates=200))
 
 
 BITSET_FILTER_CASES = {
