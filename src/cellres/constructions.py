@@ -2,7 +2,10 @@
 
 Trees with doubled edge variables, subdivided polygons and their string
 families, pyramids and elongated pyramids, wheel polytopes, and a fixture
-catalogue of hand-labelled instances used throughout the tests.
+catalogue of hand-labelled instances used throughout the tests.  The
+catalogue is one table: per id, a description, the complex, and the
+variables of each vertex's label, from which `fixture` builds the
+exponent rows.
 
 Polygons, wheels and bipyramids are listed as edges and 2-cell vertex
 cycles for `ComplexBuilder.add_edge` and `ComplexBuilder.add_polygon`;
@@ -11,6 +14,7 @@ pyramids and elongated pyramids share one cone kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -546,157 +550,55 @@ def _polytope(n_vertices: int, edges, cycles) -> CellComplex:
 # fixture catalogue
 
 
-def _two_chord_hexagon() -> CellComplex:
-    return subdivided_polygon(6, ((1, 5), (3, 5)))
+_HEXAGON = functools.partial(subdivided_polygon, 6, ((1, 5), (3, 5)))
+_WHEEL = functools.partial(wheel_polytope, 4)
 
-
-def _hex_squares():
-    X = _two_chord_hexagon()
-    L = labelling(3, [
-        (2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2), (1, 0, 1),
-    ])
-    return X, L
-
-
-def _hex_squares_polarized():
-    X = _two_chord_hexagon()
-    L = labelling(6, [
-        (1, 1, 0, 0, 0, 0),
-        (1, 0, 1, 0, 0, 0),
-        (0, 0, 1, 1, 0, 0),
-        (0, 0, 1, 0, 1, 0),
-        (0, 0, 0, 0, 1, 1),
-        (1, 0, 0, 0, 1, 0),
-    ])
-    return X, L
-
-
-def _hex_squares_alternative():
-    X = _two_chord_hexagon()
-    L = labelling(6, [
-        (1, 1, 0, 0, 0, 0),
-        (1, 0, 0, 1, 0, 0),
-        (0, 0, 1, 1, 0, 0),
-        (0, 0, 1, 0, 0, 1),
-        (0, 0, 0, 0, 1, 1),
-        (1, 0, 0, 0, 0, 1),
-    ])
-    return X, L
-
-
-def _hex_squares_combined():
-    X = _two_chord_hexagon()
-    L = labelling(8, [
-        (1, 1, 0, 0, 0, 0, 0, 0),
-        (1, 0, 1, 0, 0, 1, 0, 0),
-        (0, 0, 1, 1, 1, 1, 0, 0),
-        (0, 0, 1, 0, 1, 0, 1, 0),
-        (0, 0, 0, 0, 0, 0, 1, 1),
-        (1, 0, 0, 0, 0, 0, 1, 0),
-    ])
-    return X, L
-
-
-def _pyramid_pentagon():
-    X = pyramid(polygon_complex(5))
-    rows = []
-    for i in range(5):
-        row = [0] * 7
-        row[i] = 1
-        row[(i + 1) % 5] = 1
-        rows.append(tuple(row))
-    rows.append((0, 0, 0, 0, 0, 1, 1))
-    return X, labelling(7, rows)
-
-
-def _elongated_pyramid_triangle():
-    X = elongated_pyramid(polygon_complex(3))
-    rows = [
-        (0, 0, 0, 1, 0, 0, 1),
-        (0, 0, 0, 0, 1, 0, 1),
-        (0, 0, 0, 0, 0, 1, 1),
-        (1, 0, 0, 1, 0, 0, 0),
-        (0, 1, 0, 0, 1, 0, 0),
-        (0, 0, 1, 0, 0, 1, 0),
-        (1, 1, 1, 0, 0, 0, 0),
-    ]
-    return X, labelling(7, rows)
-
-
-def _wheel_rows(pairs, nvar):
-    rows = []
-    for sup in pairs:
-        row = [0] * nvar
-        for p in sup:
-            row[p] = 1
-        rows.append(tuple(row))
-    return rows
-
-
-def _wheel_hexagon():
-    X = wheel_polytope(4)
-    sup = [(1, 4), (2, 4), (0, 4), (0, 2), (0, 3), (3, 5), (1, 3), (1, 5), (2, 5)]
-    return X, labelling(6, _wheel_rows(sup, 6))
-
-
-def _wheel_bipyramid_a():
-    X = wheel_polytope(4)
-    sup = [(3, 4), (0, 1, 3), (3, 6), (0, 6), (5, 6), (2, 5), (4, 5), (1, 2, 4),
-           (0, 1, 2)]
-    return X, labelling(7, _wheel_rows(sup, 7))
-
-
-def _wheel_bipyramid_b():
-    X = wheel_polytope(4)
-    sup = [(3, 4), (1, 2, 3), (0, 1, 3), (0, 1, 2), (0, 6), (5, 6), (4, 6), (4, 5),
-           (2, 5)]
-    return X, labelling(7, _wheel_rows(sup, 7))
-
-
-def _wheel_bipyramid_c():
-    X = wheel_polytope(4)
-    sup = [(3, 6), (0, 1, 3), (3, 4), (0, 1, 4), (4, 5), (2, 5), (5, 6), (2, 6),
-           (0, 1, 2)]
-    return X, labelling(7, _wheel_rows(sup, 7))
-
-
+# id -> (description, complex builder, number of variables, the variables
+# of each vertex's label in vertex order; a variable listed twice is squared)
 _FIXTURES = {
     "hex-squares": (
-        _hex_squares,
-        "two-chord hexagon labelled by the degree-2 monomials in 3 variables"),
+        "two-chord hexagon labelled by the degree-2 monomials in 3 variables",
+        _HEXAGON, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (0, 2)]),
     "hex-squares-polarized": (
-        _hex_squares_polarized,
-        "square-free split of hex-squares into six variables"),
+        "square-free split of hex-squares into six variables",
+        _HEXAGON, 6, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (0, 4)]),
     "hex-squares-alternative": (
-        _hex_squares_alternative,
-        "a second six-variable square-free split of hex-squares"),
+        "a second six-variable square-free split of hex-squares",
+        _HEXAGON, 6, [(0, 1), (0, 3), (2, 3), (2, 5), (4, 5), (0, 5)]),
     "hex-squares-combined": (
-        _hex_squares_combined,
-        "eight-variable labelling of the two-chord hexagon refining both splits"),
+        "eight-variable labelling of the two-chord hexagon refining both splits",
+        _HEXAGON, 8,
+        [(0, 1), (0, 2, 5), (2, 3, 4, 5), (2, 4, 6), (6, 7), (0, 6)]),
     "pyramid-pentagon": (
-        _pyramid_pentagon,
-        "pyramid over the pentagon, rim labelled by consecutive variable pairs"),
+        "pyramid over the pentagon, rim labelled by consecutive variable pairs",
+        lambda: pyramid(polygon_complex(5)), 7,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6)]),
     "elongated-pyramid-triangle": (
-        _elongated_pyramid_triangle,
-        "elongated pyramid over the triangle with its seven-variable labelling"),
+        "elongated pyramid over the triangle with its seven-variable labelling",
+        lambda: elongated_pyramid(polygon_complex(3)), 7,
+        [(3, 6), (4, 6), (5, 6), (0, 3), (1, 4), (2, 5), (0, 1, 2)]),
     "wheel-hexagon": (
-        _wheel_hexagon,
-        "nine-vertex wheel labelled by the hexagon's vertex-pair ideal"),
+        "nine-vertex wheel labelled by the hexagon's vertex-pair ideal",
+        _WHEEL, 6,
+        [(1, 4), (2, 4), (0, 4), (0, 2), (0, 3), (3, 5), (1, 3), (1, 5), (2, 5)]),
     "wheel-bipyramid-a": (
-        _wheel_bipyramid_a,
-        "nine-vertex wheel, face ideal of a once-subdivided triangle bipyramid"),
+        "nine-vertex wheel, face ideal of a once-subdivided triangle bipyramid",
+        _WHEEL, 7, [(3, 4), (0, 1, 3), (3, 6), (0, 6), (5, 6), (2, 5), (4, 5),
+                    (1, 2, 4), (0, 1, 2)]),
     "wheel-bipyramid-b": (
-        _wheel_bipyramid_b,
-        "nine-vertex wheel, face ideal of a twice-subdivided triangle bipyramid"),
+        "nine-vertex wheel, face ideal of a twice-subdivided triangle bipyramid",
+        _WHEEL, 7, [(3, 4), (1, 2, 3), (0, 1, 3), (0, 1, 2), (0, 6), (5, 6),
+                    (4, 6), (4, 5), (2, 5)]),
     "wheel-bipyramid-c": (
-        _wheel_bipyramid_c,
-        "nine-vertex wheel, face ideal of a third subdivided triangle bipyramid"),
+        "nine-vertex wheel, face ideal of a third subdivided triangle bipyramid",
+        _WHEEL, 7, [(3, 6), (0, 1, 3), (3, 4), (0, 1, 4), (4, 5), (2, 5), (5, 6),
+                    (2, 6), (0, 1, 2)]),
 }
 
 
 def fixture_catalogue() -> dict:
     """id -> one-line description of every built-in labelled instance."""
-    return {k: v[1] for k, v in sorted(_FIXTURES.items())}
+    return {k: v[0] for k, v in sorted(_FIXTURES.items())}
 
 
 def fixture(fixture_id: str):
@@ -705,4 +607,11 @@ def fixture(fixture_id: str):
     if entry is None:
         known = ", ".join(sorted(_FIXTURES))
         raise KeyError(f"unknown fixture {fixture_id!r}; known: {known}")
-    return entry[0]()
+    _, build, nvar, labels = entry
+    rows = []
+    for variables in labels:
+        row = [0] * nvar
+        for p in variables:
+            row[p] += 1
+        rows.append(tuple(row))
+    return build(), labelling(nvar, rows)

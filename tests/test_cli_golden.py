@@ -127,6 +127,7 @@ def commands():
     yield ["polarize", "--labelling", "hex-squares.labelling.json"]
     yield ["construct", "tree-labelling", "--n", "6",
            "--edges", "0-1,1-2,1-3,3-4,3-5"]
+    yield ["construct", "--list"]
     for fid in fixture_catalogue():
         yield ["construct", "fixture", "--id", fid]
     yield ["construct", "bipyramid", "--n", "5"]

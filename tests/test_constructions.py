@@ -40,6 +40,7 @@ from cellres.monomials import (
     LabellingError,
     family_of,
     labelling,
+    labelling_of,
     polarize,
 )
 from cellres.resolution import check_cm_labelling
@@ -470,12 +471,25 @@ def test_fixtures_are_well_formed():
         assert L.n_vertices == X.n_vertices, fid
 
 
-def test_hex_squares_polarizes_onto_its_polarized_fixture():
+def polarized_hex_squares():
     X, L = fixture("hex-squares")
-    _, P = fixture("hex-squares-polarized")
-    Q = polarize(L)
-    assert Q.n_variables == P.n_variables
-    assert [m.exponents for m in Q.labels] == [m.exponents for m in P.labels]
+    return X, polarize(L)
+
+
+def ep_labelled_triangle():
+    return (elongated_pyramid(polygon_complex(3)),
+            labelling_of(ep_family(polygon_family(3))))
+
+
+# the fixtures the library can rebuild; the table keeps them literal, so
+# these compare polarize and ep_family with an independent record
+REBUILT = {"hex-squares-polarized": polarized_hex_squares,
+           "elongated-pyramid-triangle": ep_labelled_triangle}
+
+
+@pytest.mark.parametrize("fid", REBUILT)
+def test_derivable_fixture_is_what_the_library_builds(fid):
+    assert fixture(fid) == REBUILT[fid]()
 
 
 def test_hex_squares_is_cm():
