@@ -361,7 +361,7 @@ def _run_maximal_check(args, run: _Run):
                               "maximality is undefined for it")
         run.exit_code = EXIT_NEGATIVE
         return
-    verdict = is_maximal(X, F, oracle.field, oracle)
+    verdict = is_maximal(X, F, oracle.field, oracle, criteria)
     run.result["maximality"] = report_to_dict(verdict)
     if not verdict.is_maximal:
         run.exit_code = EXIT_NEGATIVE

@@ -17,15 +17,17 @@ holds the candidates meeting requirement k, and each node keeps the rows
 its members leave unmet.  The cover bound comes from the shared
 `cover_unions`.
 
-Before the engine runs, Gorenstein duality answers "no family" on a
-complex with one top cell whose f-vector is not palindromic (see
-`_gorenstein_excluded`).  The candidate guard and the symmetry check come
-first, so the f-vector never stands in for one of their refusals.
-
 The candidates are the vertex sets that can be members at all: nonempty,
 connected, with acyclic complement.  They are grown from their lowest
 vertex and tested as they arrive, so the guard refuses as soon as the
 (max_candidates + 1)-th is found.
+
+On a complex with one top cell, Gorenstein duality then narrows the
+search.  A non-palindromic f-vector answers "no family" before the engine
+runs (see `_gorenstein_excluded`); otherwise the engine searches only the
+candidates that meet as many i-cells as they miss (d-1-i)-cells (see
+`_dual_candidates`).  The candidate guard and the symmetry check come
+first, so duality never stands in for one of their refusals.
 
 Maximality is operational: a reduced family is maximal when no single set
 can be added without breaking a criterion.  The smallest addable set is
@@ -59,6 +61,7 @@ from .monomials import (
 )
 from .resolution import (
     AcyclicityOracle,
+    FamilyCriteriaReport,
     check_family_criteria,
     cover_unions,
     f_symmetry,
@@ -116,19 +119,52 @@ def connected_vertex_subsets(X: CellComplex) -> list:
     return sorted(m for m, _ in _connected_masks(adj, [0] * len(adj)))
 
 
-def _candidate_masks(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
+def _candidate_walk(space: SearchSpace, oracle: AcyclicityOracle) -> list:
+    """(mask, reach) of each candidate in walk order, reach being the
+    cells that meet it; refuses as soon as the (max_candidates + 1)-th is
+    found."""
     full = oracle.full_mask
-    masks = []
+    found = []
     # the cells meeting a candidate are those its complement's restriction
     # leaves out, so the walk hands the oracle the union of its stars
-    for m, outside in _connected_masks(oracle._adj, oracle._star):
-        if oracle.is_acyclic(full & ~m, outside):
-            masks.append(m)
-            if len(masks) > space.max_candidates:
+    for m, reach in _connected_masks(oracle._adj, oracle._star):
+        if oracle.is_acyclic(full & ~m, reach):
+            found.append((m, reach))
+            if len(found) > space.max_candidates:
                 raise GuardExceeded(
                     f"more than {space.max_candidates} candidate sets; "
                     "raise max_candidates to proceed")
-    return tuple(sorted(masks, key=_mask_key))
+    return found
+
+
+def _candidate_masks(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
+    """Every candidate's mask, sorted by `_mask_key`."""
+    return tuple(sorted((m for m, _ in _candidate_walk(space, oracle)),
+                        key=_mask_key))
+
+
+def _dual_candidates(oracle: AcyclicityOracle, walk: list) -> tuple:
+    """The masks of the walked candidates that Gorenstein duality allows
+    as members, sorted by `_mask_key`.
+
+    On a d-dimensional X with one d-cell, a valid family's minimal
+    resolution is self-dual (see `_gorenstein_excluded`), and each label
+    is the product of the members meeting its cell.  So the i-cells and
+    the (d-1-i)-cells pair up so that every member meets exactly one cell
+    of each pair: a member meets as many i-cells as it misses
+    (d-1-i)-cells, for every i.  A candidate failing that is neither in
+    a valid family nor a maximality extension.  Every candidate of a
+    complex with several top cells is kept.
+    """
+    dims = oracle._dims
+    d = len(dims) - 1
+    if dims[d].bit_count() == 1:
+        pairs = [(dims[i], dims[d - 1 - i], dims[d - 1 - i].bit_count())
+                 for i in range(d)]
+        walk = [(m, reach) for m, reach in walk
+                if all((reach & a).bit_count() + (reach & b).bit_count() == n
+                       for a, b, n in pairs)]
+    return tuple(sorted((m for m, _ in walk), key=_mask_key))
 
 
 def _gorenstein_excluded(X: CellComplex) -> bool:
@@ -306,7 +342,7 @@ def _families(X: CellComplex, space: SearchSpace, field: FieldSpec,
     if X.dim < 1:
         raise FamilyError("enumeration needs a complex of dimension at least 1")
     oracle = oracle_for(X, field, oracle)
-    cands = _candidate_masks(space, oracle)
+    walk = _candidate_walk(space, oracle)
     symmetry = ()
     if space.symmetry:
         for perm in space.symmetry:
@@ -315,6 +351,7 @@ def _families(X: CellComplex, space: SearchSpace, field: FieldSpec,
                          | {tuple(range(X.n_vertices))})
     if _gorenstein_excluded(X):
         return []
+    cands = _dual_candidates(oracle, walk)
     return _materialize(X.n_vertices,
                         _search(X, field, cands, oracle, maximal), symmetry)
 
@@ -341,18 +378,20 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
     requirement branches and stops there.  Searching only connected
     candidates with acyclic complement decides existence outright:
     splitting a disconnected member of a valid family into its pieces
-    preserves validity.  A complex with one top cell and a
+    preserves validity.  On a complex with one top cell, a
     non-palindromic f-vector is answered without the search: it admits no
-    valid family (see `_gorenstein_excluded`).
+    valid family (see `_gorenstein_excluded`); otherwise the search runs
+    over the candidates that duality allows (see `_dual_candidates`).
     """
     space = space or SearchSpace()
     if X.dim < 1:
         raise FamilyError("search needs a complex of dimension at least 1")
     oracle = oracle_for(X, field, oracle)
-    cands = _candidate_masks(space, oracle)
+    walk = _candidate_walk(space, oracle)
     if _gorenstein_excluded(X):
         return None
-    hit = next(_search(X, field, cands, oracle), None)
+    hit = next(_search(X, field, _dual_candidates(oracle, walk), oracle),
+               None)
     if hit is None:
         return None
     return VertexFamily(X.n_vertices, tuple(
@@ -366,10 +405,13 @@ class MaximalityReport(NamedTuple):
 
 
 def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
-               oracle: AcyclicityOracle = None) -> MaximalityReport:
+               oracle: AcyclicityOracle = None,
+               criteria: FamilyCriteriaReport = None) -> MaximalityReport:
     """Is a family maximal among reduced families on this complex?
 
     Requires the family to pass the validity criteria (raises otherwise).
+    A caller that already holds F's `check_family_criteria` report over
+    this field passes it as `criteria`, and the criteria are not run again.
     The family must equal its own reduction, and every vertex set T not
     already expressible through the family must break a criterion when
     added.  Since the family itself passes, only the cover bound and the
@@ -390,8 +432,9 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     members would pass every one of those oracle questions.
     """
     oracle = oracle_for(X, field, oracle)
-    rep = check_family_criteria(X, F, field, oracle)
-    if not rep.ok:
+    if criteria is None:
+        criteria = check_family_criteria(X, F, field, oracle)
+    if not criteria.ok:
         raise FamilyError("maximality is defined for families passing "
                           "the validity criteria")
     masks = F.member_masks()
@@ -543,7 +586,9 @@ def selfdual_report(field: FieldSpec = GF2,
     The existence rows of the asymmetric polytopes restate a theorem
     rather than add evidence: `any_valid_family` answers a complex with
     one top cell and a non-palindromic f-vector from the f-vector alone
-    (see `_gorenstein_excluded`), so the engine never searches them.
+    (see `_gorenstein_excluded`), so the engine never searches them.  On
+    the palindromic ones it searches only the candidates that Gorenstein
+    duality allows (see `_dual_candidates`).
     """
     rows, bad = [], []
     for name, X, witness in _selfdual_corpus():

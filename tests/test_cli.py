@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cellres import cli
+from cellres import cli, search
 from cellres.cli import main
 from cellres.constructions import (
     edges_to_tree,
@@ -650,6 +650,27 @@ def test_verify_family_adds_no_oracle_work_to_the_criteria(capsys, tmp_path,
         assert code == 0 and out["result"]["cm_verdict"]["is_cm"]
         assert set(asked) == criteria_asked
         assert computed == criteria_computed
+
+
+@pytest.mark.parametrize("field", ["gf2", "rational"])
+def test_maximal_check_runs_the_criteria_once(capsys, tmp_path, monkeypatch,
+                                              field):
+    # is_maximal takes the report the CLI already has
+    cx = write_doc(tmp_path, "15-gon.json",
+                   complex_to_dict(polygon_complex(15)))
+    fam = write_doc(tmp_path, "arcs.json", family_to_dict(polygon_family(15)))
+    reports = []
+
+    def counting(*args):
+        reports.append(check_family_criteria(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "check_family_criteria", counting)
+    monkeypatch.setattr(search, "check_family_criteria", counting)
+    code, out, _ = run(capsys, "maximal-check", "--complex", cx,
+                       "--family", fam, "--field", field)
+    assert code == 0 and out["result"]["maximality"]["is_maximal"] is True
+    assert len(reports) == 1
 
 
 @pytest.mark.parametrize("field", ["gf2", "rational"])

@@ -716,6 +716,22 @@ def test_engine_finds_no_family_where_the_f_vector_excludes_one(case, field):
     assert enumerate_maximal_families(X, WIDE, field) == []
 
 
+# (queries, misses) of the candidate walk and then the engine over the
+# candidates that duality allows, over either field; the walk and the
+# engine over every candidate asked (318, 31), (599, 63), (1560, 114),
+# (2159, 216), (4734, 387), (48347, 494), (2546, 116) and (54178, 502)
+DUAL_EXISTENCE_CALLS = {
+    "pyramid-4-gon": (31, 30),
+    "pyramid-5-gon": (107, 54),
+    "pyramid-6-gon": (97, 96),
+    "pyramid-7-gon": (305, 172),
+    "pyramid-8-gon": (315, 314),
+    "wheel-4": (687, 346),
+    "elongated-3-gon-pyramid": (190, 97),
+    "elongated-4-gon-pyramid": (352, 343),
+}
+
+
 @pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
 @pytest.mark.parametrize("case", sorted(PALINDROMIC_CASES))
 def test_existence_reaches_the_engine_on_palindromic_f_vectors(case, field):
@@ -727,31 +743,122 @@ def test_existence_reaches_the_engine_on_palindromic_f_vectors(case, field):
     want = next(search._search(X, field, cands, engine), None)
     oracle = CountingOracle(X, field)
     got = any_valid_family(X, WIDE, field, oracle)
-    if want is None:
-        assert got is None
-    else:
-        assert as_sorted_sets(got) == sorted(sorted(set_of(m)) for m in want)
-    assert (oracle.queries, oracle.misses) == (engine.queries, engine.misses)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert check_family_criteria(X, got, field).ok
+    # the walk, then the engine over the kept candidates only
+    walked = CountingOracle(X, field)
+    kept = search._dual_candidates(walked, search._candidate_walk(WIDE, walked))
+    next(search._search(X, field, kept, walked), None)
+    assert (oracle.queries, oracle.misses) == (walked.queries, walked.misses)
+    assert (oracle.queries, oracle.misses) == DUAL_EXISTENCE_CALLS[case]
 
 
 def test_the_guard_and_the_symmetry_check_come_before_the_f_vector():
-    X = bipyramid_complex(5)
-    assert search._gorenstein_excluded(X)
-    # 105 candidates, past the default limit of 60
-    with pytest.raises(GuardExceeded):
-        any_valid_family(X)
-    for enumerate_families in (enumerate_valid_families,
-                               enumerate_maximal_families):
+    # the bipyramid over the pentagon has 105 candidates, past the default
+    # limit of 60, and the f-vector excludes a family; the pyramid over the
+    # 8-gon has 115, and duality keeps one of them
+    for X, space, excluded in (
+            (bipyramid_complex(5), SearchSpace(), True),
+            (pyramid(polygon_complex(8)), SearchSpace(max_candidates=100),
+             False)):
+        assert search._gorenstein_excluded(X) == excluded
+        n = X.n_vertices
         with pytest.raises(GuardExceeded):
-            enumerate_families(X)
-        # swapping ring neighbours 0 and 1 moves the edge (4, 0) off the ring
-        swap = (1, 0, 2, 3, 4, 5, 6)
-        with pytest.raises(FamilyError, match="does not preserve"):
-            enumerate_families(X, SearchSpace(symmetry=(swap,),
-                                              max_candidates=200))
-        with pytest.raises(FamilyError, match="is not a permutation"):
-            enumerate_families(X, SearchSpace(symmetry=((0,) * 7,),
-                                              max_candidates=200))
+            any_valid_family(X, space)
+        for enumerate_families in (enumerate_valid_families,
+                                   enumerate_maximal_families):
+            with pytest.raises(GuardExceeded):
+                enumerate_families(X, space)
+            # swapping ring neighbours 0 and 1 sends the edge from the last
+            # ring vertex to 0 onto a non-edge
+            swap = (1, 0, *range(2, n))
+            with pytest.raises(FamilyError, match="does not preserve"):
+                enumerate_families(X, SearchSpace(symmetry=(swap,),
+                                                  max_candidates=200))
+            with pytest.raises(FamilyError, match="is not a permutation"):
+                enumerate_families(X, SearchSpace(symmetry=((0,) * n,),
+                                                  max_candidates=200))
+
+
+def meets_as_many_cells_as_it_misses(X, T) -> bool:
+    """For each i, the vertex set T meets as many i-cells of X as it misses
+    (d-1-i)-cells, d the dimension of X, counted cell by cell."""
+    d = X.dim
+    meet = [sum(1 for c in X.cells_of_dim(i) if T & c.vertices)
+            for i in range(d)]
+    return all(meet[i] == len(X.cells_of_dim(d - 1 - i)) - meet[d - 1 - i]
+               for i in range(d))
+
+
+# one top cell each, and some valid family
+DUALITY_CASES = {
+    "wheel-4": lambda: wheel_polytope(4),
+    **{f"pyramid-{n}-gon": (lambda n=n: pyramid(polygon_complex(n)))
+       for n in (3, 5, 7)},
+    "elongated-3-gon-pyramid": lambda: elongated_pyramid(polygon_complex(3)),
+}
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(DUALITY_CASES))
+def test_every_member_of_a_valid_family_meets_as_many_cells_as_it_misses(
+        case, field):
+    X = DUALITY_CASES[case]()
+    assert len(X.cells_of_dim(X.dim)) == 1
+    oracle = AcyclicityOracle(X, field)
+    cands = search._candidate_masks(WIDE, oracle)
+    families = list(search._search(X, field, cands, oracle))
+    assert families
+    for masks in families:
+        for m in masks:
+            assert meets_as_many_cells_as_it_misses(X, set_of(m)), masks
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("name", ["elongated-pyramid-triangle",
+                                  "wheel-bipyramid-a", "wheel-bipyramid-b",
+                                  "wheel-hexagon"])
+def test_the_one_top_cell_fixture_families_meet_as_many_cells_as_they_miss(
+        name, field):
+    X, L = fixture(name)
+    F = family_of(L)
+    assert len(X.cells_of_dim(X.dim)) == 1
+    assert check_family_criteria(X, F, field).ok
+    for T in F.sets:
+        assert meets_as_many_cells_as_it_misses(X, T), sorted(T)
+
+
+FILTER_CASES = {
+    **PALINDROMIC_CASES,
+    **{f"{n}-gon": (lambda n=n: polygon_complex(n)) for n in range(3, 10)},
+    "pyramid-pyramid-pentagon": lambda: pyramid(pyramid(polygon_complex(5))),
+    # several top cells: every candidate is kept
+    "hexagon-chords-15-35": lambda: subdivided_polygon(6, ((1, 5), (3, 5))),
+    "pyramid-fan-6-gon": lambda: pyramid(fan(6)),
+}
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("case", sorted(FILTER_CASES))
+def test_the_candidates_duality_allows_hold_the_same_families(case, field):
+    X = FILTER_CASES[case]()
+    oracle = AcyclicityOracle(X, field)
+    cands = search._candidate_masks(WIDE, oracle)
+    kept = search._dual_candidates(oracle,
+                                   search._candidate_walk(WIDE, oracle))
+    if len(X.cells_of_dim(X.dim)) == 1:
+        assert kept == tuple(m for m in cands if
+                             meets_as_many_cells_as_it_misses(X, set_of(m)))
+        assert len(kept) < len(cands)
+    else:
+        assert kept == cands
+    for maximal in (False, True):
+        want = sorted(family_key(masks) for masks in
+                      search._search(X, field, cands, oracle, maximal))
+        got = sorted(family_key(masks) for masks in
+                     search._search(X, field, kept, oracle, maximal))
+        assert got == want
 
 
 BITSET_FILTER_CASES = {
