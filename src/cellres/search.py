@@ -22,20 +22,21 @@ connected, with acyclic complement.  They are grown from their lowest
 vertex and tested as they arrive, so the guard refuses as soon as the
 (max_candidates + 1)-th is found.
 
-On a complex with one top cell, Gorenstein duality then narrows the
-search.  A non-palindromic f-vector answers "no family" before the engine
-runs (see `_gorenstein_excluded`); otherwise the engine searches only the
+On a complex with one top cell, Gorenstein duality then keeps only the
 candidates that meet as many i-cells as they miss (d-1-i)-cells (see
-`_dual_candidates`).  The candidate guard and the symmetry check come
-first, so duality never stands in for one of their refusals.
+`_duality_test`).  On a non-palindromic f-vector it keeps none, and an
+empty list is answered "no family" before the engine runs.  The candidate
+guard and the symmetry check come first, so duality never stands in for
+one of their refusals.
 
 Maximality is operational: a reduced family is maximal when no single set
 can be added without breaking a criterion.  The smallest addable set is
-always connected and can only break the hereditary part, so the sets to
-try are the candidates that pass it.  For maximal families the engine
-finds them as the live set plus the excluded set of Bron and Kerbosch and
-tests each valid family where it is reached; `is_maximal` checks one given
-family and names a witness.
+always connected, passes the duality test and can only break the
+hereditary part, so the sets to try are the candidates that pass it.  For
+maximal families the engine finds them as the live set plus the excluded
+set of Bron and Kerbosch and tests each valid family where it is reached;
+`is_maximal` checks one given family, scanning the same sets, and names a
+witness.
 """
 
 from __future__ import annotations
@@ -119,10 +120,46 @@ def connected_vertex_subsets(X: CellComplex) -> list:
     return sorted(m for m, _ in _connected_masks(adj, [0] * len(adj)))
 
 
-def _candidate_walk(space: SearchSpace, oracle: AcyclicityOracle) -> list:
-    """(mask, reach) of each candidate in walk order, reach being the
-    cells that meet it; refuses as soon as the (max_candidates + 1)-th is
-    found."""
+def _duality_test(oracle: AcyclicityOracle):
+    """A test on a set's reach (the cells meeting it) that every member of
+    every valid family passes, or None when X has several top cells.
+
+    A valid family on a d-dimensional X with a single d-cell gives a
+    Cohen-Macaulay minimal cellular resolution supported on X, of length
+    and codimension d + 1 (the cover bound).  Its last module has rank
+    f_d = 1, so the quotient is Gorenstein and its minimal resolution is
+    self-dual (Bruns and Herzog, *Cohen-Macaulay Rings*, ch. 3).  Each
+    label is the product of the members meeting its cell, so the duality
+    pairs the i-cells with the (d-1-i)-cells such that every member meets
+    exactly one cell of each pair: a member meets as many i-cells as it
+    misses (d-1-i)-cells, for every i.  A set failing that can neither be
+    searched as a candidate nor join a valid family.
+
+    Where f_i != f_(d-1-i), the conditions for i and for d-1-i ask one
+    sum to equal both, so no set passes, and the test says no at once:
+    a non-palindromic f-vector admits no valid family.
+    """
+    dims = oracle._dims
+    d = len(dims) - 1
+    f = [cells.bit_count() for cells in dims]
+    if f[d] != 1:
+        return None
+    if any(f[i] != f[d - 1 - i] for i in range(d)):
+        return lambda reach: False
+    pairs = [(dims[i], dims[d - 1 - i], f[i]) for i in range(d)]
+
+    def test(reach):
+        for a, b, n in pairs:
+            if (reach & a).bit_count() + (reach & b).bit_count() != n:
+                return False
+        return True
+    return test
+
+
+def _candidates(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
+    """The masks of the candidates that `_duality_test` allows, sorted by
+    `_mask_key`; refuses as soon as the (max_candidates + 1)-th candidate
+    is found, before duality is asked about any of them."""
     full = oracle.full_mask
     found = []
     # the cells meeting a candidate are those its complement's restriction
@@ -134,51 +171,9 @@ def _candidate_walk(space: SearchSpace, oracle: AcyclicityOracle) -> list:
                 raise GuardExceeded(
                     f"more than {space.max_candidates} candidate sets; "
                     "raise max_candidates to proceed")
-    return found
-
-
-def _candidate_masks(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
-    """Every candidate's mask, sorted by `_mask_key`."""
-    return tuple(sorted((m for m, _ in _candidate_walk(space, oracle)),
-                        key=_mask_key))
-
-
-def _dual_candidates(oracle: AcyclicityOracle, walk: list) -> tuple:
-    """The masks of the walked candidates that Gorenstein duality allows
-    as members, sorted by `_mask_key`.
-
-    On a d-dimensional X with one d-cell, a valid family's minimal
-    resolution is self-dual (see `_gorenstein_excluded`), and each label
-    is the product of the members meeting its cell.  So the i-cells and
-    the (d-1-i)-cells pair up so that every member meets exactly one cell
-    of each pair: a member meets as many i-cells as it misses
-    (d-1-i)-cells, for every i.  A candidate failing that is neither in
-    a valid family nor a maximality extension.  Every candidate of a
-    complex with several top cells is kept.
-    """
-    dims = oracle._dims
-    d = len(dims) - 1
-    if dims[d].bit_count() == 1:
-        pairs = [(dims[i], dims[d - 1 - i], dims[d - 1 - i].bit_count())
-                 for i in range(d)]
-        walk = [(m, reach) for m, reach in walk
-                if all((reach & a).bit_count() + (reach & b).bit_count() == n
-                       for a, b, n in pairs)]
-    return tuple(sorted((m for m, _ in walk), key=_mask_key))
-
-
-def _gorenstein_excluded(X: CellComplex) -> bool:
-    """X has one top cell and a non-palindromic f-vector, so no valid family.
-
-    A valid family on a d-dimensional X with a single d-cell gives a
-    Cohen-Macaulay minimal cellular resolution supported on X: it has
-    length d + 1, and the cover bound forces codimension d + 1.  Its last
-    module has rank f_d = 1, so the quotient is Gorenstein, its minimal
-    resolution is self-dual (Bruns and Herzog, *Cohen-Macaulay Rings*,
-    ch. 3), and the ranks (1, f_0, ..., f_(d-1), 1) read the same both
-    ways, which is exactly `f_symmetry`.
-    """
-    return X.f_vector()[-1] == 1 and not f_symmetry(X)
+    dual = _duality_test(oracle)
+    return tuple(sorted((m for m, reach in found
+                         if dual is None or dual(reach)), key=_mask_key))
 
 
 def _maximal_at(cands: tuple, joinable: int, chosen: tuple) -> bool:
@@ -342,16 +337,15 @@ def _families(X: CellComplex, space: SearchSpace, field: FieldSpec,
     if X.dim < 1:
         raise FamilyError("enumeration needs a complex of dimension at least 1")
     oracle = oracle_for(X, field, oracle)
-    walk = _candidate_walk(space, oracle)
+    cands = _candidates(space, oracle)
     symmetry = ()
     if space.symmetry:
         for perm in space.symmetry:
             _check_automorphism(X, tuple(perm))
         symmetry = tuple({tuple(p) for p in space.symmetry}
                          | {tuple(range(X.n_vertices))})
-    if _gorenstein_excluded(X):
+    if not cands:
         return []
-    cands = _dual_candidates(oracle, walk)
     return _materialize(X.n_vertices,
                         _search(X, field, cands, oracle, maximal), symmetry)
 
@@ -378,20 +372,17 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
     requirement branches and stops there.  Searching only connected
     candidates with acyclic complement decides existence outright:
     splitting a disconnected member of a valid family into its pieces
-    preserves validity.  On a complex with one top cell, a
-    non-palindromic f-vector is answered without the search: it admits no
-    valid family (see `_gorenstein_excluded`); otherwise the search runs
-    over the candidates that duality allows (see `_dual_candidates`).
+    preserves validity.  On a complex with one top cell the search runs
+    over the candidates that duality allows (see `_duality_test`); when
+    it allows none, as on every non-palindromic f-vector, the answer is
+    None without the search.
     """
     space = space or SearchSpace()
     if X.dim < 1:
         raise FamilyError("search needs a complex of dimension at least 1")
     oracle = oracle_for(X, field, oracle)
-    walk = _candidate_walk(space, oracle)
-    if _gorenstein_excluded(X):
-        return None
-    hit = next(_search(X, field, _dual_candidates(oracle, walk), oracle),
-               None)
+    cands = _candidates(space, oracle)
+    hit = next(_search(X, field, cands, oracle), None) if cands else None
     if hit is None:
         return None
     return VertexFamily(X.n_vertices, tuple(
@@ -411,7 +402,8 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
 
     Requires the family to pass the validity criteria (raises otherwise).
     A caller that already holds F's `check_family_criteria` report over
-    this field passes it as `criteria`, and the criteria are not run again.
+    this field passes it as `criteria`, and the criteria are not run again;
+    a report over another field raises ValueError.
     The family must equal its own reduction, and every vertex set T not
     already expressible through the family must break a criterion when
     added.  Since the family itself passes, only the cover bound and the
@@ -424,7 +416,9 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     of members can be added alone, since the hereditary part survives
     dropping the other pieces.  That piece's mask is at most T's, so the
     scan over connected sets in increasing mask order returns the same
-    `extension` as a scan over every vertex subset would.
+    `extension` as a scan over every vertex subset would.  An addable set
+    joins a valid family, so the scan skips the sets that fail
+    `_duality_test`, and the `extension` stays the same.
 
     Each set meets the cheap questions first: the cover bound, then the
     exact cover, and only then the oracle, about the complement of its
@@ -434,6 +428,9 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     oracle = oracle_for(X, field, oracle)
     if criteria is None:
         criteria = check_family_criteria(X, F, field, oracle)
+    elif criteria.field != field.describe():
+        raise ValueError(f"the criteria report is over {criteria.field}, "
+                         f"asked over {field.describe()}")
     if not criteria.ok:
         raise FamilyError("maximality is defined for families passing "
                           "the validity criteria")
@@ -445,7 +442,9 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     full = (1 << X.n_vertices) - 1
     d = X.dim
     combos = [0, *cover_unions(0, masks, min(d - 1, len(masks)))]
-    for t in connected_vertex_subsets(X):
+    dual = _duality_test(oracle)
+    walk = _connected_masks(oracle._adj, oracle._star)
+    for t in sorted(m for m, reach in walk if dual is None or dual(reach)):
         if any(t | u == full for u in combos):
             continue  # extension would break the cover bound
         if _exact_cover_exists(t, masks):
@@ -584,11 +583,10 @@ def selfdual_report(field: FieldSpec = GF2,
     symmetry would be a counterexample and is flagged, not raised.
 
     The existence rows of the asymmetric polytopes restate a theorem
-    rather than add evidence: `any_valid_family` answers a complex with
-    one top cell and a non-palindromic f-vector from the f-vector alone
-    (see `_gorenstein_excluded`), so the engine never searches them.  On
-    the palindromic ones it searches only the candidates that Gorenstein
-    duality allows (see `_dual_candidates`).
+    rather than add evidence: on a complex with one top cell,
+    `any_valid_family` searches only the candidates that Gorenstein
+    duality allows (see `_duality_test`), and on a non-palindromic
+    f-vector it allows none, so the engine never runs there.
     """
     rows, bad = [], []
     for name, X, witness in _selfdual_corpus():

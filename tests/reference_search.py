@@ -25,6 +25,10 @@ ran as one loop over an explicit stack: a generator recursing through one
 `yield from` per chosen member onto a shared list of them.  The library
 must yield the same families in the same order and leave the same
 restrictions in the oracle's cache.
+`candidate_masks` is the library's candidate walk without its duality
+test: every candidate, asked of the oracle and refused by the guard
+exactly as the library's walk does, so the engine can be run over the
+full list and compared with its run over the candidates duality allows.
 `reference_connected_vertex_subsets` finds those connected sets by
 flood-filling each of the 2^n vertex masks; the library grows them from
 their lowest vertex and must return the same list.
@@ -63,8 +67,10 @@ from cellres.complexes import (
 from cellres.linalg import GF2
 from cellres.monomials import (
     FamilyError,
+    GuardExceeded,
     VertexFamily,
     _exact_cover_exists,
+    _mask_key,
     iter_bits,
     mask_of,
     reduce_family,
@@ -83,6 +89,7 @@ from cellres.resolution import (
 )
 from cellres.search import (
     MaximalityReport,
+    _connected_masks,
     enumerate_valid_families,
     is_maximal,
 )
@@ -104,6 +111,19 @@ def separation_bits(X, masks) -> list:
                 bits |= 1 << k
         out.append(bits)
     return out
+
+
+def candidate_masks(space, oracle) -> tuple:
+    """Every candidate's mask, sorted by `_mask_key`."""
+    full = oracle.full_mask
+    found = []
+    for m, reach in _connected_masks(oracle._adj, oracle._star):
+        if oracle.is_acyclic(full & ~m, reach):
+            found.append(m)
+            if len(found) > space.max_candidates:
+                raise GuardExceeded(
+                    f"more than {space.max_candidates} candidate sets")
+    return tuple(sorted(found, key=_mask_key))
 
 
 def reference_connected_vertex_subsets(X) -> list:

@@ -450,6 +450,23 @@ def test_a_passed_oracle_must_answer_for_the_complex_and_field():
     assert check_family_criteria(P, F, RATIONAL, again).union_witness == {0}
 
 
+def test_is_maximal_refuses_a_criteria_report_over_another_field():
+    # RP^2 is acyclic over Q only: this family passes over Q and fails
+    # over GF(2), where the whole complex is not acyclic
+    P = projective_plane()
+    F = any_valid_family(P, None, RATIONAL)
+    over_q = check_family_criteria(P, F, RATIONAL)
+    over_gf2 = check_family_criteria(P, F, GF2)
+    assert over_q.ok and not over_gf2.ok
+    assert is_maximal(P, F, RATIONAL, criteria=over_q) == is_maximal(
+        P, F, RATIONAL)
+    with pytest.raises(FamilyError):
+        is_maximal(P, F, GF2)
+    for field, criteria in ((GF2, over_q), (RATIONAL, over_gf2)):
+        with pytest.raises(ValueError, match="criteria report"):
+            is_maximal(P, F, field, criteria=criteria)
+
+
 def test_rational_existence_search_needs_no_exact_elimination(monkeypatch):
     # the pyramid over the 8-gon admits no valid family, so the search
     # exhausts its tree; every cone it asks about is acyclic over GF(2)

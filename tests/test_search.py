@@ -60,6 +60,7 @@ from cellres.search import (
     variable_count_report,
 )
 from reference_search import (
+    candidate_masks,
     covering_property_check,
     from_scratch_search,
     reference_covering_property_check,
@@ -100,7 +101,7 @@ def every_subset(n):
 
 
 def default_candidates(X, field=GF2):
-    return search._candidate_masks(SP, AcyclicityOracle(X, field))
+    return candidate_masks(SP, AcyclicityOracle(X, field))
 
 
 def test_connected_vertex_subsets_of_a_path():
@@ -434,6 +435,19 @@ def test_is_maximal_matches_the_reference_scan(case, field):
         assert is_maximal(X, F, field) == reference_is_maximal(X, F, field)
 
 
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("n,asked", [(11, 68), (13, 93), (15, 122)])
+def test_is_maximal_asks_nothing_once_the_criteria_have_run(n, asked, field):
+    # duality lets only the arcs of (n - 1)/2 vertices join the n-gon's
+    # arc family, and those are its members
+    X, F = polygon_complex(n), polygon_family(n)
+    oracle = AcyclicityOracle(X, field)
+    criteria = check_family_criteria(X, F, field, oracle)
+    assert len(oracle.touched()) == asked
+    assert is_maximal(X, F, field, oracle, criteria) == MaximalityReport(True)
+    assert len(oracle.touched()) == asked
+
+
 def test_no_mutual_morphism_between_distinct_chord_families():
     A, B = chord_families(6, 3)
     assert not (refines(A, B) and refines(B, A))
@@ -465,7 +479,7 @@ def test_existence_search_handles_solid_polytopes():
     fam = any_valid_family(W, wide)
     assert fam is not None and check_family_criteria(W, fam).ok
     E = elongated_pyramid(polygon_complex(4))
-    assert len(search._candidate_masks(wide, AcyclicityOracle(E))) == 241
+    assert len(candidate_masks(wide, AcyclicityOracle(E))) == 241
     assert any_valid_family(E, wide) is None
 
 
@@ -646,7 +660,7 @@ def test_existence_search_asks_the_oracle_a_fixed_set_of_questions(X, calls,
     # measured once the engine kept candidate bitsets; a faster engine must
     # ask exactly these questions and miss on these masks
     oracle = CountingOracle(X, field)
-    cands = search._candidate_masks(SP, oracle)
+    cands = candidate_masks(SP, oracle)
     assert next(search._search(X, field, cands, oracle), None) is None
     assert (oracle.queries, oracle.misses) == calls
 
@@ -656,7 +670,7 @@ def test_existence_on_an_asymmetric_bipyramid_asks_only_the_candidate_walk(
         field):
     X = bipyramid_complex(5)
     walk = CountingOracle(X, field)
-    search._candidate_masks(SP, walk)
+    candidate_masks(SP, walk)
     oracle = CountingOracle(X, field)
     assert any_valid_family(X, SP, field, oracle) is None
     assert (oracle.queries, oracle.misses) == (walk.queries, walk.misses)
@@ -707,9 +721,9 @@ WIDE = SearchSpace(max_candidates=1000)
 def test_engine_finds_no_family_where_the_f_vector_excludes_one(case, field):
     X = NON_PALINDROMIC_CASES[case]()
     assert len(X.cells_of_dim(X.dim)) == 1 and not f_symmetry(X)
-    assert search._gorenstein_excluded(X)
     oracle = AcyclicityOracle(X, field)
-    cands = search._candidate_masks(WIDE, oracle)
+    assert search._candidates(WIDE, oracle) == ()
+    cands = candidate_masks(WIDE, oracle)
     assert next(search._search(X, field, cands, oracle), None) is None
     assert any_valid_family(X, WIDE, field) is None
     assert enumerate_valid_families(X, WIDE, field) == []
@@ -737,9 +751,8 @@ DUAL_EXISTENCE_CALLS = {
 def test_existence_reaches_the_engine_on_palindromic_f_vectors(case, field):
     X = PALINDROMIC_CASES[case]()
     assert len(X.cells_of_dim(X.dim)) == 1 and f_symmetry(X)
-    assert not search._gorenstein_excluded(X)
     engine = CountingOracle(X, field)
-    cands = search._candidate_masks(WIDE, engine)
+    cands = candidate_masks(WIDE, engine)
     want = next(search._search(X, field, cands, engine), None)
     oracle = CountingOracle(X, field)
     got = any_valid_family(X, WIDE, field, oracle)
@@ -748,7 +761,8 @@ def test_existence_reaches_the_engine_on_palindromic_f_vectors(case, field):
         assert check_family_criteria(X, got, field).ok
     # the walk, then the engine over the kept candidates only
     walked = CountingOracle(X, field)
-    kept = search._dual_candidates(walked, search._candidate_walk(WIDE, walked))
+    kept = search._candidates(WIDE, walked)
+    assert kept
     next(search._search(X, field, kept, walked), None)
     assert (oracle.queries, oracle.misses) == (walked.queries, walked.misses)
     assert (oracle.queries, oracle.misses) == DUAL_EXISTENCE_CALLS[case]
@@ -762,7 +776,8 @@ def test_the_guard_and_the_symmetry_check_come_before_the_f_vector():
             (bipyramid_complex(5), SearchSpace(), True),
             (pyramid(polygon_complex(8)), SearchSpace(max_candidates=100),
              False)):
-        assert search._gorenstein_excluded(X) == excluded
+        kept = search._candidates(WIDE, AcyclicityOracle(X))
+        assert (kept == ()) == excluded
         n = X.n_vertices
         with pytest.raises(GuardExceeded):
             any_valid_family(X, space)
@@ -807,7 +822,7 @@ def test_every_member_of_a_valid_family_meets_as_many_cells_as_it_misses(
     X = DUALITY_CASES[case]()
     assert len(X.cells_of_dim(X.dim)) == 1
     oracle = AcyclicityOracle(X, field)
-    cands = search._candidate_masks(WIDE, oracle)
+    cands = candidate_masks(WIDE, oracle)
     families = list(search._search(X, field, cands, oracle))
     assert families
     for masks in families:
@@ -844,9 +859,8 @@ FILTER_CASES = {
 def test_the_candidates_duality_allows_hold_the_same_families(case, field):
     X = FILTER_CASES[case]()
     oracle = AcyclicityOracle(X, field)
-    cands = search._candidate_masks(WIDE, oracle)
-    kept = search._dual_candidates(oracle,
-                                   search._candidate_walk(WIDE, oracle))
+    cands = candidate_masks(WIDE, oracle)
+    kept = search._candidates(WIDE, oracle)
     if len(X.cells_of_dim(X.dim)) == 1:
         assert kept == tuple(m for m in cands if
                              meets_as_many_cells_as_it_misses(X, set_of(m)))
@@ -859,6 +873,65 @@ def test_the_candidates_duality_allows_hold_the_same_families(case, field):
         got = sorted(family_key(masks) for masks in
                      search._search(X, field, kept, oracle, maximal))
         assert got == want
+
+
+@st.composite
+def one_top_cell_complexes(draw):
+    """A complex with one top cell and the family its construction gives,
+    or None: a 3- to 11-gon, the pyramid over one or the pyramid over that
+    pyramid, an elongated pyramid over a 3- to 5-gon, `wheel_polytope(3..5)`
+    or `bipyramid_complex(3..6)`.  No complex drawn has more than 11
+    vertices, since the reference maximality test tries every vertex mask."""
+    kind = draw(st.sampled_from(["cone", "elongated", "wheel", "bipyramid"]))
+    if kind == "cone":
+        apexes = draw(st.integers(0, 2))
+        n = draw(st.integers(3, 11 - apexes))
+        X, F = polygon_complex(n), polygon_family(n) if n % 2 else None
+        for _ in range(apexes):
+            X, F = pyramid(X), F and pyramid_family(F)
+        return X, F
+    if kind == "elongated":
+        n = draw(st.integers(3, 5))
+        return (elongated_pyramid(polygon_complex(n)),
+                ep_family(polygon_family(n)) if n % 2 else None)
+    if kind == "wheel":
+        n = draw(st.integers(3, 5))
+        return wheel_polytope(n), wheel_family() if n == 4 else None
+    return bipyramid_complex(draw(st.integers(3, 6))), None
+
+
+def maximality_or_refusal(check, X, F, field):
+    try:
+        return check(X, F, field)
+    except FamilyError:
+        return "refused"
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_top_cell_complexes(), st.sampled_from([GF2, RATIONAL]))
+def test_duality_keeps_every_answer_on_one_top_cell(drawn, field):
+    # the pyramid over the pyramid over the 9-gon has 1,171 candidates
+    X, built = drawn
+    space = SearchSpace(max_candidates=2000)
+    oracle = AcyclicityOracle(X, field)
+    cands = candidate_masks(space, oracle)
+    found = any_valid_family(X, space, field)
+    assert (found is None) == (
+        next(search._search(X, field, cands, oracle), None) is None)
+    families = []
+    for F in (built, found):
+        if F is not None:
+            families += [F, *(family(F.n, F.sets[:i] + F.sets[i + 1:])
+                              for i in range(len(F.sets)))]
+    if X.n_vertices <= 9:
+        valid, maximal = (search._materialize(X.n_vertices, search._search(
+            X, field, cands, oracle, flag), ()) for flag in (False, True))
+        assert enumerate_valid_families(X, space, field) == valid
+        assert enumerate_maximal_families(X, space, field) == maximal
+        families += valid
+    for F in families:
+        assert (maximality_or_refusal(is_maximal, X, F, field)
+                == maximality_or_refusal(reference_is_maximal, X, F, field))
 
 
 BITSET_FILTER_CASES = {
@@ -883,8 +956,8 @@ BITSET_FILTER_CASES = {
 def test_bitset_filter_matches_the_per_candidate_filter(case, field, maximal):
     X = BITSET_FILTER_CASES[case]()
     # the wheel has 233 candidates
-    cands = search._candidate_masks(SearchSpace(max_candidates=300),
-                                    AcyclicityOracle(X, field))
+    cands = candidate_masks(SearchSpace(max_candidates=300),
+                            AcyclicityOracle(X, field))
     got_oracle = AcyclicityOracle(X, field)
     want_oracle = AcyclicityOracle(X, field)
     got = list(search._search(X, field, cands, got_oracle, maximal))
@@ -898,8 +971,8 @@ def test_bitset_filter_matches_the_per_candidate_filter(case, field, maximal):
 def assert_same_walk(X, field, maximal):
     """The loop engine and the recursive one yield the same families in the
     same order, and ask the oracle about the same restrictions."""
-    cands = search._candidate_masks(SearchSpace(max_candidates=300),
-                                    AcyclicityOracle(X, field))
+    cands = candidate_masks(SearchSpace(max_candidates=300),
+                            AcyclicityOracle(X, field))
     got_oracle = AcyclicityOracle(X, field)
     want_oracle = AcyclicityOracle(X, field)
     got = list(search._search(X, field, cands, got_oracle, maximal))
