@@ -251,10 +251,8 @@ def requirement_rows(X: CellComplex, masks) -> list:
     """
     rows = [0] * X.n_vertices
     for j, m in enumerate(masks):
-        while m:
-            low = m & -m
-            rows[low.bit_length() - 1] |= 1 << j
-            m ^= low
+        for v in iter_bits(m):
+            rows[v] |= 1 << j
     meet = []
     for c in X.cells:
         got = 0
@@ -386,26 +384,26 @@ def _minimum_cover_size(universe: int, masks, limit: int = None):
     """Fewest masks whose union contains `universe`; None when no cover
     exists or more than `limit` masks are needed.
 
-    The partial unions of each size are kept as a set.  Some mask of every
-    cover holds the lowest vertex a partial union leaves uncovered, so a
-    union grows only by those masks.
+    The parts of `universe` that the partial covers of each size leave
+    uncovered are kept as a set.  Some mask of every cover holds the lowest
+    vertex such a rest still holds, so a rest shrinks only by those masks.
+    The search stops at `limit`: it builds no rests for a larger size.
     """
     reach = 0
     for m in masks:
         reach |= m
     if universe & ~reach:
         return None
-    level, size = {0}, 0
-    while limit is None or size <= limit:
+    level, size = {universe}, 0
+    while 0 not in level:
+        if size == limit:
+            return None
         grown = set()
-        for u in level:
-            rest = universe & ~u
-            if not rest:
-                return size
+        for rest in level:
             low = rest & -rest
-            grown.update(u | m for m in masks if m & low)
+            grown.update(rest & ~m for m in masks if m & low)
         level, size = grown, size + 1
-    return None
+    return size
 
 
 def codimension(L: MonomialLabelling) -> int:

@@ -56,6 +56,7 @@ from .monomials import (
     _decomposable,
     _exact_cover_exists,
     _mask_key,
+    iter_bits,
     member_key,
     set_of,
     subfamily_unions,
@@ -63,6 +64,7 @@ from .monomials import (
 from .resolution import (
     AcyclicityOracle,
     FamilyCriteriaReport,
+    _minimum_cover_size,
     check_family_criteria,
     cover_unions,
     f_symmetry,
@@ -87,11 +89,13 @@ class SearchSpace(NamedTuple):
     max_candidates: int = 60
 
 
-def _connected_masks(adj: list, star: list):
+def _connected_masks(adj: list, star: list, keep=None):
     """Yield (mask, reach) for each nonempty vertex mask whose induced
     subgraph of the graph `adj` (one neighbour mask per vertex) is
     connected, once; reach is the union of star[v] over the vertices v in
-    the mask.
+    the mask.  A set grown to a reach failing `keep` is not yielded, nor
+    grown further.  If `keep` fails above every reach it fails on, no set
+    passing it is lost: the reach grows along a set's one growth path.
 
     Each set grows from its lowest vertex v (ESU, Wernicke 2006) by one
     extension vertex at a time.  Those lie above v and enter as neighbours
@@ -110,8 +114,10 @@ def _connected_masks(adj: list, star: list):
             while ext:
                 u = ext.bit_length() - 1
                 ext ^= 1 << u
-                stack.append((sub | 1 << u, reach | star[u], closed | adj[u],
-                              ext | adj[u] & above & ~closed))
+                grown = reach | star[u]
+                if keep is None or keep(grown):
+                    stack.append((sub | 1 << u, grown, closed | adj[u],
+                                  ext | adj[u] & above & ~closed))
 
 
 def connected_vertex_subsets(X: CellComplex) -> list:
@@ -122,7 +128,8 @@ def connected_vertex_subsets(X: CellComplex) -> list:
 
 def _duality_test(oracle: AcyclicityOracle):
     """A test on a set's reach (the cells meeting it) that every member of
-    every valid family passes, or None when X has several top cells.
+    every valid family passes, and a test that every reach below a passing
+    one passes; (None, None) when X has several top cells.
 
     A valid family on a d-dimensional X with a single d-cell gives a
     Cohen-Macaulay minimal cellular resolution supported on X, of length
@@ -136,16 +143,18 @@ def _duality_test(oracle: AcyclicityOracle):
     searched as a candidate nor join a valid family.
 
     Where f_i != f_(d-1-i), the conditions for i and for d-1-i ask one
-    sum to equal both, so no set passes, and the test says no at once:
-    a non-palindromic f-vector admits no valid family.
+    sum to equal both, so no set passes, and both tests say no at once:
+    a non-palindromic f-vector admits no valid family.  Otherwise the
+    second test asks that no sum exceed f_i; a sum never falls as the
+    reach grows.
     """
     dims = oracle._dims
     d = len(dims) - 1
     f = [cells.bit_count() for cells in dims]
     if f[d] != 1:
-        return None
+        return None, None
     if any(f[i] != f[d - 1 - i] for i in range(d)):
-        return lambda reach: False
+        return (lambda reach: False,) * 2
     pairs = [(dims[i], dims[d - 1 - i], f[i]) for i in range(d)]
 
     def test(reach):
@@ -153,7 +162,9 @@ def _duality_test(oracle: AcyclicityOracle):
             if (reach & a).bit_count() + (reach & b).bit_count() != n:
                 return False
         return True
-    return test
+    return test, lambda reach: all(
+        (reach & a).bit_count() + (reach & b).bit_count() <= n
+        for a, b, n in pairs)
 
 
 def _candidates(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
@@ -171,19 +182,16 @@ def _candidates(space: SearchSpace, oracle: AcyclicityOracle) -> tuple:
                 raise GuardExceeded(
                     f"more than {space.max_candidates} candidate sets; "
                     "raise max_candidates to proceed")
-    dual = _duality_test(oracle)
+    dual, _ = _duality_test(oracle)
     return tuple(sorted((m for m, reach in found
                          if dual is None or dual(reach)), key=_mask_key))
 
 
 def _maximal_at(cands: tuple, joinable: int, chosen: tuple) -> bool:
     """Every joinable candidate splits into members; no member into others."""
-    while joinable:
-        low = joinable & -joinable
-        if not _exact_cover_exists(cands[low.bit_length() - 1], chosen):
-            return False
-        joinable ^= low
-    return not any(_decomposable(chosen))
+    return (all(_exact_cover_exists(cands[j], chosen)
+                for j in iter_bits(joinable))
+            and not any(_decomposable(chosen)))
 
 
 def _search(X: CellComplex, field: FieldSpec, cands: tuple,
@@ -260,11 +268,9 @@ def _search(X: CellComplex, field: FieldSpec, cands: tuple,
                 short_u = short.get(u)
                 if short_u is None:
                     # c | u == full when c holds every vertex outside u
-                    covers, rest = everyone, full & ~u
-                    while rest:
-                        bit = rest & -rest
-                        covers &= reqs[bit.bit_length() - 1]
-                        rest ^= bit
+                    covers = everyone
+                    for v in iter_bits(full & ~u):
+                        covers &= reqs[v]
                     short_u = short[u] = everyone & ~covers
                 nxt &= short_u
             for w in fresh:
@@ -383,10 +389,7 @@ def any_valid_family(X: CellComplex, space: SearchSpace = None,
     oracle = oracle_for(X, field, oracle)
     cands = _candidates(space, oracle)
     hit = next(_search(X, field, cands, oracle), None) if cands else None
-    if hit is None:
-        return None
-    return VertexFamily(X.n_vertices, tuple(
-        set_of(m) for m in sorted(hit, key=_mask_key)))
+    return None if hit is None else _materialize(X.n_vertices, [hit], ())[0]
 
 
 class MaximalityReport(NamedTuple):
@@ -417,13 +420,14 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
     dropping the other pieces.  That piece's mask is at most T's, so the
     scan over connected sets in increasing mask order returns the same
     `extension` as a scan over every vertex subset would.  An addable set
-    joins a valid family, so the scan skips the sets that fail
-    `_duality_test`, and the `extension` stays the same.
+    joins a valid family, so the scan keeps only the sets that pass
+    `_duality_test`, and the walk grows no set past a count of that test;
+    the `extension` stays the same.
 
-    Each set meets the cheap questions first: the cover bound, then the
-    exact cover, and only then the oracle, about the complement of its
-    union with each union of members.  A set that is a disjoint union of
-    members would pass every one of those oracle questions.
+    Each set meets the cheap questions first: the cover bound (do at most
+    d - 1 members cover the vertices it misses?), then the exact cover,
+    and only then the oracle, about the complement of its union with each
+    union of members; a disjoint union of members would pass all of those.
     """
     oracle = oracle_for(X, field, oracle)
     if criteria is None:
@@ -440,12 +444,10 @@ def is_maximal(X: CellComplex, F: VertexFamily, field: FieldSpec = GF2,
         return MaximalityReport(False, decomposable=set_of(gone))
     unions = sorted(subfamily_unions(masks))
     full = (1 << X.n_vertices) - 1
-    d = X.dim
-    combos = [0, *cover_unions(0, masks, min(d - 1, len(masks)))]
-    dual = _duality_test(oracle)
-    walk = _connected_masks(oracle._adj, oracle._star)
+    dual, within = _duality_test(oracle)
+    walk = _connected_masks(oracle._adj, oracle._star, within)
     for t in sorted(m for m, reach in walk if dual is None or dual(reach)):
-        if any(t | u == full for u in combos):
+        if _minimum_cover_size(full & ~t, masks, X.dim - 1) is not None:
             continue  # extension would break the cover bound
         if _exact_cover_exists(t, masks):
             continue  # a member, or a disjoint union of members

@@ -310,6 +310,28 @@ def test_minimum_cover_size_matches_the_subset_scan(case):
     assert resolution._minimum_cover_size(universe, masks, limit) == want
 
 
+class CountedPasses(list):
+    """A list that counts the passes made over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_minimum_cover_size_builds_no_level_past_its_limit():
+    # three singletons need all three; one pass over the masks finds that
+    # they cover the universe, and each size below the limit takes one more
+    # pass to grow its partial covers
+    for limit in range(3):
+        masks = CountedPasses([1, 2, 4])
+        assert resolution._minimum_cover_size(0b111, masks, limit) is None
+        assert masks.passes == 1 + limit
+    masks = CountedPasses([1, 2, 4])
+    assert resolution._minimum_cover_size(0b111, masks, 3) == 3
+    assert masks.passes == 4
+
+
 def test_a_unit_label_leaves_no_cover():
     with pytest.raises(FamilyError, match="unit monomial"):
         codimension(labelling(0, [()]))

@@ -39,6 +39,7 @@ from cellres.monomials import (
     _mask_key,
     family,
     family_of,
+    member_key,
     refines,
     set_of,
 )
@@ -415,6 +416,8 @@ MAXIMALITY_CASES = {
        _searched(subdivided_polygon(n, chords))
        for n, chords in VARIABLE_COUNT_INSTANCES},
     "pyramid-5-gon": _searched(pyramid(polygon_complex(5))),
+    # dimension 4: the cover bound asks the kernel for 3 members
+    "pyramid-pyramid-5-gon": _searched(pyramid(pyramid(polygon_complex(5)))),
     "7-gon-chords-02-with-a-union":
         _with_a_union(subdivided_polygon(7, ((0, 2),))),
     "6-gon-chords-15-35-with-a-union":
@@ -932,6 +935,70 @@ def test_duality_keeps_every_answer_on_one_top_cell(drawn, field):
     for F in families:
         assert (maximality_or_refusal(is_maximal, X, F, field)
                 == maximality_or_refusal(reference_is_maximal, X, F, field))
+
+
+def duality_walk(X, cut):
+    """The (mask, reach) pairs of the connected-set walk on X, cut where
+    duality's counts overflow or not, and the duality test."""
+    oracle = AcyclicityOracle(X)
+    dual, within = search._duality_test(oracle)
+    return list(search._connected_masks(oracle._adj, oracle._star,
+                                        within if cut else None)), dual
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_top_cell_complexes())
+def test_the_cut_walk_yields_every_set_duality_passes(drawn):
+    X, _ = drawn
+    walked, dual = duality_walk(X, cut=True)
+    every, _ = duality_walk(X, cut=False)
+    assert set(walked) <= set(every) and len(walked) == len(set(walked))
+    passing = sorted(m for m, reach in walked if dual(reach))
+    assert passing == sorted(m for m, reach in every if dual(reach))
+    if not f_symmetry(X):
+        assert passing == []
+
+
+def test_the_cut_walk_stops_where_duality_counts_overflow(monkeypatch):
+    # 1,160 and 32,979 connected sets without the cut; the wheel admits no
+    # family to ask is_maximal about, so its walk is counted directly
+    assert len(duality_walk(wheel_polytope(5), cut=True)[0]) == 86
+    counts = []
+    walk = search._connected_masks
+
+    def counted(*args):
+        counts.append(0)
+        for item in walk(*args):
+            counts[-1] += 1
+            yield item
+    monkeypatch.setattr(search, "_connected_masks", counted)
+    X, F = pyramid(polygon_complex(15)), pyramid_family(polygon_family(15))
+    assert is_maximal(X, F) == MaximalityReport(True)
+    assert counts == [106]
+
+
+PARITY_LADDERS = {
+    "wheel": (wheel_polytope, range(3, 9), 0),
+    "elongated-pyramid": (lambda n: elongated_pyramid(polygon_complex(n)),
+                          range(3, 9), 1),
+    "pyramid": (lambda n: pyramid(polygon_complex(n)), range(3, 15), 1),
+}
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONAL], ids=["gf2", "rational"])
+@pytest.mark.parametrize("ladder", sorted(PARITY_LADDERS))
+def test_one_top_cell_ladders_admit_a_family_by_parity(ladder, field):
+    # the guard counts every candidate before duality: the elongated
+    # pyramid over the 8-gon has 9,441
+    make, sizes, parity = PARITY_LADDERS[ladder]
+    space = SearchSpace(max_candidates=10_000)
+    for n in sizes:
+        X = make(n)
+        F = any_valid_family(X, space, field)
+        assert (F is not None) == (n % 2 == parity), n
+        if F is not None:
+            assert check_family_criteria(X, F, field).ok
+            assert list(F.sets) == sorted(F.sets, key=member_key)
 
 
 BITSET_FILTER_CASES = {
