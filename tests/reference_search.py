@@ -50,6 +50,10 @@ suite gives them means a bug in the library.  No library code calls them,
 so they live here, and so does `strand_ranks`, the strand homology of a
 free complex that `strand_matches_homology` reads: the verdict reads the
 lcm lattice and the oracle, and no command reaches the strands.
+`composition_is_zero` gates that route, since strand ranks presume maps
+that compose to zero; the library does not check its maps, because
+`validate_complex` already refuses a complex whose signed boundary does
+not compose to zero, and the free complex's maps compose as it does.
 """
 
 import itertools
@@ -576,6 +580,20 @@ def covering_property_check(X, F, field=GF2, oracle=None) -> CoveringReport:
     return CoveringReport(single, pair, witness)
 
 
+def composition_is_zero(fc) -> bool:
+    """Whether each two consecutive maps of the free complex fc compose to
+    zero; only the signs of the entries are read."""
+    for A, B in zip(fc.maps, fc.maps[1:]):
+        for col in B:
+            acc = {}
+            for k, s, _ in col:
+                for r, t, _ in A[k]:
+                    acc[r] = acc.get(r, 0) + s * t
+            if any(acc.values()):
+                return False
+    return True
+
+
 def strand_ranks(fc, b, field=GF2) -> tuple:
     """Homology ranks of the degree-b strand of the free complex fc.
 
@@ -601,7 +619,10 @@ def strand_ranks(fc, b, field=GF2) -> tuple:
 
 def strand_matches_homology(fc, X, b, field=GF2) -> bool:
     """Strand homology of the free complex fc of X against reduced
-    homology of the sublevel restriction, degree i versus dimension i-1."""
+    homology of the sublevel restriction, degree i versus dimension i-1;
+    False when the maps of fc do not compose to zero."""
+    if not composition_is_zero(fc):
+        return False
     b = tuple(b)
     keep = set()
     for cid, m in zip(fc.cell_ids[1], fc.multidegrees[1]):

@@ -818,6 +818,15 @@ def _boundary_id_99():
     return doc
 
 
+def _all_plus_triangle():
+    # the 2-cell carries +1 on every edge, so its boundary's boundary is
+    # nonzero at two vertices while every edge alone is sound
+    doc = complex_to_dict(polygon_complex(3))
+    for entry in doc["cells"][-1]["boundary"]:
+        entry[1] = 1
+    return doc
+
+
 @pytest.mark.parametrize("command", [
     "homology", "enumerate", "verify", "maximal-check", "betti"])
 @pytest.mark.parametrize("doc,diag", [
@@ -831,7 +840,9 @@ def _boundary_id_99():
      "cell 3: face -1 lies under 3 boundary cells, expected 2"),
     (_edge_complex(2, "boundary", [[1, 1], [0, 1]]),
      "cell 2: boundary of boundary is nonzero at [-1]"),
-], ids=["boundary-id-99", "one-endpoint", "three-endpoints", "same-sign"])
+    (_all_plus_triangle(), "cell 6: boundary of boundary is nonzero at [0, 2]"),
+], ids=["boundary-id-99", "one-endpoint", "three-endpoints", "same-sign",
+        "all-plus-triangle"])
 def test_malformed_complexes_exit_3_from_every_command(capsys, tmp_path,
                                                       command, doc, diag):
     n = doc["n_vertices"]

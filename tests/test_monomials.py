@@ -314,6 +314,9 @@ def test_reduce_family_drops_disjoint_unions():
     F = family(4, [{0}, {1}, {0, 1}, {2, 3}, {0, 1, 2, 3}])
     R = reduce_family(F)
     assert sorted(sorted(s) for s in R.sets) == [[0], [1], [2, 3]]
+    # a member that comes before its parts goes too
+    R = reduce_family(family(3, [{0, 1}, {0}, {1}]))
+    assert sorted(sorted(s) for s in R.sets) == [[0], [1]]
 
 
 def brute_force_reduce(F):

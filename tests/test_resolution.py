@@ -1,7 +1,9 @@
 """Resolution checks: acyclicity oracle, CM verdicts, free complexes, strands."""
 
+import functools
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -65,6 +67,11 @@ from cellres.search import (
     enumerate_valid_families,
     is_maximal,
 )
+from cellres.serialize import (
+    SerializationError,
+    complex_from_dict,
+    complex_to_dict,
+)
 from reference_lattice import (
     divides,
     divisibility_mask,
@@ -78,13 +85,15 @@ from reference_lattice import (
     reference_polarize,
 )
 from reference_search import (
+    candidate_masks,
+    composition_is_zero,
     covering_property_check,
     reference_cover_witness,
     reference_family_criteria,
     strand_matches_homology,
 )
 from test_acceptance import TWELVE_GON_SIXTEEN
-from test_search import chords_of, polygons_with_chords
+from test_search import chords_of, polygons_with_chords, search_complexes
 
 
 def strand_oracle(X, L, b, field=GF2) -> bool:
@@ -158,7 +167,7 @@ def test_path_resolves_the_squares_ideal():
     assert verdict.is_cm
     fc = build_free_complex(X, L)
     assert fc.ranks() == (1, 3, 2)
-    assert fc.composition_is_zero()
+    assert composition_is_zero(fc)
 
 
 def test_star_fails_on_the_squares_ideal():
@@ -529,10 +538,45 @@ def test_oracle_matches_homology_on_random_masks(case):
         assert_oracle_matches_homology(AcyclicityOracle(X, field), mask)
 
 
+# small complexes with valid families; random member sets are nearly all
+# refused as labellings, so the family cases also perturb a valid family
+PERTURBED_COMPLEXES = {
+    "chord-5": lambda: subdivided_polygon(5, [(0, 2)]),
+    "chord-6": lambda: subdivided_polygon(6, [(0, 2), (2, 4)]),
+    "chord-7": lambda: subdivided_polygon(7, [(0, 3), (3, 5)]),
+    "polygon-7": lambda: polygon_complex(7),
+    "pyramid-5": lambda: pyramid(polygon_complex(5)),
+    "pyramid-chord-5": lambda: pyramid(subdivided_polygon(5, [(0, 2)])),
+    "elongated-3": lambda: elongated_pyramid(polygon_complex(3)),
+    "wheel-4": lambda: wheel_polytope(4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def valid_families_and_candidates(name):
+    X = PERTURBED_COMPLEXES[name]()
+    space = SearchSpace(max_candidates=1000)
+    return (X, enumerate_valid_families(X, space),
+            candidate_masks(space, AcyclicityOracle(X)))
+
+
 @st.composite
 def random_family_cases(draw):
     """A polygon (4 <= n <= 8) cut by non-crossing chords, or the pyramid
-    over one, and a family of up to eight distinct members on it."""
+    over one, and a family of up to eight distinct members on it; or a
+    valid family on one of PERTURBED_COMPLEXES, as it is, with one member
+    dropped, or with one candidate added."""
+    if draw(st.booleans()):
+        X, valid, cands = valid_families_and_candidates(
+            draw(st.sampled_from(sorted(PERTURBED_COMPLEXES))))
+        members = [mask_of(s) for s in draw(st.sampled_from(valid)).sets]
+        change = draw(st.sampled_from(["none", "drop", "add"]))
+        if change == "drop":
+            del members[draw(st.integers(0, len(members) - 1))]
+        elif change == "add":
+            members.append(draw(st.sampled_from(
+                [m for m in cands if m not in members])))
+        return X, family(X.n_vertices, [set_of(m) for m in members])
     X = subdivided_polygon(*draw(polygons_with_chords()))
     if draw(st.booleans()):
         X = pyramid(X)
@@ -542,13 +586,21 @@ def random_family_cases(draw):
     return X, family(X.n_vertices, members)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(random_family_cases())
 def test_family_criteria_match_the_per_member_reference(case):
+    # the criteria hold exactly when the family's labelling is CM, and
+    # fail whenever the family is refused as a labelling
     X, F = case
     for field in (GF2, RATIONAL):
-        assert (check_family_criteria(X, F, field)
-                == reference_family_criteria(X, F, field))
+        criteria = check_family_criteria(X, F, field)
+        assert criteria == reference_family_criteria(X, F, field)
+        try:
+            L = labelling_of(F)
+        except (FamilyError, LabellingError):
+            assert not criteria.ok
+        else:
+            assert criteria.ok == check_cm_labelling(X, L, field).is_cm
 
 
 def test_family_criteria_report_fields():
@@ -603,10 +655,12 @@ def test_corrupted_sign_is_caught_at_the_composition_gate():
     fc = build_free_complex(X, L)
     bad = corrupt_one_sign(fc)
     assert bad != fc
-    assert fc.composition_is_zero()
-    assert not bad.composition_is_zero()
+    assert composition_is_zero(fc)
+    assert not composition_is_zero(bad)
     points = sorted(lcm_lattice(L))
     assert all(strand_matches_homology(fc, X, b, RATIONAL) for b in points)
+    assert not any(strand_matches_homology(bad, X, b, RATIONAL)
+                   for b in points)
 
 
 def test_criteria_need_a_complex_of_positive_dimension():
@@ -616,16 +670,78 @@ def test_criteria_need_a_complex_of_positive_dimension():
 
 
 def test_free_complex_refuses_signs_whose_maps_do_not_compose_to_zero():
-    # the triangle with +1 on every side has a nonzero composite boundary;
-    # the free complex checks its maps, not the complex
+    # the triangle with +1 on every side has a nonzero composite boundary:
+    # loading refuses it, and the free complex that a caller builds from it
+    # without validating fails the strand route's composition gate
     X = polygon_complex(3)
     top = X.cells[-1]
     bad = top._replace(boundary=tuple((b, 1) for b, _ in top.boundary))
     X = X._replace(cells=X.cells[:-1] + (bad,))
-    assert validate_complex(X)
-    with pytest.raises(ValueError,
-                       match="^free complex maps do not compose to zero$"):
-        build_free_complex(X, labelling(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    diag = "cell 6: boundary of boundary is nonzero at [0, 2]"
+    assert validate_complex(X) == [diag]
+    with pytest.raises(SerializationError, match=re.escape(diag)):
+        complex_from_dict(complex_to_dict(X))
+    L = labelling(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    fc = build_free_complex(X, L)
+    assert not composition_is_zero(fc)
+    assert not any(strand_matches_homology(fc, X, b) for b in lcm_lattice(L))
+
+
+@st.composite
+def signed_complexes(draw):
+    """A fully signed constructed complex: one that `search_complexes`
+    draws (a chorded polygon, the pyramid over one, or a tree), the
+    elongated pyramid over a triangle or a square, the wheel over a
+    triangle, or a bipyramid over 3 to 5 vertices."""
+    kind = draw(st.sampled_from(["search", "elongated", "wheel", "bipyramid"]))
+    if kind == "elongated":
+        return elongated_pyramid(polygon_complex(draw(st.integers(3, 4))))
+    if kind == "wheel":
+        return wheel_polytope(3)
+    if kind == "bipyramid":
+        return bipyramid_complex(draw(st.integers(3, 5)))
+    return draw(search_complexes())
+
+
+def negate_signs(X, entries):
+    """X with the sign of each (cell id, boundary position) entry negated."""
+    cells = list(X.cells)
+    for cid, j in entries:
+        boundary = list(cells[cid].boundary)
+        b, s = boundary[j]
+        boundary[j] = (b, -s)
+        cells[cid] = cells[cid]._replace(boundary=tuple(boundary))
+    return X._replace(cells=tuple(cells))
+
+
+@st.composite
+def negated_sign_cases(draw):
+    """A signed complex and one to four distinct boundary entries of it."""
+    X = draw(signed_complexes())
+    entries = [(c.id, j) for c in X.cells for j in range(len(c.boundary))]
+    return X, draw(st.lists(st.sampled_from(entries), min_size=1, max_size=4,
+                            unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(negated_sign_cases())
+def test_validation_decides_whether_the_free_complex_composes_to_zero(case):
+    # build_free_complex trusts validate_complex for ∂∂ = 0: the quotient
+    # monomials along a two-step path multiply to one monomial, so the maps
+    # compose to zero exactly when the signed boundary does.  Negating the
+    # drawn entries one after another starts sound and breaks at the first.
+    X, entries = case
+    n = X.n_vertices
+    L = labelling(n, [[int(v == p) for p in range(n)] for v in range(n)])
+    seen = set()
+    for k in range(len(entries) + 1):
+        Y = negate_signs(X, entries[:k])
+        diags = validate_complex(Y)
+        assert all("boundary of boundary is nonzero" in d for d in diags)
+        composes = composition_is_zero(build_free_complex(Y, L))
+        assert composes == (not diags), (entries[:k], diags)
+        seen.add(composes)
+    assert seen == {True, False}
 
 
 def test_free_complex_entries_are_quotient_monomials():

@@ -310,6 +310,16 @@ def test_guard_refuses_after_one_candidate_past_the_limit():
     assert oracle.queries <= 61
 
 
+def test_guard_admits_exactly_max_candidates():
+    # the pentagon has 21 candidates: a limit of 21 searches, 20 refuses
+    X = polygon_complex(5)
+    assert len(candidate_masks(SP, AcyclicityOracle(X))) == 21
+    [F] = enumerate_valid_families(X, SearchSpace(max_candidates=21))
+    assert F.same_family(polygon_family(5))
+    with pytest.raises(GuardExceeded):
+        enumerate_valid_families(X, SearchSpace(max_candidates=20))
+
+
 def test_guard_refuses_a_long_path_without_deep_recursion():
     X = tree_complex(edges_to_tree(2000, [(i, i + 1) for i in range(1999)]))
     with pytest.raises(GuardExceeded):
