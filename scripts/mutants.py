@@ -1,9 +1,9 @@
 """Apply each mutation of `tests/mutants.py` and check that its tests fail.
 
 Usage:
-    python scripts/mutants.py [NAME ...]
+    python scripts/mutants.py
 
-For each entry (or only those named), the script copies `src/`, `tests/`
+For each entry, the script copies `src/`, `tests/`
 and `pyproject.toml` into a temporary directory, replaces the entry's old
 text in its file there, and runs the entry's tests in that copy with
 `python -m pytest -q -x -p no:cacheprovider`, one entry after another.
@@ -12,8 +12,8 @@ its own directory's `src` first on the import path, so a copy of `src`
 alone would leave the tests running the unmutated library.
 
 A mutant is killed when its tests fail.  The script lists the survivors
-and exits 1 if any survives, if an old text does not occur exactly once,
-or if a name matches no entry.  Standard library only.
+and exits 1 if any survives or if an old text does not occur exactly
+once.  Standard library only.
 """
 
 import runpy
@@ -59,17 +59,9 @@ def run_mutant(entry: dict) -> str:
         return f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}"
 
 
-def main(argv=None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    mutants = load_mutants()
-    unknown = set(names) - {m["name"] for m in mutants}
-    if unknown:
-        print(f"no mutant named {', '.join(sorted(unknown))}")
-        return 1
+def main() -> int:
     bad = []
-    for entry in mutants:
-        if names and entry["name"] not in names:
-            continue
+    for entry in load_mutants():
         outcome = run_mutant(entry)
         print(f"{entry['name']}: {outcome}", flush=True)
         if outcome != "killed":

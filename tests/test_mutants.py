@@ -49,7 +49,3 @@ def test_runner_refuses_an_old_text_that_does_not_occur():
     assert (load_runner().run_mutant(entry)
             == "old text occurs 0 times in search.py")
 
-
-def test_runner_refuses_an_unknown_name(capsys):
-    assert load_runner().main(["no-such-mutant"]) == 1
-    assert capsys.readouterr().out == "no mutant named no-such-mutant\n"

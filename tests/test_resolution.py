@@ -586,7 +586,7 @@ def random_family_cases(draw):
     return X, family(X.n_vertices, members)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(random_family_cases())
 def test_family_criteria_match_the_per_member_reference(case):
     # the criteria hold exactly when the family's labelling is CM, and
